@@ -23,8 +23,8 @@ from .dynamics import Drive, adiabatic_fidelity
 from .errors import DegeneratePoint, HolostarkError, InvalidInput
 from .holonomy import (eigenphases, half_spin_band, load_path, path_to_dict,
                        wilson_loop)
-from .stark import (builtin_materials, eigen_split, d_linear, d_quadratic,
-                    feasibility_report, load_material_table, material_lookup)
+from .stark import (builtin_materials, d_vector, eigen_split, feasibility_report,
+                    load_material_table, material_lookup)
 from .synth import LoopModel, synthesize
 
 EXIT_OK = 0
@@ -40,9 +40,12 @@ def _complex_matrix(m):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def _parse_complex_matrix(data):
-    m = np.array([[complex(c[0], c[1]) for c in row] for row in data])
-    return m
+def _parse_complex_matrix(desc):
+    """The 'matrix' of a target description: rows of [re, im] number pairs."""
+    pairs = np.array(desc.get("matrix") if isinstance(desc, dict) else None)
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[-1] != 2:
+        raise InvalidInput("target needs a 'matrix' of rows of [re, im] number pairs")
+    return pairs.astype(float).view(complex)[..., 0]  # (re, im) pairs as complex128
 
 
 def _file_record(path):
@@ -114,9 +117,10 @@ def cmd_materials(args):
 def cmd_spectrum(args):
     m = _material(args)
     e = np.array([float(x) for x in args.field.split(",")])
-    if e.shape != (3,):
-        raise InvalidInput("--field needs three comma-separated components")
-    d = d_linear(e, m) if args.regime == "linear" else d_quadratic(e, m)
+    if e.shape != (3,) or not np.all(np.isfinite(e)):
+        raise InvalidInput(f"--field needs three finite comma-separated components, "
+                           f"got {args.field}")
+    d = d_vector(e, m, args.regime)
     if not d.norm > 0:
         raise DegeneratePoint("zero splitting at this field point")
     eps_minus, eps_plus, gap = eigen_split(d)
@@ -212,7 +216,7 @@ def _synth_model(args):
 def cmd_synth(args):
     with open(args.target, "r", encoding="utf-8") as fh:
         desc = json.load(fh)
-    target = _parse_complex_matrix(desc["matrix"])
+    target = _parse_complex_matrix(desc)
     result = synthesize(target, model=_synth_model(args),
                         max_loops=args.max_loops, tol=args.tol, seed=args.seed)
     results = {

@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import default_basis
 from .errors import DegeneratePoint
-from .stark import DVector, MaterialParams, d_components, d_jacobian
+from .stark import MaterialParams, d_components, d_jacobian, d_vector
 
 # points with |d| below this fraction of the largest |d| seen on a path are
 # treated as gap closures: 1/d^2 amplifies noise near degeneracy
@@ -90,15 +90,20 @@ def connection_field(e, regime, m, basis=None):
     the 1/d^2 of A_a, so the components depend on the field direction history
     only.
     """
-    basis = basis or default_basis()
     e = np.asarray(e, dtype=float)
-    comps = d_components(e, m, regime)
-    d = DVector(d0=float(comps[0]) if regime == "quadratic" else 0.0,
-                d=comps[1:], regime=regime)
-    aa = connection_d(d, basis)
+    aa = connection_d(d_vector(e, m, regime), basis)
     jac = d_jacobian(e, m, regime)
     components = np.einsum("ai,ajk->ijk", jac, aa)
     return GaugeField(components=components, basepoint=e, regime=regime, material=m)
+
+
+def gap_norms(comps):
+    """|d| per row of d_components output; DegeneratePoint if the gap closes
+    (|d| not above DEGENERACY_RTOL times the largest |d|)."""
+    norms = np.linalg.norm(comps[..., 1:], axis=-1)
+    if not norms.min() > DEGENERACY_RTOL * norms.max():
+        raise DegeneratePoint("gap closes along the path")
+    return norms
 
 
 def transport_exponents(points, regime, m, basis=None):
@@ -106,18 +111,15 @@ def transport_exponents(points, regime, m, basis=None):
 
     Midpoint evaluation makes the ordered product of their exponentials a
     second-order integrator.  Raises DegeneratePoint if the gap closes along
-    the way (|d| below DEGENERACY_RTOL times the path maximum, or zero).
+    the way (see gap_norms).
     """
     basis = basis or default_basis()
     points = np.asarray(points, dtype=float)
     mids = 0.5 * (points[1:] + points[:-1])
     diffs = points[1:] - points[:-1]
     comps = d_components(mids, m, regime)
-    dvecs = comps[:, 1:]
-    norms = np.linalg.norm(dvecs, axis=1)
-    if not norms.min() > DEGENERACY_RTOL * norms.max():
-        raise DegeneratePoint("gap closes along the path")
+    norms = gap_norms(comps)
     jac = d_jacobian(mids, m, regime)
     jde = np.einsum("kai,ki->ka", jac, diffs)
-    expo = np.einsum("ka,kb,abij->kij", jde, dvecs, basis.gammab)
+    expo = np.einsum("ka,kb,abij->kij", jde, comps[:, 1:], basis.gammab)
     return (0.5j / (norms * norms))[:, None, None] * expo

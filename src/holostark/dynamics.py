@@ -3,11 +3,12 @@
 Real dynamics under H(E(t)) factorizes, for slow drives, into a scalar
 dynamical phase exp(-i int eps_band dt / hbar) times the geometric loop
 transport computed by the Wilson-loop integrator.  This module propagates
-states exactly (per-step eigendecomposition of the frozen midpoint
-Hamiltonian, unconditionally unitary), strips the dynamical phase by
-integrating the band energy numerically along the drive (correct even when
-the quadratic-regime gap varies with direction), and compares the projected
-band block against the Wilson loop.
+states exactly: since (d . gamma)^2 = |d|^2 I, one step under the frozen
+midpoint Hamiltonian is exp(-i d0 dt/hbar) (cos(|d| dt/hbar) I - i sin(|d|
+dt/hbar) dhat . gamma), unitary at any step size.  It strips the dynamical
+phase by integrating the band energy numerically along the drive (correct
+even when the quadratic-regime gap varies with direction), and compares the
+projected band block against the Wilson loop.
 
 hbar enters the package only here, in meV*s; with meV gaps, drives in the
 ns-us range are already deep in the adiabatic regime.
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger
+from ._linalg import clifford_exp, dagger, ordered_product
 from .algebra import default_basis
-from .connection import DEGENERACY_RTOL
-from .errors import DegeneratePoint, InvalidInput
+from .connection import gap_norms
+from .errors import InvalidInput
 from .holonomy import DEFAULT_STEPS, FieldPath, basepoint_frames, wilson_loop
 from .stark import d_components
 from .units import HBAR_MEV_S
@@ -73,19 +74,12 @@ def _propagate(drive, regime, m, block, basis):
     """
     mids = _midpoint_fields(drive)
     comps = d_components(mids, m, regime)
-    norms = np.linalg.norm(comps[:, 1:], axis=1)
-    if not norms.min() > DEGENERACY_RTOL * norms.max():
-        raise DegeneratePoint("gap closes along the drive")
-    hams = comps[:, 0, None, None] * np.eye(4) + np.einsum(
-        "ka,aij->kij", comps[:, 1:], basis.gamma)
-    w, v = np.linalg.eigh(hams)
-    nsteps = len(mids)
-    dt = drive.total_time / nsteps
-    phases = np.exp(-1j * w * dt / HBAR_MEV_S)
-    psi = block.astype(complex)
-    for k in range(nsteps):
-        psi = v[k] @ (phases[k][:, None] * (dagger(v[k]) @ psi))
-    return psi, comps, norms, dt
+    norms = gap_norms(comps)
+    dt = drive.total_time / len(mids)
+    scale = dt / HBAR_MEV_S
+    units = np.exp(-1j * scale * comps[:, 0])[:, None, None] * clifford_exp(
+        -1j * scale * np.einsum("ka,aij->kij", comps[:, 1:], basis.gamma))
+    return ordered_product(units) @ block, comps, norms, dt
 
 
 def evolve(drive, regime, m, psi0, basis=None):

@@ -5,9 +5,10 @@ Path ordering is later-to-the-left throughout: the loop transport is
 
     U = exp(A_N) ... exp(A_2) exp(A_1)
 
-with per-step exponents A_k = A^i(E_mid) dE_i kept exactly anti-Hermitian, so
-every step (and hence U) is unitary to roundoff; discretization error shows
-up as a second-order difference between refinements, not as unitarity loss.
+with per-step exponents A_k = A^i(E_mid) dE_i.  Each A_k is a simple bivector,
+A_k^2 = -theta_k^2 I, so exp(A_k) = cos(theta_k) I + sin(theta_k)/theta_k A_k
+is unitary to roundoff, and so is U; discretization error shows up as a
+second-order difference between refinements, not as unitarity loss.
 Corners of piecewise paths are plain C0 junctions -- segment products with no
 extra factor -- since the bounded connection contributes nothing from a
 corner in the fine-step limit.
@@ -30,17 +31,17 @@ Two analytic oracles cover special cases:
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import (PAULI, dagger, expm_antiherm, projector_frame, require_unitary,
-                      su2_exp, unitarity_defect)
-from .algebra import default_basis
+from ._linalg import (PAULI, clifford_exp, dagger, ordered_product, projector_frame,
+                      require_unitary, su2_exp, unitarity_defect)
 from .connection import projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
                      NotConstantMagnitude)
-from .stark import DVector, MaterialParams, d_components
+from .stark import MaterialParams, d_vector
 
 DEFAULT_STEPS = 20000
 MIN_STEPS = 100
@@ -90,15 +91,14 @@ def _triangle_points(theta, phi, magnitude, steps):
     lengths = np.array([theta, abs(phi) * np.sin(theta), theta])
     total = lengths.sum()
     counts = np.maximum(1, np.round(steps * lengths / total).astype(int))
-    pts = []
-    for t in np.linspace(0.0, theta, counts[0] + 1)[:-1]:
-        pts.append((np.sin(t), 0.0, np.cos(t)))
-    for p in np.linspace(0.0, phi, counts[1] + 1)[:-1]:
-        pts.append((np.sin(theta) * np.cos(p), np.sin(theta) * np.sin(p), np.cos(theta)))
-    for t in np.linspace(theta, 0.0, counts[2] + 1)[:-1]:
-        pts.append((np.sin(t) * np.cos(phi), np.sin(t) * np.sin(phi), np.cos(t)))
-    pts.append((0.0, 0.0, 1.0))
-    return magnitude * np.array(pts)
+    # polar and azimuthal angle of each point: meridian, arc, meridian, pole
+    t = np.concatenate([np.linspace(0.0, theta, counts[0] + 1)[:-1],
+                        np.full(counts[1], theta),
+                        np.linspace(theta, 0.0, counts[2] + 1)[:-1], [0.0]])
+    p = np.concatenate([np.zeros(counts[0]), np.linspace(0.0, phi, counts[1] + 1)[:-1],
+                        np.full(counts[2], phi), [0.0]])
+    return magnitude * np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p),
+                                 np.cos(t)], axis=1)
 
 
 def _latitude_points(theta, magnitude, steps):
@@ -140,7 +140,10 @@ def make_latitude_loop(theta, magnitude):
 
 def sampled_path(samples, closure_rtol=1e-9):
     """Closed path through explicit field samples (n, 3), used verbatim."""
-    samples = np.asarray(samples, dtype=float)
+    try:
+        samples = np.asarray(samples, dtype=float)
+    except TypeError:
+        raise InvalidInput("samples must be numeric") from None
     if samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] < 2:
         raise InvalidInput("samples must be an (n, 3) array with n >= 2")
     if not np.all(np.isfinite(samples)):
@@ -179,14 +182,18 @@ def path_from_dict(desc):
         kind = desc["kind"]
     except (TypeError, KeyError):
         raise InvalidInput("path description needs a 'kind' key")
+    num = {k: v for k, v in desc.items()
+           if k in ("theta", "phi", "magnitude_V_per_m", "closure_rtol")}
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+               for v in num.values()):
+        raise InvalidInput(f"path values must be finite numbers, got {num}")
     if kind == "spherical_triangle":
-        return make_spherical_triangle(desc["theta"], desc["phi"],
-                                       desc["magnitude_V_per_m"])
+        return make_spherical_triangle(num["theta"], num["phi"],
+                                       num["magnitude_V_per_m"])
     if kind == "latitude_loop":
-        return make_latitude_loop(desc["theta"], desc["magnitude_V_per_m"])
+        return make_latitude_loop(num["theta"], num["magnitude_V_per_m"])
     if kind == "sampled":
-        return sampled_path(desc["samples"],
-                            closure_rtol=desc.get("closure_rtol", 1e-9))
+        return sampled_path(desc["samples"], closure_rtol=num.get("closure_rtol", 1e-9))
     raise InvalidInput(f"unknown path kind {kind!r}")
 
 
@@ -228,11 +235,7 @@ class Holonomy:
 
 def basepoint_frames(point, regime, m, basis=None):
     """Deterministic band frames (F_plus, F_minus) at one field point."""
-    basis = basis or default_basis()
-    comps = d_components(np.asarray(point, dtype=float), m, regime)
-    d = DVector(d0=float(comps[0]) if regime == "quadratic" else 0.0,
-                d=comps[1:], regime=regime)
-    pp, pm = projectors(d, basis)
+    pp, pm = projectors(d_vector(np.asarray(point, dtype=float), m, regime), basis)
     return projector_frame(pp), projector_frame(pm)
 
 
@@ -245,39 +248,29 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS, basis=None):
     """
     if steps < MIN_STEPS:
         raise InvalidInput(f"steps must be >= {MIN_STEPS}")
-    basis = basis or default_basis()
     pts = path.points(steps)
     gap = np.linalg.norm(pts[0] - pts[-1])
     if gap > path.closure_rtol * path.magnitude:
         raise NotClosed(f"path endpoints differ by {gap:.3e}")
-    exponents = transport_exponents(pts, regime, m, basis)
-    units = expm_antiherm(exponents)
-    full = np.eye(4, dtype=complex)
-    for u in units:
-        full = u @ full
+    full = ordered_product(clifford_exp(transport_exponents(pts, regime, m, basis)))
     fp, fm = basepoint_frames(pts[0], regime, m, basis)
     return Holonomy(
         full=full,
         block_plus=dagger(fp) @ full @ fp,
         block_minus=dagger(fm) @ full @ fm,
         frame_plus=fp, frame_minus=fm,
-        basepoint=pts[0].copy(), steps=int(steps), regime=regime, material=m,
+        basepoint=pts[0].copy(), steps=len(pts) - 1, regime=regime, material=m,
         unitarity_defect=unitarity_defect(full),
     )
-
-
-def _constant_magnitude_points(path, steps):
-    pts = path.points(steps)
-    norms = np.linalg.norm(pts, axis=1)
-    if norms.max() - norms.min() > 1e-9 * norms.mean():
-        raise NotConstantMagnitude("path does not keep |E| constant")
-    return pts
 
 
 def _linear_increment_vectors(path, steps):
     """Per-step vectors v_k with increment i * v_k . sigma, from
     (dE x E_mid) / 2|E_mid|^2."""
-    pts = _constant_magnitude_points(path, steps)
+    pts = path.points(steps)
+    norms = np.linalg.norm(pts, axis=1)
+    if norms.max() - norms.min() > 1e-9 * norms.mean():
+        raise NotConstantMagnitude("path does not keep |E| constant")
     mids = 0.5 * (pts[1:] + pts[:-1])
     diffs = pts[1:] - pts[:-1]
     return np.cross(diffs, mids) / (2.0 * np.einsum("ki,ki->k", mids, mids))[:, None]
@@ -297,11 +290,7 @@ def linear_stark_block_connection(path, steps=DEFAULT_STEPS):
 
 def linear_stark_holonomy(path, steps=DEFAULT_STEPS):
     """Ordered product of the linear-regime increments: the 2x2 oracle."""
-    units = su2_exp(_linear_increment_vectors(path, steps))
-    u = np.eye(2, dtype=complex)
-    for uk in units:
-        u = uk @ u
-    return u
+    return ordered_product(su2_exp(_linear_increment_vectors(path, steps)))
 
 
 def _check_loop_angles(theta, phi):

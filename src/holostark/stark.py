@@ -159,8 +159,8 @@ def _check_regime(regime):
 def d_components(e, m, regime):
     """Vectorized d-vector components: e of shape (..., 3) -> (..., 6).
 
-    Used by the transport integrators; d_linear / d_quadratic wrap single
-    points into DVector values.
+    Used by the transport integrators; d_vector wraps single points into
+    DVector values.
     """
     _check_regime(regime)
     e = np.asarray(e, dtype=float)
@@ -216,16 +216,20 @@ def d_jacobian(e, m, regime):
     return jac
 
 
+def d_vector(e, m, regime):
+    """DVector of the Stark Hamiltonian at one field point e (3,)."""
+    c = d_components(e, m, regime)
+    return DVector(d0=float(c[0]), d=c[1:], regime=regime)
+
+
 def d_linear(e, m):
     """Linear-regime d-vector: d_{1..3} = p * chi * E, d0 = d4 = d5 = 0."""
-    c = d_components(e, m, "linear")
-    return DVector(d0=0.0, d=c[1:], regime="linear")
+    return d_vector(e, m, "linear")
 
 
 def d_quadratic(e, m):
     """Quadratic-regime d-vector with prefactor -(e rbar)^2 E^2 / ionization."""
-    c = d_components(e, m, "quadratic")
-    return DVector(d0=float(c[0]), d=c[1:], regime="quadratic")
+    return d_vector(e, m, "quadratic")
 
 
 def hamiltonian(d, basis):

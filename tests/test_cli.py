@@ -78,6 +78,13 @@ class TestSpectrum:
                           "--regime", "quadratic", "--field", "0,0,abc")
         assert code == 2
 
+    @pytest.mark.parametrize("field", ["nan,0,1e6", "0,inf,1e6"])
+    def test_non_finite_field_exits_2(self, capsys, field):
+        code = main(["spectrum", "--regime", "linear", "--field", field])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --field needs three finite")
+
 
 class TestHolonomy:
     def test_octant_spherical_eigenphases(self, capsys, tmp_path):
@@ -108,6 +115,19 @@ class TestHolonomy:
         code, _ = run_cli(capsys, "holonomy", "--path", str(f), "--regime",
                           "quadratic", "--material", "Ge", "--dopant", "B")
         assert code == 2
+
+    @pytest.mark.parametrize("desc", [
+        {"kind": "spherical_triangle", "theta": "abc", "phi": 1.0,
+         "magnitude_V_per_m": 1e6},
+        {"kind": "sampled", "samples": [[0, 0, 1e6], [{}, 0, 1e6], [0, 0, 1e6]]},
+    ])
+    def test_non_numeric_path_field_exits_2(self, capsys, tmp_path, desc):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(desc))
+        code = main(["holonomy", "--path", str(f), "--regime", "quadratic"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_coarse_steps_exit_3(self, capsys, tmp_path):
         path = write_octant(tmp_path)
@@ -174,6 +194,15 @@ class TestSynth:
         f.write_text(json.dumps({"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
         code, _ = run_cli(capsys, "synth", "--target", str(f))
         assert code == 2
+
+    def test_malformed_matrix_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
+        code = main(["synth", "--target", str(f), "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: target needs a 'matrix'")
+        assert len(err.splitlines()) == 1
 
 
 def test_output_file_written(capsys, tmp_path):

@@ -4,10 +4,12 @@ import pytest
 from holostark import (Drive, InvalidInput, adiabatic_fidelity, evolve,
                        hamiltonian, linear_stark_holonomy, make_latitude_loop,
                        make_spherical_triangle, sampled_path)
-from holostark._linalg import expm_antiherm, unitarize
+from holostark._linalg import unitarize
 from holostark.connection import transport_exponents
 from holostark.stark import d_quadratic
 from holostark.units import HBAR_MEV_S
+
+from util import expm_antiherm
 
 OCTANT = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6)
 

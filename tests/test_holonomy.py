@@ -80,6 +80,8 @@ class TestWilsonLoop:
     def test_unitarity_and_block_structure(self, ge_spherical):
         coarse = wilson_loop(octant_path(), "quadratic", ge_spherical, steps=2000)
         hol = wilson_loop(octant_path(), "quadratic", ge_spherical, steps=4000)
+        # three equal sides round 2000 and 4000 steps to 3 x 667 and 3 x 1333
+        assert (coarse.steps, hol.steps) == (2001, 3999)
         assert hol.unitarity_defect <= 1e-9
         assert abs(abs(np.linalg.det(hol.block_plus)) - 1) <= 1e-9
         assert abs(abs(np.linalg.det(hol.block_minus)) - 1) <= 1e-9
@@ -115,6 +117,8 @@ class TestWilsonLoop:
         single = wilson_loop(sampled_path(pts), "quadratic", ge_spherical, steps=100)
         doubled = sampled_path(np.vstack([pts, pts[1:]]))
         twice = wilson_loop(doubled, "quadratic", ge_spherical, steps=100)
+        # sampled paths transport their own segments, whatever steps asks for
+        assert (single.steps, twice.steps) == (3000, 6000)
         assert np.abs(twice.full - single.full @ single.full).max() <= 1e-8
 
     def test_path_reversal_inverts(self, ge_spherical):

@@ -3,6 +3,19 @@
 import numpy as np
 
 from holostark import acomm
+from holostark._linalg import dagger
+
+
+def expm_antiherm(a):
+    """exp(A) for anti-Hermitian A (stacked ok), via eigendecomposition of iA.
+
+    Independent of the closed-form Clifford kernel, so the tests use it as
+    the reference exponential.
+    """
+    h = 1j * np.asarray(a)
+    h = 0.5 * (h + dagger(h))
+    w, v = np.linalg.eigh(h)
+    return np.einsum("...ik,...k,...jk->...ij", v, np.exp(-1j * w), np.conj(v))
 
 
 def random_unit(rng, n):
