@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import Drive, adiabatic_fidelity
-from .errors import DegeneratePoint, HolostarkError, InvalidInput
+from .errors import DegeneratePoint, HolostarkError, InvalidInput, is_number_tree
 from .holonomy import (eigenphases, half_spin_band, load_path, path_to_dict,
                        wilson_loop)
 from .stark import (builtin_materials, d_vector, eigen_split, feasibility_report,
@@ -42,10 +42,14 @@ def _complex_matrix(m):
 
 def _parse_complex_matrix(desc):
     """The 'matrix' of a target description: rows of [re, im] number pairs."""
-    pairs = np.array(desc.get("matrix") if isinstance(desc, dict) else None)
-    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[-1] != 2:
+    rows = desc.get("matrix") if isinstance(desc, dict) else None
+    try:
+        pairs = np.array(rows, dtype=float) if is_number_tree(rows) else None
+    except ValueError:  # ragged rows
+        pairs = None
+    if pairs is None or pairs.ndim != 3 or pairs.shape[-1] != 2:
         raise InvalidInput("target needs a 'matrix' of rows of [re, im] number pairs")
-    return pairs.astype(float).view(complex)[..., 0]  # (re, im) pairs as complex128
+    return pairs.view(complex)[..., 0]  # (re, im) pairs as complex128
 
 
 def _file_record(path):

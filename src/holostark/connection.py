@@ -36,32 +36,30 @@ from .stark import MaterialParams, d_components, d_jacobian, d_vector
 DEGENERACY_RTOL = 1e-9
 
 
-def projectors(d, basis=None):
+def projectors(d):
     """Band projectors (P_plus, P_minus) for a DVector.
 
     Each is Hermitian, idempotent, rank 2, and they resolve the identity.
     Raises DegeneratePoint when |d| = 0 (gap closed, no band decomposition).
     """
-    basis = basis or default_basis()
     n = d.norm
     if not n > 0:
         raise DegeneratePoint("zero d-vector: Kramers bands are degenerate")
-    nd = np.einsum("a,aij->ij", d.d / n, basis.gamma)
+    nd = np.einsum("a,aij->ij", d.d / n, default_basis().gamma)
     eye = np.eye(4)
     return (eye + nd) / 2, (eye - nd) / 2
 
 
-def connection_d(d, basis=None):
+def connection_d(d):
     """The five transport generators A_a = +(i/2d^2) d_b gamma_ab, (5, 4, 4).
 
     Anti-Hermitian, in 1/meV.  Matches the finite-difference commutator
     [dP/d(d_a), P] built from either projector.
     """
-    basis = basis or default_basis()
     n = d.norm
     if not n > 0:
         raise DegeneratePoint("zero d-vector: transport generator undefined")
-    return (0.5j / (n * n)) * np.einsum("b,abij->aij", d.d, basis.gammab)
+    return (0.5j / (n * n)) * np.einsum("b,abij->aij", d.d, default_basis().gammab)
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ class GaugeField:
         object.__setattr__(self, "basepoint", b)
 
 
-def connection_field(e, regime, m, basis=None):
+def connection_field(e, regime, m):
     """Pull the d-space generators back to field space: A^i = J_ai A_a.
 
     The Jacobian is the analytic one from the d-vector definitions.  In the
@@ -91,7 +89,7 @@ def connection_field(e, regime, m, basis=None):
     only.
     """
     e = np.asarray(e, dtype=float)
-    aa = connection_d(d_vector(e, m, regime), basis)
+    aa = connection_d(d_vector(e, m, regime))
     jac = d_jacobian(e, m, regime)
     components = np.einsum("ai,ajk->ijk", jac, aa)
     return GaugeField(components=components, basepoint=e, regime=regime, material=m)
@@ -106,14 +104,13 @@ def gap_norms(comps):
     return norms
 
 
-def transport_exponents(points, regime, m, basis=None):
+def transport_exponents(points, regime, m):
     """Per-step anti-Hermitian exponents A^i(E_mid) dE_i along a polyline.
 
     Midpoint evaluation makes the ordered product of their exponentials a
     second-order integrator.  Raises DegeneratePoint if the gap closes along
     the way (see gap_norms).
     """
-    basis = basis or default_basis()
     points = np.asarray(points, dtype=float)
     mids = 0.5 * (points[1:] + points[:-1])
     diffs = points[1:] - points[:-1]
@@ -121,5 +118,5 @@ def transport_exponents(points, regime, m, basis=None):
     norms = gap_norms(comps)
     jac = d_jacobian(mids, m, regime)
     jde = np.einsum("kai,ki->ka", jac, diffs)
-    expo = np.einsum("ka,kb,abij->kij", jde, comps[:, 1:], basis.gammab)
+    expo = np.einsum("ka,kb,abij->kij", jde, comps[:, 1:], default_basis().gammab)
     return (0.5j / (norms * norms))[:, None, None] * expo

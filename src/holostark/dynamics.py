@@ -22,7 +22,7 @@ from ._linalg import clifford_exp, dagger, ordered_product
 from .algebra import default_basis
 from .connection import gap_norms
 from .errors import InvalidInput
-from .holonomy import DEFAULT_STEPS, FieldPath, basepoint_frames, wilson_loop
+from .holonomy import DEFAULT_STEPS, FieldPath, wilson_loop
 from .stark import d_components
 from .units import HBAR_MEV_S
 
@@ -47,54 +47,38 @@ class Drive:
                     f"time_steps must be >= 10x the {segments} path segments")
 
 
-def _midpoint_fields(drive):
-    """Field at the midpoint of every time step, shape (time_steps, 3).
-
-    Built-in paths are discretized at the drive resolution; sampled paths are
-    interpolated linearly, traversing each sample segment in equal time.
-    """
-    n = drive.time_steps
-    if drive.path.kind == "sampled":
-        pts = drive.path.points()
-        frac = (np.arange(n) + 0.5) / n * (len(pts) - 1)
-        idx = np.minimum(frac.astype(int), len(pts) - 2)
-        w = (frac - idx)[:, None]
-        return (1 - w) * pts[idx] + w * pts[idx + 1]
-    pts = drive.path.points(n)
-    return 0.5 * (pts[1:] + pts[:-1])
-
-
-def _propagate(drive, regime, m, block, basis):
+def _propagate(drive, regime, m, block):
     """Propagate the column(s) of ``block`` and return them with the
     per-midpoint d-components (for energy integration).
 
-    The built-in discretizers may round the segment count by one or two, so
-    the true step count is the number of midpoints, and dt is total_time
-    divided by it; stripping must use the same grid.
+    Each time step freezes the field at the midpoint of one segment of
+    ``drive.path.points(drive.time_steps)``.  The discretization may round
+    the segment count, so the true step count is the number of midpoints,
+    and dt is total_time divided by it; stripping must use the same grid.
     """
-    mids = _midpoint_fields(drive)
+    pts = drive.path.points(drive.time_steps)
+    mids = 0.5 * (pts[1:] + pts[:-1])
     comps = d_components(mids, m, regime)
     norms = gap_norms(comps)
     dt = drive.total_time / len(mids)
     scale = dt / HBAR_MEV_S
     units = np.exp(-1j * scale * comps[:, 0])[:, None, None] * clifford_exp(
-        -1j * scale * np.einsum("ka,aij->kij", comps[:, 1:], basis.gamma))
+        -1j * scale * np.einsum("ka,aij->kij", comps[:, 1:], default_basis().gamma))
     return ordered_product(units) @ block, comps, norms, dt
 
 
-def evolve(drive, regime, m, psi0, basis=None):
+def evolve(drive, regime, m, psi0):
     """Schrodinger propagation of a unit state around the drive.
 
     Per-step exact exponential of the frozen midpoint Hamiltonian; the norm
     is conserved to roundoff at every step.
     """
-    basis = basis or default_basis()
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (4,):
         raise InvalidInput("psi0 must be a 4-vector")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise InvalidInput("psi0 must be normalized")
-    psi, _, _, _ = _propagate(drive, regime, m, psi0[:, None], basis)
+    psi, _, _, _ = _propagate(drive, regime, m, psi0[:, None])
     return psi[:, 0]
 
 
@@ -108,8 +92,7 @@ class AdiabaticFidelity:
     reference_block: np.ndarray  # Wilson-loop block in the same frame
 
 
-def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS,
-                       basis=None):
+def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS):
     """Transport both basepoint frame vectors of a band and compare with the
     Wilson loop after stripping the dynamical phase.
 
@@ -120,20 +103,16 @@ def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS,
     theorem drives it to 1 as total_time grows.  band_leakage is one minus
     the mean returned band population.
     """
-    if band not in ("plus", "minus"):
-        raise InvalidInput(f"band must be 'plus' or 'minus', got {band!r}")
-    basis = basis or default_basis()
-    base = drive.path.points(drive.time_steps)[0]
-    fp, fm = basepoint_frames(base, regime, m, basis)
-    frame = fp if band == "plus" else fm
-    psi, comps, norms, dt = _propagate(drive, regime, m, frame, basis)
+    hol = wilson_loop(drive.path, regime, m, steps=wl_steps)
+    reference = hol.block(band)
+    frame = hol.frame(band)
+    psi, comps, norms, dt = _propagate(drive, regime, m, frame)
     sign = 1.0 if band == "plus" else -1.0
     band_energy = comps[:, 0] + sign * norms
     psi = psi * np.exp(1j * band_energy.sum() * dt / HBAR_MEV_S)
     block = dagger(frame) @ psi
     populations = np.sum(np.abs(block) ** 2, axis=0)
     leakage = float(1.0 - populations.mean())
-    reference = wilson_loop(drive.path, regime, m, steps=wl_steps, basis=basis).block(band)
     fid = abs(np.trace(dagger(block) @ reference)) / 2.0
     return AdiabaticFidelity(
         fidelity=float(min(1.0, fid)), band_leakage=leakage,

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number checks that
+guard its JSON inputs."""
+
+import sys
 
 
 class HolostarkError(ValueError):
@@ -39,3 +42,21 @@ class NoIntertwiner(HolostarkError):
 
 class InvalidInput(HolostarkError):
     """Argument outside the domain of the requested operation."""
+
+
+def is_finite_number(value):
+    """True for an int or float that converts to a finite float (bools and
+    integers beyond float range are not)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def is_number_tree(value):
+    """True for a finite number or a list, nested to any depth, of them."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif not is_finite_number(v):
+            return False
+    return True

@@ -31,7 +31,6 @@ Two analytic oracles cover special cases:
 
 import itertools
 import json
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +39,7 @@ from ._linalg import (PAULI, clifford_exp, dagger, ordered_product, projector_fr
                       require_unitary, su2_exp, unitarity_defect)
 from .connection import projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
-                     NotConstantMagnitude)
+                     NotConstantMagnitude, is_finite_number, is_number_tree)
 from .stark import MaterialParams, d_vector
 
 DEFAULT_STEPS = 20000
@@ -53,7 +52,8 @@ class FieldPath:
 
     Built-in kinds (spherical_triangle, latitude_loop) keep |E| constant and
     are discretized by arc length at a caller-chosen step count; sampled
-    paths are used verbatim.
+    paths split each segment into ceil(steps / segments) equal substeps, so
+    at steps <= segments the samples come back unchanged.
     """
 
     kind: str
@@ -73,7 +73,7 @@ class FieldPath:
     def points(self, steps=DEFAULT_STEPS):
         """Closed polyline (n+1, 3) with first and last points identical."""
         if self.kind == "sampled":
-            pts = np.array(self.samples)
+            pts = _refined_points(self.samples, steps)
         elif self.kind == "spherical_triangle":
             pts = _triangle_points(self.theta, self.phi, self.magnitude, steps)
         elif self.kind == "latitude_loop":
@@ -85,6 +85,15 @@ class FieldPath:
     def reverse(self):
         """The same geometric loop traversed in the opposite direction."""
         return replace(self, backwards=not self.backwards)
+
+
+def _refined_points(samples, steps):
+    substeps = -(-steps // (len(samples) - 1))
+    if substeps <= 1:
+        return np.array(samples)
+    w = (np.arange(substeps) / substeps)[:, None]
+    pts = samples[:-1, None] + w * (samples[1:, None] - samples[:-1, None])
+    return np.vstack([pts.reshape(-1, 3), samples[-1:]])
 
 
 def _triangle_points(theta, phi, magnitude, steps):
@@ -139,11 +148,12 @@ def make_latitude_loop(theta, magnitude):
 
 
 def sampled_path(samples, closure_rtol=1e-9):
-    """Closed path through explicit field samples (n, 3), used verbatim."""
+    """Closed path through explicit field samples (n, 3); see FieldPath.points
+    for how they are refined."""
     try:
         samples = np.asarray(samples, dtype=float)
-    except TypeError:
-        raise InvalidInput("samples must be numeric") from None
+    except (TypeError, OverflowError, ValueError):
+        raise InvalidInput("samples must be an (n, 3) array of numbers") from None
     if samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] < 2:
         raise InvalidInput("samples must be an (n, 3) array with n >= 2")
     if not np.all(np.isfinite(samples)):
@@ -184,8 +194,7 @@ def path_from_dict(desc):
         raise InvalidInput("path description needs a 'kind' key")
     num = {k: v for k, v in desc.items()
            if k in ("theta", "phi", "magnitude_V_per_m", "closure_rtol")}
-    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-               for v in num.values()):
+    if not all(is_finite_number(v) for v in num.values()):
         raise InvalidInput(f"path values must be finite numbers, got {num}")
     if kind == "spherical_triangle":
         return make_spherical_triangle(num["theta"], num["phi"],
@@ -193,6 +202,8 @@ def path_from_dict(desc):
     if kind == "latitude_loop":
         return make_latitude_loop(num["theta"], num["magnitude_V_per_m"])
     if kind == "sampled":
+        if not is_number_tree(desc["samples"]):
+            raise InvalidInput("path samples must be finite numbers")
         return sampled_path(desc["samples"], closure_rtol=num.get("closure_rtol", 1e-9))
     raise InvalidInput(f"unknown path kind {kind!r}")
 
@@ -223,23 +234,25 @@ class Holonomy:
     unitarity_defect: float
 
     def block(self, band):
-        if band == "plus":
-            return self.block_plus
-        if band == "minus":
-            return self.block_minus
-        raise InvalidInput(f"band must be 'plus' or 'minus', got {band!r}")
+        return self.block_plus if _is_plus(band) else self.block_minus
 
     def frame(self, band):
-        return self.frame_plus if band == "plus" else self.frame_minus
+        return self.frame_plus if _is_plus(band) else self.frame_minus
 
 
-def basepoint_frames(point, regime, m, basis=None):
+def _is_plus(band):
+    if band not in ("plus", "minus"):
+        raise InvalidInput(f"band must be 'plus' or 'minus', got {band!r}")
+    return band == "plus"
+
+
+def basepoint_frames(point, regime, m):
     """Deterministic band frames (F_plus, F_minus) at one field point."""
-    pp, pm = projectors(d_vector(np.asarray(point, dtype=float), m, regime), basis)
+    pp, pm = projectors(d_vector(np.asarray(point, dtype=float), m, regime))
     return projector_frame(pp), projector_frame(pm)
 
 
-def wilson_loop(path, regime, m, steps=DEFAULT_STEPS, basis=None):
+def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     """Path-ordered transport around a closed loop.
 
     Midpoint-evaluated exponents (second-order accurate), exactly unitary
@@ -252,8 +265,8 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS, basis=None):
     gap = np.linalg.norm(pts[0] - pts[-1])
     if gap > path.closure_rtol * path.magnitude:
         raise NotClosed(f"path endpoints differ by {gap:.3e}")
-    full = ordered_product(clifford_exp(transport_exponents(pts, regime, m, basis)))
-    fp, fm = basepoint_frames(pts[0], regime, m, basis)
+    full = ordered_product(clifford_exp(transport_exponents(pts, regime, m)))
+    fp, fm = basepoint_frames(pts[0], regime, m)
     return Holonomy(
         full=full,
         block_plus=dagger(fp) @ full @ fp,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import gamma_basis
-from .errors import InvalidInput, UnknownMaterial
+from .errors import InvalidInput, UnknownMaterial, is_finite_number
 from .units import MEV_PER_ANGSTROM_V_PER_M, PLANCK_MEV_S
 
 REGIMES = ("linear", "quadratic")
@@ -105,11 +105,15 @@ def material_lookup(material, dopant, table=None):
                           ionization_meV=_IONIZATION_MEV[key], **_COEFFICIENTS[material])
 
 
+_MATERIAL_CONSTANTS = ("alpha", "beta", "delta", "chi", "rbar_angstrom", "ionization_meV")
+
+
 def load_material_table(path):
     """Read a user material table (JSON list of records) into a lookup dict.
 
-    Each record carries material, dopant, alpha, beta, delta, chi,
-    rbar_angstrom, ionization_meV.
+    Each record is an object carrying the strings material and dopant and
+    the finite numbers alpha, beta, delta, chi, rbar_angstrom,
+    ionization_meV.
     """
     with open(path, "r", encoding="utf-8") as fh:
         records = json.load(fh)
@@ -117,14 +121,16 @@ def load_material_table(path):
         raise InvalidInput(f"{path}: expected a JSON list of material records")
     table = {}
     for rec in records:
-        try:
-            m = MaterialParams(
-                name=rec["material"], dopant=rec["dopant"], alpha=rec["alpha"],
-                beta=rec["beta"], delta=rec["delta"], chi=rec["chi"],
-                rbar_angstrom=rec["rbar_angstrom"], ionization_meV=rec["ionization_meV"],
-            )
-        except KeyError as exc:
-            raise InvalidInput(f"{path}: material record missing key {exc}") from exc
+        if not isinstance(rec, dict):
+            raise InvalidInput(f"{path}: material record must be an object, got {rec!r}")
+        for key in ("material", "dopant") + _MATERIAL_CONSTANTS:
+            if key not in rec:
+                raise InvalidInput(f"{path}: material record missing key {key!r}")
+            if not (isinstance(rec[key], str) if key in ("material", "dopant")
+                    else is_finite_number(rec[key])):
+                raise InvalidInput(f"{path}: bad value {rec[key]!r} for material key {key!r}")
+        m = MaterialParams(name=rec["material"], dopant=rec["dopant"],
+                           **{k: rec[k] for k in _MATERIAL_CONSTANTS})
         table[(m.name, m.dopant)] = m
     return table
 

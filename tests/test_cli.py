@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from holostark import zee_holonomy
+from holostark import eigenphases, make_spherical_triangle, zee_holonomy
 from holostark.cli import main
 
 
@@ -21,6 +21,10 @@ def write_octant(tmp_path, magnitude=1e6):
     return str(p)
 
 
+GAAS_BE = dict(material="GaAs", dopant="Be", alpha=1.0, beta=-0.25,
+               delta=-0.4, chi=2e-3, rbar_angstrom=50.0, ionization_meV=28.0)
+
+
 class TestMaterials:
     def test_listing_contains_table_rows(self, capsys):
         code, rec = run_cli(capsys, "materials", "list")
@@ -31,15 +35,33 @@ class TestMaterials:
         assert mats[("Si", "Al")]["ionization_meV"] == 57.0
 
     def test_env_override_merges(self, capsys, tmp_path, monkeypatch):
-        rec = dict(material="GaAs", dopant="Be", alpha=1.0, beta=-0.25,
-                   delta=-0.4, chi=2e-3, rbar_angstrom=50.0, ionization_meV=28.0)
         f = tmp_path / "user.json"
-        f.write_text(json.dumps([rec]))
+        f.write_text(json.dumps([GAAS_BE]))
         monkeypatch.setenv("STARK_MATERIALS_PATH", str(f))
         code, out = run_cli(capsys, "materials", "list")
         assert code == 0
         names = {(m["material"], m["dopant"]) for m in out["results"]["materials"]}
         assert ("GaAs", "Be") in names and ("Ge", "B") in names
+
+    @pytest.mark.parametrize("table", [
+        [5],
+        [dict(GAAS_BE, alpha="a")],
+        [dict(GAAS_BE, material=7)],
+        [dict(GAAS_BE, chi=True)],
+        [{k: v for k, v in GAAS_BE.items() if k != "delta"}],
+    ])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_malformed_table_exits_2(self, capsys, tmp_path, monkeypatch, table, via):
+        f = tmp_path / "user.json"
+        f.write_text(json.dumps(table))
+        if via == "flag":
+            code = main(["materials", "list", "--materials", str(f)])
+        else:
+            monkeypatch.setenv("STARK_MATERIALS_PATH", str(f))
+            code = main(["spectrum", "--regime", "quadratic", "--field", "0,0,1e6"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {f}: ") and len(err.splitlines()) == 1
 
 
 class TestSpectrum:
@@ -120,6 +142,7 @@ class TestHolonomy:
         {"kind": "spherical_triangle", "theta": "abc", "phi": 1.0,
          "magnitude_V_per_m": 1e6},
         {"kind": "sampled", "samples": [[0, 0, 1e6], [{}, 0, 1e6], [0, 0, 1e6]]},
+        {"kind": "sampled", "samples": [[0, 0, 1e6], [10**400, 0, 1e6], [0, 0, 1e6]]},
     ])
     def test_non_numeric_path_field_exits_2(self, capsys, tmp_path, desc):
         f = tmp_path / "bad.json"
@@ -137,6 +160,21 @@ class TestHolonomy:
                             "--defect-tol", "1e-12")
         assert code == 3
         assert rec["results"]["converged"] is False
+
+    @pytest.mark.parametrize("steps, code", [(200, 3), (20000, 0)])
+    def test_sampled_octant_refines_with_steps(self, capsys, tmp_path, steps, code):
+        # 40 samples: step doubling must refine the polyline, not rerun it
+        samples = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6).points(40)
+        f = tmp_path / "sampled.json"
+        f.write_text(json.dumps({"kind": "sampled", "samples": samples.tolist()}))
+        got, rec = run_cli(capsys, "holonomy", "--path", str(f), "--regime",
+                           "quadratic", "--material", "Ge", "--dopant", "B",
+                           "--spherical", "--steps", str(steps), "--band", "minus")
+        assert got == code
+        if code == 0:
+            zee_phases = eigenphases(zee_holonomy(np.pi / 2, np.pi / 2))
+            assert np.abs(np.array(rec["results"]["eigenphases_minus"])
+                          - zee_phases).max() <= 1e-7
 
     def test_record_reproducible(self, capsys, tmp_path):
         path = write_octant(tmp_path)

@@ -54,6 +54,27 @@ class TestPaths:
         with pytest.raises(NonPositiveMagnitude):
             sampled_path(samples)
 
+    @pytest.mark.parametrize("steps", [1, 20, 39])
+    def test_sampled_points_unchanged_up_to_segment_count(self, steps):
+        samples = octant_path().points(40)  # 39 segments
+        assert np.array_equal(sampled_path(samples).points(steps), samples)
+
+    @pytest.mark.parametrize("steps", [40, 100, 1000])
+    def test_sampled_points_split_each_segment(self, steps):
+        samples = octant_path().points(40)
+        sub = int(np.ceil(steps / 39))
+        pts = sampled_path(samples).points(steps)
+        assert len(pts) - 1 == 39 * sub
+        assert np.array_equal(pts[::sub], samples)
+        # each point lies on the chord between the samples it refines
+        a = np.repeat(samples[:-1], sub, axis=0)
+        chord = np.repeat(samples[1:] - samples[:-1], sub, axis=0)
+        rel = pts[:-1] - a
+        t = np.einsum("ki,ki->k", rel, chord) / np.einsum("ki,ki->k", chord, chord)
+        off = np.linalg.norm(rel - t[:, None] * chord, axis=1)
+        assert np.all((t >= 0) & (t < 1))
+        assert off.max() <= 1e-9 * np.linalg.norm(chord, axis=1).min()
+
     def test_roundtrip_dict(self):
         path = make_spherical_triangle(0.7, 1.1, 2e6)
         spec = path_to_dict(path)
@@ -94,6 +115,12 @@ class TestWilsonLoop:
         off = hol.frame_plus.conj().T @ hol.full @ hol.frame_minus
         assert np.abs(off).max() <= 10 * conv_defect
 
+    def test_unknown_band_rejected(self, ge_b):
+        hol = wilson_loop(octant_path(), "quadratic", ge_b, steps=100)
+        for pick in (hol.block, hol.frame):
+            with pytest.raises(InvalidInput):
+                pick("bogus")
+
     def test_min_steps_enforced(self, ge_b):
         with pytest.raises(InvalidInput):
             wilson_loop(octant_path(), "quadratic", ge_b, steps=50)
@@ -117,7 +144,7 @@ class TestWilsonLoop:
         single = wilson_loop(sampled_path(pts), "quadratic", ge_spherical, steps=100)
         doubled = sampled_path(np.vstack([pts, pts[1:]]))
         twice = wilson_loop(doubled, "quadratic", ge_spherical, steps=100)
-        # sampled paths transport their own segments, whatever steps asks for
+        # at steps <= segments a sampled path transports its own segments
         assert (single.steps, twice.steps) == (3000, 6000)
         assert np.abs(twice.full - single.full @ single.full).max() <= 1e-8
 
