@@ -34,17 +34,6 @@ def ordered_product(units):
     return units[0]
 
 
-def su2_exp(v):
-    """exp(i v . sigma) for real 3-vector(s) v, in closed form."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1)
-    safe = np.where(n == 0, 1.0, n)
-    unit = v / safe[..., None]
-    out = np.cos(n)[..., None, None] * np.eye(2)
-    out = out + 1j * np.sin(n)[..., None, None] * np.einsum("...k,kij->...ij", unit, PAULI)
-    return out
-
-
 def unitarity_defect(u):
     u = np.asarray(u)
     n = u.shape[-1]

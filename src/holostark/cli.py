@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import Drive, adiabatic_fidelity
-from .errors import DegeneratePoint, HolostarkError, InvalidInput, is_number_tree
+from .errors import (DegeneratePoint, HolostarkError, InvalidInput, is_number_tree,
+                     load_json)
 from .holonomy import (eigenphases, half_spin_band, load_path, path_to_dict,
                        wilson_loop)
 from .stark import (builtin_materials, d_vector, eigen_split, feasibility_report,
@@ -161,7 +162,13 @@ def _holonomy_results(hol):
     }
 
 
+def _check_tolerance(flag, tol):
+    if not (np.isfinite(tol) and tol >= 0):
+        raise InvalidInput(f"{flag} must be a finite number >= 0, got {tol}")
+
+
 def cmd_holonomy(args):
+    _check_tolerance("--defect-tol", args.defect_tol)
     m = _material(args)
     path = load_path(args.path)
     halved = wilson_loop(path, args.regime, m, steps=max(args.steps // 2, 100))
@@ -200,7 +207,7 @@ def cmd_verify_adiabatic(args):
         "stripped_block": _complex_matrix(out.block),
         "wilson_block": _complex_matrix(out.reference_block),
         "total_time_s": args.total_time,
-        "time_steps": args.time_steps,
+        "time_steps": out.time_steps,
         "path": path_to_dict(path),
     }
     record = _record(args, results, inputs={"path_file": _file_record(args.path)})
@@ -218,9 +225,8 @@ def _synth_model(args):
 
 
 def cmd_synth(args):
-    with open(args.target, "r", encoding="utf-8") as fh:
-        desc = json.load(fh)
-    target = _parse_complex_matrix(desc)
+    _check_tolerance("--tol", args.tol)
+    target = _parse_complex_matrix(load_json(args.target))
     result = synthesize(target, model=_synth_model(args),
                         max_loops=args.max_loops, tol=args.tol, seed=args.seed)
     results = {

@@ -90,6 +90,7 @@ class AdiabaticFidelity:
     band_leakage: float
     block: np.ndarray  # stripped, band-projected 2x2 propagator block
     reference_block: np.ndarray  # Wilson-loop block in the same frame
+    time_steps: int  # Schrodinger steps propagated (midpoints of the drive)
 
 
 def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS):
@@ -116,5 +117,5 @@ def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS):
     fid = abs(np.trace(dagger(block) @ reference)) / 2.0
     return AdiabaticFidelity(
         fidelity=float(min(1.0, fid)), band_leakage=leakage,
-        block=block, reference_block=reference,
+        block=block, reference_block=reference, time_steps=len(comps),
     )

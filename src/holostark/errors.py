@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the number checks that
-guard its JSON inputs."""
+"""Exception types shared across the package, the JSON file reader, and
+the number checks that guard its JSON inputs."""
 
+import json
 import sys
 
 
@@ -60,3 +61,12 @@ def is_number_tree(value):
         elif not is_finite_number(v):
             return False
     return True
+
+
+def load_json(path):
+    """Parse a JSON file; nesting too deep for the parser is invalid input."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InvalidInput(f"{path}: JSON nested too deeply to parse") from None

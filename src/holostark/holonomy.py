@@ -30,16 +30,15 @@ Two analytic oracles cover special cases:
 """
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._linalg import (PAULI, clifford_exp, dagger, ordered_product, projector_frame,
-                      require_unitary, su2_exp, unitarity_defect)
+                      require_unitary, unitarity_defect)
 from .connection import projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
-                     NotConstantMagnitude, is_finite_number, is_number_tree)
+                     NotConstantMagnitude, is_finite_number, is_number_tree, load_json)
 from .stark import MaterialParams, d_vector
 
 DEFAULT_STEPS = 20000
@@ -209,8 +208,7 @@ def path_from_dict(desc):
 
 
 def load_path(path_file):
-    with open(path_file, "r", encoding="utf-8") as fh:
-        return path_from_dict(json.load(fh))
+    return path_from_dict(load_json(path_file))
 
 
 @dataclass(frozen=True)
@@ -277,16 +275,9 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     )
 
 
-def _linear_increment_vectors(path, steps):
-    """Per-step vectors v_k with increment i * v_k . sigma, from
-    (dE x E_mid) / 2|E_mid|^2."""
-    pts = path.points(steps)
-    norms = np.linalg.norm(pts, axis=1)
-    if norms.max() - norms.min() > 1e-9 * norms.mean():
-        raise NotConstantMagnitude("path does not keep |E| constant")
-    mids = 0.5 * (pts[1:] + pts[:-1])
-    diffs = pts[1:] - pts[:-1]
-    return np.cross(diffs, mids) / (2.0 * np.einsum("ki,ki->k", mids, mids))[:, None]
+def _su2_generators(v):
+    """The stack i v_k . sigma (k, 2, 2) for real vectors v (k, 3)."""
+    return 1j * np.einsum("kc,cij->kij", v, PAULI)
 
 
 def linear_stark_block_connection(path, steps=DEFAULT_STEPS):
@@ -297,13 +288,19 @@ def linear_stark_block_connection(path, steps=DEFAULT_STEPS):
     closed-form oracle (see linear_stark_holonomy).  Material constants
     cancel, so the increments depend on the direction history only.
     """
-    v = _linear_increment_vectors(path, steps)
-    return 1j * np.einsum("kc,cij->kij", v, PAULI)
+    pts = path.points(steps)
+    norms = np.linalg.norm(pts, axis=1)
+    if norms.max() - norms.min() > 1e-9 * norms.mean():
+        raise NotConstantMagnitude("path does not keep |E| constant")
+    mids = 0.5 * (pts[1:] + pts[:-1])
+    diffs = pts[1:] - pts[:-1]
+    v = np.cross(diffs, mids) / (2.0 * np.einsum("ki,ki->k", mids, mids))[:, None]
+    return _su2_generators(v)
 
 
 def linear_stark_holonomy(path, steps=DEFAULT_STEPS):
     """Ordered product of the linear-regime increments: the 2x2 oracle."""
-    return ordered_product(su2_exp(_linear_increment_vectors(path, steps)))
+    return ordered_product(clifford_exp(linear_stark_block_connection(path, steps)))
 
 
 def _check_loop_angles(theta, phi):
@@ -318,28 +315,33 @@ def linear_triangle_holonomy(theta, phi):
     triangle (exact evaluation of the ordered product).
 
     Meridians contribute rotations about the local azimuthal axis; the arc is
-    solved in a frame corotating with the field.
+    solved in a frame corotating with the field.  The four factors
+    exp(i v . sigma) are listed first to last.
     """
     _check_loop_angles(theta, phi)
-    u1 = su2_exp(np.array([0.0, -theta / 2.0, 0.0]))
-    mhat = np.array([np.sin(theta), 0.0, np.cos(theta)])
-    u2 = su2_exp(np.array([0.0, 0.0, -phi / 2.0])) @ su2_exp(0.5 * phi * np.cos(theta) * mhat)
-    u3 = su2_exp(0.5 * theta * np.array([-np.sin(phi), np.cos(phi), 0.0]))
-    return u3 @ u2 @ u1
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    vs = np.array([[0.0, -theta / 2.0, 0.0],
+                   [phi * ct * st / 2.0, 0.0, phi * ct * ct / 2.0],
+                   [0.0, 0.0, -phi / 2.0],
+                   [-theta * sp / 2.0, theta * cp / 2.0, 0.0]])
+    return ordered_product(clifford_exp(_su2_generators(vs)))
 
 
 def zee_holonomy(theta, phi):
     """Spherical-quadratic-model holonomy of the same triangle, as the
-    three-factor product W1^{-1} V W of exponentials.
+    three-factor product W1^{-1} V W of exponentials exp(i v . sigma); V
+    is itself a product of two, and the four factors are listed first to
+    last.
 
     Describes the transport of the spin-projection +-1/2 doublet when
     beta = delta/sqrt(3); exactly unitary by construction.
     """
-    w1inv = su2_exp(theta * np.array([np.sin(phi), -np.cos(phi), 0.0]))
-    w = su2_exp(np.array([0.0, theta, 0.0]))
-    v = su2_exp(np.array([0.0, 0.0, -phi / 2.0])) @ su2_exp(
-        0.5 * phi * np.array([-2.0 * np.sin(theta), 0.0, np.cos(theta)]))
-    return w1inv @ v @ w
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    vs = np.array([[0.0, theta, 0.0],
+                   [-phi * st, 0.0, phi * ct / 2.0],
+                   [0.0, 0.0, -phi / 2.0],
+                   [theta * sp, -theta * cp, 0.0]])
+    return ordered_product(clifford_exp(_su2_generators(vs)))
 
 
 def half_spin_band(m):

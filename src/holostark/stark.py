@@ -13,14 +13,13 @@ no automatic crossover): the linear effect applies at small fields, the
 quadratic one at large fields.
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import gamma_basis
-from .errors import InvalidInput, UnknownMaterial, is_finite_number
+from .errors import InvalidInput, UnknownMaterial, is_finite_number, load_json
 from .units import MEV_PER_ANGSTROM_V_PER_M, PLANCK_MEV_S
 
 REGIMES = ("linear", "quadratic")
@@ -115,8 +114,7 @@ def load_material_table(path):
     the finite numbers alpha, beta, delta, chi, rbar_angstrom,
     ionization_meV.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        records = json.load(fh)
+    records = load_json(path)
     if not isinstance(records, list):
         raise InvalidInput(f"{path}: expected a JSON list of material records")
     table = {}

@@ -201,6 +201,23 @@ class TestVerifyAdiabatic:
         assert rec["results"]["fidelity"] >= 1.0 - 1e-9
         assert rec["results"]["band_leakage"] <= 1e-9
 
+    @pytest.mark.parametrize("samples, propagated", [(None, 999), (40, 1014)])
+    def test_record_reports_propagated_steps(self, capsys, tmp_path, samples, propagated):
+        # the triangle's arc-length allocation rounds 1000 to 999 segments;
+        # 39 sampled segments split into ceil(1000/39) = 26 substeps each
+        if samples is None:
+            path = write_octant(tmp_path)
+        else:
+            pts = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6).points(samples)
+            path = str(tmp_path / "sampled.json")
+            with open(path, "w") as fh:
+                json.dump({"kind": "sampled", "samples": pts.tolist()}, fh)
+        code, rec = run_cli(capsys, "verify-adiabatic", "--path", path,
+                            "--regime", "quadratic", "--spherical", "--T", "1e-9",
+                            "--time-steps", "1000", "--wl-steps", "200")
+        assert code == 0
+        assert rec["results"]["time_steps"] == propagated
+
 
 class TestSynth:
     def test_identity_target(self, capsys, tmp_path):
@@ -241,6 +258,40 @@ class TestSynth:
         assert code == 2
         assert err.startswith("error: target needs a 'matrix'")
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--defect-tol", "nan"), ("--defect-tol", "-1"), ("--defect-tol", "inf"),
+    ("--tol", "nan"), ("--tol", "-1e-6"),
+])
+def test_malformed_tolerance_exits_2(capsys, tmp_path, flag, value):
+    if flag == "--defect-tol":
+        argv = ["holonomy", "--regime", "quadratic", "--path", write_octant(tmp_path)]
+    else:
+        target = tmp_path / "identity.json"
+        target.write_text(json.dumps({"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+        argv = ["synth", "--seed", "0", "--target", str(target)]
+    code = main(argv + [f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {flag} must be") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["path", "target", "materials", "env"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, monkeypatch, kind):
+    # deep enough that the JSON parser itself runs out of recursion depth
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 5000 + "]" * 5000)
+    argv = {"path": ["holonomy", "--regime", "quadratic", "--path", str(f)],
+            "target": ["synth", "--seed", "0", "--target", str(f)],
+            "materials": ["materials", "list", "--materials", str(f)],
+            "env": ["materials", "list"]}[kind]
+    if kind == "env":
+        monkeypatch.setenv("STARK_MATERIALS_PATH", str(f))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {f}: ") and len(err.splitlines()) == 1
 
 
 def test_output_file_written(capsys, tmp_path):

@@ -206,8 +206,10 @@ class TestLinearOracle:
         loop = make_latitude_loop(theta, 1e6)
         u = linear_stark_holonomy(loop, steps=20000)
         mhat = np.array([np.sin(theta), 0.0, np.cos(theta)])
-        from holostark._linalg import su2_exp
-        expected = su2_exp(np.array([0, 0, -np.pi])) @ su2_exp(np.pi * np.cos(theta) * mhat)
+        from holostark._linalg import PAULI
+        from util import expm_antiherm
+        expected = expm_antiherm(-1j * np.pi * PAULI[2]) @ expm_antiherm(
+            1j * np.pi * np.cos(theta) * np.einsum("c,cij->ij", mhat, PAULI))
         assert np.abs(u - expected).max() <= 1e-7
 
     def test_retraced_path_identity(self):

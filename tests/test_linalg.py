@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holostark import make_spherical_triangle
-from holostark._linalg import clifford_exp, ordered_product
+from holostark._linalg import PAULI, clifford_exp, ordered_product
 from holostark.connection import transport_exponents
 from holostark.stark import d_components
 
@@ -26,6 +26,17 @@ def test_clifford_exp_matches_eigh_on_schrodinger_steps(ge_b, basis, rng):
     out = clifford_exp(x)
     assert np.array_equal(out[0], np.eye(4))
     assert np.abs(out - expm_antiherm(x)).max() <= 1e-14
+
+
+def test_clifford_exp_matches_eigh_on_su2_generators(rng):
+    # X = i v.sigma squares to -|v|^2 I; |v| from exactly 0 (giving exactly I)
+    # to 10, well past pi
+    v = rng.normal(size=(40, 3))
+    v *= (np.linspace(0.0, 10.0, 40) / np.linalg.norm(v, axis=1))[:, None]
+    x = 1j * np.einsum("kc,cij->kij", v, PAULI)
+    out = clifford_exp(x)
+    assert np.array_equal(out[0], np.eye(2))
+    assert np.abs(out - expm_antiherm(x)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8])
