@@ -4,6 +4,10 @@ import numpy as np
 
 from .errors import NotUnitary
 
+# steps per block of blocked_product; a power of two, so that every full
+# block is a whole subtree of ordered_product's pairwise tree
+BLOCK = 4096
+
 PAULI = np.array([
     [[0, 1], [1, 0]],
     [[0, -1j], [1j, 0]],
@@ -32,6 +36,19 @@ def ordered_product(units):
         pairs = units[1::2] @ units[:-1:2]
         units = np.concatenate([pairs, units[-1:]]) if len(units) % 2 else pairs
     return units[0]
+
+
+def blocked_product(k, units):
+    """ordered_product of k step unitaries built BLOCK steps at a time, where
+    units(lo, hi) returns the (hi - lo, n, n) stack of steps lo to hi - 1.
+
+    Each block is ordered_product'ed, then the block results are.  Every
+    full block is a whole subtree of the single product's pairwise tree, so
+    the result has the same bits as ordered_product over all k steps, in
+    memory bounded by one block.
+    """
+    return ordered_product(np.stack([ordered_product(units(lo, min(lo + BLOCK, k)))
+                                     for lo in range(0, k, BLOCK)]))
 
 
 def unitarity_defect(u):

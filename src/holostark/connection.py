@@ -108,15 +108,16 @@ def transport_exponents(points, regime, m):
     """Per-step anti-Hermitian exponents A^i(E_mid) dE_i along a polyline.
 
     Midpoint evaluation makes the ordered product of their exponentials a
-    second-order integrator.  Raises DegeneratePoint if the gap closes along
-    the way (see gap_norms).
+    second-order integrator.  The contraction with the Clifford generators is
+    one (k, 25) @ (25, 16) matmul of the bivectors jde_a d_b.  Raises
+    DegeneratePoint if the gap closes along the way (see gap_norms).
     """
     points = np.asarray(points, dtype=float)
     mids = 0.5 * (points[1:] + points[:-1])
     diffs = points[1:] - points[:-1]
     comps = d_components(mids, m, regime)
     norms = gap_norms(comps)
-    jac = d_jacobian(mids, m, regime)
-    jde = np.einsum("kai,ki->ka", jac, diffs)
-    expo = np.einsum("ka,kb,abij->kij", jde, comps[:, 1:], default_basis().gammab)
+    jde = np.einsum("kai,ki->ka", d_jacobian(mids, m, regime), diffs)
+    bivector = (jde[:, :, None] * comps[:, None, 1:]).reshape(-1, 25)
+    expo = (bivector @ default_basis().gammab.reshape(25, 16)).reshape(-1, 4, 4)
     return (0.5j / (norms * norms))[:, None, None] * expo

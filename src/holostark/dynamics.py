@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import clifford_exp, dagger, ordered_product
+from ._linalg import blocked_product, clifford_exp, dagger
 from .algebra import default_basis
 from .connection import gap_norms
 from .errors import InvalidInput
@@ -47,6 +47,12 @@ class Drive:
                     f"time_steps must be >= 10x the {segments} path segments")
 
 
+def _d_dot_gamma(comps):
+    """The stack d . gamma (k, 4, 4) for d-components (k, 6), as one
+    (k, 5) @ (5, 16) matmul."""
+    return (comps[:, 1:] @ default_basis().gamma.reshape(5, 16)).reshape(-1, 4, 4)
+
+
 def _propagate(drive, regime, m, block):
     """Propagate the column(s) of ``block`` and return them with the
     per-midpoint d-components (for energy integration).
@@ -55,6 +61,8 @@ def _propagate(drive, regime, m, block):
     ``drive.path.points(drive.time_steps)``.  The discretization may round
     the segment count, so the true step count is the number of midpoints,
     and dt is total_time divided by it; stripping must use the same grid.
+    The steps are multiplied in blocks (see _linalg.blocked_product); the
+    degeneracy check covers the whole drive.
     """
     pts = drive.path.points(drive.time_steps)
     mids = 0.5 * (pts[1:] + pts[:-1])
@@ -62,9 +70,12 @@ def _propagate(drive, regime, m, block):
     norms = gap_norms(comps)
     dt = drive.total_time / len(mids)
     scale = dt / HBAR_MEV_S
-    units = np.exp(-1j * scale * comps[:, 0])[:, None, None] * clifford_exp(
-        -1j * scale * np.einsum("ka,aij->kij", comps[:, 1:], default_basis().gamma))
-    return ordered_product(units) @ block, comps, norms, dt
+
+    def units(lo, hi):
+        x = -1j * scale * _d_dot_gamma(comps[lo:hi])
+        return np.exp(-1j * scale * comps[lo:hi, 0])[:, None, None] * clifford_exp(x)
+
+    return blocked_product(len(mids), units) @ block, comps, norms, dt
 
 
 def evolve(drive, regime, m, psi0):

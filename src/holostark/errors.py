@@ -64,9 +64,12 @@ def is_number_tree(value):
 
 
 def load_json(path):
-    """Parse a JSON file; nesting too deep for the parser is invalid input."""
+    """Parse a JSON file; text that does not parse (bad syntax, not UTF-8,
+    nesting too deep for the parser) is invalid input naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise InvalidInput(f"{path}: JSON nested too deeply to parse") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidInput(f"{path}: {exc}") from None

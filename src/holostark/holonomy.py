@@ -34,12 +34,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import (PAULI, clifford_exp, dagger, ordered_product, projector_frame,
-                      require_unitary, unitarity_defect)
-from .connection import projectors, transport_exponents
+from ._linalg import (PAULI, blocked_product, clifford_exp, dagger, ordered_product,
+                      projector_frame, require_unitary, unitarity_defect)
+from .connection import gap_norms, projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
                      NotConstantMagnitude, is_finite_number, is_number_tree, load_json)
-from .stark import MaterialParams, d_vector
+from .stark import MaterialParams, d_components, d_vector
 
 DEFAULT_STEPS = 20000
 MIN_STEPS = 100
@@ -254,8 +254,10 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     """Path-ordered transport around a closed loop.
 
     Midpoint-evaluated exponents (second-order accurate), exactly unitary
-    steps.  The full unitary commutes with the basepoint projectors up to the
-    integration tolerance, so its band blocks are the loop holonomies.
+    steps, built and multiplied in blocks (see _linalg.blocked_product)
+    after one degeneracy check over the whole path.  The full unitary
+    commutes with the basepoint projectors up to the integration tolerance,
+    so its band blocks are the loop holonomies.
     """
     if steps < MIN_STEPS:
         raise InvalidInput(f"steps must be >= {MIN_STEPS}")
@@ -263,7 +265,9 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     gap = np.linalg.norm(pts[0] - pts[-1])
     if gap > path.closure_rtol * path.magnitude:
         raise NotClosed(f"path endpoints differ by {gap:.3e}")
-    full = ordered_product(clifford_exp(transport_exponents(pts, regime, m)))
+    gap_norms(d_components(0.5 * (pts[1:] + pts[:-1]), m, regime))
+    full = blocked_product(len(pts) - 1, lambda lo, hi: clifford_exp(
+        transport_exponents(pts[lo:hi + 1], regime, m)))
     fp, fm = basepoint_frames(pts[0], regime, m)
     return Holonomy(
         full=full,

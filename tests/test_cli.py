@@ -294,6 +294,24 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, monkeypatch, kind):
     assert err.startswith(f"error: {f}: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}"], ids=["syntax", "not-utf8"])
+@pytest.mark.parametrize("kind", ["path", "target", "materials", "env"])
+def test_unparsable_json_exits_2_naming_the_file(capsys, tmp_path, monkeypatch,
+                                                 kind, content):
+    f = tmp_path / "broken.json"
+    f.write_bytes(content)
+    argv = {"path": ["holonomy", "--regime", "quadratic", "--path", str(f)],
+            "target": ["synth", "--seed", "0", "--target", str(f)],
+            "materials": ["materials", "list", "--materials", str(f)],
+            "env": ["materials", "list"]}[kind]
+    if kind == "env":
+        monkeypatch.setenv("STARK_MATERIALS_PATH", str(f))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {f}: ") and len(err.splitlines()) == 1
+
+
 def test_output_file_written(capsys, tmp_path):
     out = tmp_path / "record.json"
     code, rec = run_cli(capsys, "spectrum", "--material", "Ge", "--dopant", "B",

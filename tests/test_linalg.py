@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from holostark import make_spherical_triangle
-from holostark._linalg import PAULI, clifford_exp, ordered_product
-from holostark.connection import transport_exponents
+from holostark import (DegeneratePoint, Drive, adiabatic_fidelity, evolve,
+                       make_spherical_triangle, sampled_path, wilson_loop)
+from holostark._linalg import (BLOCK, PAULI, blocked_product, clifford_exp,
+                               ordered_product)
+from holostark.connection import gap_norms, transport_exponents
+from holostark.dynamics import _d_dot_gamma
 from holostark.stark import d_components
 
-from util import expm_antiherm, random_su2
+from util import (d_dot_gamma_einsum, expm_antiherm, random_su2,
+                  transport_exponents_einsum)
 
 
 @pytest.mark.parametrize("regime", ["linear", "quadratic"])
@@ -46,3 +52,69 @@ def test_ordered_product_matches_sequential_loop(rng, k):
     for u in units:
         expected = u @ expected
     assert np.abs(ordered_product(units) - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_blocked_product_has_the_bits_of_one_ordered_product(rng, k):
+    units = clifford_exp(1j * np.einsum("kc,cij->kij", rng.normal(size=(k, 3)), PAULI))
+    blocked = blocked_product(k, lambda lo, hi: units[lo:hi])
+    assert np.array_equal(blocked, ordered_product(units))
+
+
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+def test_wilson_loop_has_the_bits_of_one_ordered_product(ge_b, regime):
+    path = make_spherical_triangle(0.7, 1.1, 1e6)
+    single = ordered_product(clifford_exp(
+        transport_exponents(path.points(20000), regime, ge_b)))
+    assert np.array_equal(wilson_loop(path, regime, ge_b, 20000).full, single)
+
+
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+def test_transport_exponents_match_einsum(ge_b, regime):
+    pts = make_spherical_triangle(0.7, 1.1, 1e6).points(500)
+    expected = transport_exponents_einsum(pts, regime, ge_b)
+    got = transport_exponents(pts, regime, ge_b)
+    assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def test_schrodinger_generators_match_einsum(ge_b, rng):
+    comps = d_components(rng.normal(size=(500, 3)) * 1e6, ge_b, "quadratic")
+    expected = d_dot_gamma_einsum(comps)
+    assert np.abs(_d_dot_gamma(comps) - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def test_degeneracy_check_spans_blocks(ge_b):
+    # linear regime, |E| stepping down from 1e6 V/m to 1e-5 V/m, three
+    # segments at 1e-5 V/m, and back up: |d| min/max is 7e-12 over the loop,
+    # below DEGENERACY_RTOL, yet at 40000 steps each segment is longer than a
+    # block, so every aligned block spans at most two adjacent levels
+    z = [[0.0, 0.0, r] for r in (1e6, 1e2, 1e-2, 1e-5)]
+    path = sampled_path(z + [[1e-5, 0.0, 0.0], [0.0, 1e-5, 0.0]] + z[::-1])
+    pts = path.points(40000)
+    comps = d_components(0.5 * (pts[1:] + pts[:-1]), ge_b, "linear")
+    for lo in range(0, len(comps), BLOCK):
+        gap_norms(comps[lo:lo + BLOCK])  # a per-block check passes everywhere
+    with pytest.raises(DegeneratePoint):
+        wilson_loop(path, "linear", ge_b, 40000)
+    with pytest.raises(DegeneratePoint):
+        evolve(Drive(path, 1e-7, 40000), "linear", ge_b, np.eye(4)[0])
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_wilson_loop_memory_is_bounded_by_a_block(ge_b):
+    path = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6)
+    assert _peak_mb(lambda: wilson_loop(path, "quadratic", ge_b, 40000)) < 12.0
+
+
+def test_adiabatic_fidelity_memory_is_bounded_by_a_block(ge_b):
+    drive = Drive(make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6), 2e-7, 30000)
+    peak = _peak_mb(lambda: adiabatic_fidelity(drive, "quadratic", ge_b, wl_steps=20000))
+    assert peak < 12.0

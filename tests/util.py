@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from holostark import acomm
+from holostark import acomm, default_basis
 from holostark._linalg import dagger
+from holostark.connection import gap_norms
+from holostark.stark import d_components, d_jacobian
 
 
 def expm_antiherm(a):
@@ -16,6 +18,23 @@ def expm_antiherm(a):
     h = 0.5 * (h + dagger(h))
     w, v = np.linalg.eigh(h)
     return np.einsum("...ik,...k,...jk->...ij", v, np.exp(-1j * w), np.conj(v))
+
+
+def transport_exponents_einsum(points, regime, m):
+    """Per-step transport exponents (i / 2|d|^2) jde_a d_b gamma_ab built with
+    one three-operand einsum, independent of the production matmul."""
+    points = np.asarray(points, dtype=float)
+    mids = 0.5 * (points[1:] + points[:-1])
+    comps = d_components(mids, m, regime)
+    norms = gap_norms(comps)
+    jde = np.einsum("kai,ki->ka", d_jacobian(mids, m, regime), points[1:] - points[:-1])
+    expo = np.einsum("ka,kb,abij->kij", jde, comps[:, 1:], default_basis().gammab)
+    return (0.5j / (norms * norms))[:, None, None] * expo
+
+
+def d_dot_gamma_einsum(comps):
+    """The stack d . gamma (k, 4, 4) from d-components (k, 6), by einsum."""
+    return np.einsum("ka,aij->kij", comps[:, 1:], default_basis().gamma)
 
 
 def random_unit(rng, n):
