@@ -10,14 +10,13 @@ sequences realizing target SU(2) gates.
 
 __version__ = "0.1.0"
 
-from .algebra import (CliffordBasis, SpinOperators, acomm, basis_intertwiner,
-                      canonical_gamma, default_basis, gamma_basis, spin_matrices)
-from .connection import (GaugeField, connection_d, connection_field, projectors,
-                         transport_exponents)
+from .algebra import (CliffordBasis, SpinOperators, acomm, default_basis, gamma_basis,
+                      spin_matrices)
+from .connection import connection_d, projectors, transport_exponents
 from .dynamics import AdiabaticFidelity, Drive, adiabatic_fidelity, evolve
 from .errors import (DegeneratePoint, HolostarkError, InvalidAngle, InvalidInput,
-                     NoIntertwiner, NonPositiveMagnitude, NotClosed,
-                     NotConstantMagnitude, NotUnitary, UnknownMaterial)
+                     NonPositiveMagnitude, NotClosed, NotConstantMagnitude,
+                     NotUnitary, UnknownMaterial)
 from .holonomy import (FieldPath, Holonomy, basepoint_frames, eigenphase_distance,
                        eigenphases, half_spin_band, holonomy_fidelity,
                        linear_stark_block_connection, linear_stark_holonomy,
@@ -26,6 +25,6 @@ from .holonomy import (FieldPath, Holonomy, basepoint_frames, eigenphase_distanc
                        sampled_path, wilson_loop, zee_holonomy)
 from .stark import (DVector, FeasibilityReport, MaterialParams, builtin_materials,
                     d_jacobian, d_linear, d_quadratic, direction_grid, eigen_split,
-                    feasibility_report, hamiltonian, isotropic_check,
-                    load_material_table, material_lookup)
+                    feasibility_report, hamiltonian, load_material_table,
+                    material_lookup)
 from .synth import LoopModel, SynthesisResult, loop_holonomy, loop_product, synthesize

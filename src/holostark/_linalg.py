@@ -63,12 +63,6 @@ def require_unitary(u, tol=1e-8, what="matrix"):
         raise NotUnitary(f"{what} is not unitary: defect {defect:.3e} > {tol:.1e}")
 
 
-def unitarize(m):
-    """Nearest unitary to m in Frobenius norm (polar factor via SVD)."""
-    w, _, vh = np.linalg.svd(m)
-    return w @ vh
-
-
 def projector_frame(p, rank=2):
     """Deterministic orthonormal basis (columns) of range(P) for a projector P.
 

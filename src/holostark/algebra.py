@@ -9,23 +9,12 @@ Conventions
 
   Most texts use the unhalved convention; factors of two in the matrix
   constructions below differ from those references accordingly.
-
-Two constructions of the anticommuting quintet are provided.  ``gamma_basis``
-builds them from the spin matrices and is the authoritative one used by all
-downstream physics; in the Sz-ordered basis its fifth matrix is
-diag(1, -1, -1, 1).  ``canonical_gamma`` returns the familiar block forms
-(off-diagonal i*sigma blocks, diag(I, -I) for the fifth), which live in a
-permuted basis; ``basis_intertwiner`` produces the unitary relating any two
-equivalent constructions.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from ._linalg import PAULI, unitarize
-from .errors import NoIntertwiner
 
 
 def acomm(a, b):
@@ -51,9 +40,6 @@ class SpinOperators:
         for name in ("sx", "sy", "sz"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
-    def as_stack(self):
-        return np.stack([self.sx, self.sy, self.sz])
-
 
 @dataclass(frozen=True)
 class CliffordBasis:
@@ -66,7 +52,6 @@ class CliffordBasis:
 
     gamma: np.ndarray  # (5, 4, 4)
     gammab: np.ndarray  # (5, 5, 4, 4)
-    basis_label: str
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _frozen(self.gamma))
@@ -111,47 +96,7 @@ def gamma_basis(spin):
         (1 / s3) * (sx @ sx - sy @ sy),
         sz @ sz - 1.25 * np.eye(4),
     ])
-    return CliffordBasis(gamma=gamma, gammab=_generators(gamma), basis_label="sz-ordered")
-
-
-def canonical_gamma():
-    """The explicit block forms of the quintet.
-
-    gamma_i (i=1..3) has i*sigma_i / -i*sigma_i off-diagonal blocks, gamma_4
-    is the antidiagonal block identity and gamma_5 = diag(I, -I).  These live
-    in a basis permuted relative to the Sz ordering; see basis_intertwiner.
-    """
-    z = np.zeros((2, 2))
-    i2 = np.eye(2)
-    gamma = np.zeros((5, 4, 4), dtype=complex)
-    for i in range(3):
-        gamma[i] = np.block([[z, 1j * PAULI[i]], [-1j * PAULI[i], z]])
-    gamma[3] = np.block([[z, i2], [i2, z]])
-    gamma[4] = np.block([[i2, z], [z, -i2]])
-    return CliffordBasis(gamma=gamma, gammab=_generators(gamma), basis_label="canonical-blocks")
-
-
-def basis_intertwiner(a, b, tol=1e-10):
-    """Unitary Q with Q a.gamma[k] Q^dag = b.gamma[k] for all k.
-
-    Solves the stacked linear intertwining system by SVD, unitarizes the
-    null vector, and verifies the residual.  Raises NoIntertwiner when the
-    two quintets are not unitarily equivalent (e.g. a single generator with
-    flipped sign, which changes the product gamma_1...gamma_5).
-    """
-    eye = np.eye(4)
-    rows = [np.kron(eye, ak.T) - np.kron(bk, eye) for ak, bk in zip(a.gamma, b.gamma)]
-    system = np.vstack(rows)
-    _, _, vh = np.linalg.svd(system)
-    q = unitarize(vh[-1].reshape(4, 4))
-    residual = max(
-        np.abs(q @ ak @ q.conj().T - bk).max() for ak, bk in zip(a.gamma, b.gamma)
-    )
-    if not residual <= tol:
-        raise NoIntertwiner(
-            f"no unitary relates the two bases (best residual {residual:.3e})"
-        )
-    return q
+    return CliffordBasis(gamma=gamma, gammab=_generators(gamma))
 
 
 @lru_cache(maxsize=1)

@@ -121,8 +121,11 @@ def cmd_materials(args):
 
 def cmd_spectrum(args):
     m = _material(args)
-    e = np.array([float(x) for x in args.field.split(",")])
-    if e.shape != (3,) or not np.all(np.isfinite(e)):
+    try:
+        e = np.array([float(x) for x in args.field.split(",")])
+    except ValueError:
+        e = None
+    if e is None or e.shape != (3,) or not np.all(np.isfinite(e)):
         raise InvalidInput(f"--field needs three finite comma-separated components, "
                            f"got {args.field}")
     d = d_vector(e, m, args.regime)
@@ -330,6 +333,9 @@ def main(argv=None):
         return args.func(args)
     except (HolostarkError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:  # e.g. a step count too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -18,18 +18,15 @@ cannot be exponentiated to a unitary; this package transports with [dP, P]
 itself, the convention singled out by the time-dependent Schrodinger oracle
 (see dynamics) and by the Berry-phase limit.
 
-Pulled back to electric-field space via the analytic Jacobian:
-
-    A^i = (d d_a / d E_i) A_a .
+transport_exponents pulls them back to electric-field space via the
+analytic Jacobian, A^i = (d d_a / d E_i) A_a, one path step at a time.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import default_basis
 from .errors import DegeneratePoint
-from .stark import MaterialParams, d_components, d_jacobian, d_vector
+from .stark import d_components, d_jacobian
 
 # points with |d| below this fraction of the largest |d| seen on a path are
 # treated as gap closures: 1/d^2 amplifies noise near degeneracy
@@ -60,39 +57,6 @@ def connection_d(d):
     if not n > 0:
         raise DegeneratePoint("zero d-vector: transport generator undefined")
     return (0.5j / (n * n)) * np.einsum("b,abij->aij", d.d, default_basis().gammab)
-
-
-@dataclass(frozen=True)
-class GaugeField:
-    """Field-space transport generators at one field point, units 1/(V/m)."""
-
-    components: np.ndarray  # (3, 4, 4) anti-Hermitian, one per E_x, E_y, E_z
-    basepoint: np.ndarray  # (3,)
-    regime: str
-    material: MaterialParams
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(self.components)
-        c.setflags(write=False)
-        object.__setattr__(self, "components", c)
-        b = np.ascontiguousarray(self.basepoint, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "basepoint", b)
-
-
-def connection_field(e, regime, m):
-    """Pull the d-space generators back to field space: A^i = J_ai A_a.
-
-    The Jacobian is the analytic one from the d-vector definitions.  In the
-    linear regime the material scale p*chi cancels between the Jacobian and
-    the 1/d^2 of A_a, so the components depend on the field direction history
-    only.
-    """
-    e = np.asarray(e, dtype=float)
-    aa = connection_d(d_vector(e, m, regime))
-    jac = d_jacobian(e, m, regime)
-    components = np.einsum("ai,ajk->ijk", jac, aa)
-    return GaugeField(components=components, basepoint=e, regime=regime, material=m)
 
 
 def gap_norms(comps):

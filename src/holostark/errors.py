@@ -37,10 +37,6 @@ class NotUnitary(HolostarkError):
     """Matrix fails the unitarity tolerance of the receiving operation."""
 
 
-class NoIntertwiner(HolostarkError):
-    """No unitary relates the two matrix bases (construction bug upstream)."""
-
-
 class InvalidInput(HolostarkError):
     """Argument outside the domain of the requested operation."""
 

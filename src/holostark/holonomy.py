@@ -181,6 +181,12 @@ def path_to_dict(path):
     return out
 
 
+# the keys each kind of path description must carry besides "kind"
+_PATH_KEYS = {"spherical_triangle": ("theta", "phi", "magnitude_V_per_m"),
+              "latitude_loop": ("theta", "magnitude_V_per_m"),
+              "sampled": ("samples",)}
+
+
 def path_from_dict(desc):
     """Build a FieldPath from its JSON description.
 
@@ -191,6 +197,11 @@ def path_from_dict(desc):
         kind = desc["kind"]
     except (TypeError, KeyError):
         raise InvalidInput("path description needs a 'kind' key")
+    if not (isinstance(kind, str) and kind in _PATH_KEYS):
+        raise InvalidInput(f"unknown path kind {kind!r}")
+    for key in _PATH_KEYS[kind]:
+        if key not in desc:
+            raise InvalidInput(f"{kind} path description needs a {key!r} key")
     num = {k: v for k, v in desc.items()
            if k in ("theta", "phi", "magnitude_V_per_m", "closure_rtol")}
     if not all(is_finite_number(v) for v in num.values()):
@@ -200,11 +211,9 @@ def path_from_dict(desc):
                                        num["magnitude_V_per_m"])
     if kind == "latitude_loop":
         return make_latitude_loop(num["theta"], num["magnitude_V_per_m"])
-    if kind == "sampled":
-        if not is_number_tree(desc["samples"]):
-            raise InvalidInput("path samples must be finite numbers")
-        return sampled_path(desc["samples"], closure_rtol=num.get("closure_rtol", 1e-9))
-    raise InvalidInput(f"unknown path kind {kind!r}")
+    if not is_number_tree(desc["samples"]):
+        raise InvalidInput("path samples must be finite numbers")
+    return sampled_path(desc["samples"], closure_rtol=num.get("closure_rtol", 1e-9))
 
 
 def load_path(path_file):

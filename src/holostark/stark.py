@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import gamma_basis
+from .algebra import default_basis
 from .errors import InvalidInput, UnknownMaterial, is_finite_number, load_json
 from .units import MEV_PER_ANGSTROM_V_PER_M, PLANCK_MEV_S
 
@@ -236,10 +236,10 @@ def d_quadratic(e, m):
     return d_vector(e, m, "quadratic")
 
 
-def hamiltonian(d, basis):
+def hamiltonian(d):
     """4x4 Hermitian Stark Hamiltonian d0*I + d_a gamma_a, in meV."""
     h = d.d0 * np.eye(4, dtype=complex)
-    h = h + np.einsum("a,aij->ij", d.d, basis.gamma)
+    h = h + np.einsum("a,aij->ij", d.d, default_basis().gamma)
     return h
 
 
@@ -247,30 +247,6 @@ def eigen_split(d):
     """(eps_minus, eps_plus, gap) of the Kramers doublets: d0 -/+ |d|, 2|d|."""
     n = d.norm
     return (d.d0 - n, d.d0 + n, 2 * n)
-
-
-def isotropic_check(e, m_iso, spin):
-    """Residual of the spherical-limit identity, per unit field squared.
-
-    For beta = delta/sqrt(3) the traceless part of the quadratic Hamiltonian
-    collapses to beta * [(Ehat.S)^2 - (5/4) I] in units of the quadratic
-    prefactor.  Returns the max-abs deviation between the two constructions
-    evaluated at the unit field direction; anisotropic constants give a
-    strictly positive residual.
-    """
-    e = np.asarray(e, dtype=float)
-    mag = np.linalg.norm(e)
-    if not mag > 0:
-        raise InvalidInput("isotropic_check needs a nonzero field direction")
-    ehat = e / mag
-    basis = gamma_basis(spin)
-    comps = d_components(ehat, m_iso, "quadratic")
-    p0 = m_iso.dipole_mev_per_field
-    kappa = -(p0 * p0) / m_iso.ionization_meV
-    lhs = np.einsum("a,aij->ij", comps[1:] / kappa, basis.gamma)
-    es = ehat[0] * spin.sx + ehat[1] * spin.sy + ehat[2] * spin.sz
-    rhs = m_iso.beta * (es @ es - 1.25 * np.eye(4))
-    return float(np.abs(lhs - rhs).max())
 
 
 def direction_grid(n=200):

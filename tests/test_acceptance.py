@@ -97,13 +97,13 @@ def test_criterion_03_projector_connection_suite(acc_rng):
            f"homog {worst_homog:.1e}")
 
 
-def test_criterion_04_kramers_degeneracy(basis, ge_b, acc_rng):
+def test_criterion_04_kramers_degeneracy(ge_b, acc_rng):
     worst = 0.0
     for regime, build, scale in (("linear", d_linear, 1e5),
                                  ("quadratic", d_quadratic, 1e6)):
         for _ in range(100):
             d = build(acc_rng.normal(size=3) * scale, ge_b)
-            w = np.linalg.eigvalsh(hamiltonian(d, basis))
+            w = np.linalg.eigvalsh(hamiltonian(d))
             worst = max(worst, w[1] - w[0], w[3] - w[2])
     report(4, "Kramers pairing <= 1e-10 meV", worst <= 1e-10, f"worst {worst:.2e}")
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from holostark import (NoIntertwiner, basis_intertwiner, canonical_gamma,
-                       gamma_basis, spin_matrices)
+from holostark import gamma_basis, spin_matrices
 from holostark.algebra import CliffordBasis
 
-from util import random_unit
+from util import NoIntertwiner, basis_intertwiner, canonical_gamma, random_unit
 
 
 def comm(a, b):
@@ -127,8 +126,7 @@ class TestIntertwiner:
     def test_flipped_gamma5_has_no_intertwiner(self, basis):
         flipped = np.array(basis.gamma)
         flipped[4] = -flipped[4]
-        bad = CliffordBasis(gamma=flipped, gammab=basis.gammab,
-                            basis_label="gamma5-negated")
+        bad = CliffordBasis(gamma=flipped, gammab=basis.gammab)
         with pytest.raises(NoIntertwiner):
             basis_intertwiner(basis, bad)
 

@@ -96,9 +96,10 @@ class TestSpectrum:
         assert code == 2
 
     def test_malformed_field_exits_2(self, capsys):
-        code, _ = run_cli(capsys, "spectrum", "--material", "Ge", "--dopant", "B",
-                          "--regime", "quadratic", "--field", "0,0,abc")
+        code = main(["spectrum", "--material", "Ge", "--dopant", "B",
+                     "--regime", "quadratic", "--field", "0,0,abc"])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: --field needs three finite")
 
     @pytest.mark.parametrize("field", ["nan,0,1e6", "0,inf,1e6"])
     def test_non_finite_field_exits_2(self, capsys, field):
@@ -138,19 +139,36 @@ class TestHolonomy:
                           "quadratic", "--material", "Ge", "--dopant", "B")
         assert code == 2
 
-    @pytest.mark.parametrize("desc", [
-        {"kind": "spherical_triangle", "theta": "abc", "phi": 1.0,
-         "magnitude_V_per_m": 1e6},
-        {"kind": "sampled", "samples": [[0, 0, 1e6], [{}, 0, 1e6], [0, 0, 1e6]]},
-        {"kind": "sampled", "samples": [[0, 0, 1e6], [10**400, 0, 1e6], [0, 0, 1e6]]},
+    @pytest.mark.parametrize("desc, says", [
+        pytest.param({"kind": "spherical_triangle", "theta": "abc", "phi": 1.0,
+                      "magnitude_V_per_m": 1e6}, "error: ", id="desc0"),
+        pytest.param({"kind": "sampled",
+                      "samples": [[0, 0, 1e6], [{}, 0, 1e6], [0, 0, 1e6]]},
+                     "error: ", id="desc1"),
+        pytest.param({"kind": "sampled",
+                      "samples": [[0, 0, 1e6], [10**400, 0, 1e6], [0, 0, 1e6]]},
+                     "error: ", id="desc2"),
+        pytest.param({"kind": "spherical_triangle", "theta": 1.0,
+                      "magnitude_V_per_m": 1e6},
+                     "error: spherical_triangle path description needs a 'phi' key",
+                     id="no-phi"),
+        pytest.param({"kind": "latitude_loop", "magnitude_V_per_m": 1e6},
+                     "error: latitude_loop path description needs a 'theta' key",
+                     id="no-theta"),
+        pytest.param({"kind": "latitude_loop", "theta": 1.0},
+                     "error: latitude_loop path description needs a "
+                     "'magnitude_V_per_m' key", id="no-magnitude"),
+        pytest.param({"kind": "sampled"},
+                     "error: sampled path description needs a 'samples' key",
+                     id="no-samples"),
     ])
-    def test_non_numeric_path_field_exits_2(self, capsys, tmp_path, desc):
+    def test_non_numeric_path_field_exits_2(self, capsys, tmp_path, desc, says):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(desc))
         code = main(["holonomy", "--path", str(f), "--regime", "quadratic"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err.startswith(says) and len(err.splitlines()) == 1
 
     def test_coarse_steps_exit_3(self, capsys, tmp_path):
         path = write_octant(tmp_path)
@@ -275,6 +293,22 @@ def test_malformed_tolerance_exits_2(capsys, tmp_path, flag, value):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {flag} must be") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--time-steps", "--wl-steps"])
+def test_step_count_too_large_to_allocate_exits_2(capsys, tmp_path, flag):
+    # 10**15 steps need petabytes, more than any address space: the
+    # allocation fails at once instead of swapping
+    if flag == "--steps":
+        argv = ["holonomy", "--regime", "quadratic", "--path", write_octant(tmp_path)]
+    else:
+        argv = ["verify-adiabatic", "--regime", "quadratic", "--T", "1e-9",
+                "--path", write_octant(tmp_path), "--time-steps", "100",
+                "--wl-steps", "100"]
+    code = main(argv + [flag, str(10**15)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("kind", ["path", "target", "materials", "env"])

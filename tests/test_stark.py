@@ -5,12 +5,12 @@ import pytest
 
 from holostark import (InvalidInput, UnknownMaterial, builtin_materials, d_jacobian,
                        d_linear, d_quadratic, direction_grid, eigen_split,
-                       feasibility_report, hamiltonian, isotropic_check,
-                       load_material_table, material_lookup)
+                       feasibility_report, hamiltonian, load_material_table,
+                       material_lookup)
 from holostark.stark import DVector, d_components
 
-from util import (linear_hamiltonian_direct, quadratic_hamiltonian_direct,
-                  random_unit)
+from util import (isotropic_check, linear_hamiltonian_direct,
+                  quadratic_hamiltonian_direct, random_unit)
 
 
 class TestMaterials:
@@ -110,52 +110,52 @@ class TestDQuadratic:
 
 
 class TestHamiltonian:
-    def test_zero_d(self, basis):
+    def test_zero_d(self):
         d = DVector(d0=0.0, d=np.zeros(5), regime="quadratic")
-        assert np.abs(hamiltonian(d, basis)).max() == 0.0
+        assert np.abs(hamiltonian(d)).max() == 0.0
 
-    def test_gamma5_only(self, basis):
+    def test_gamma5_only(self):
         d = DVector(d0=0.0, d=np.array([0, 0, 0, 0, 1.7]), regime="quadratic")
-        h = hamiltonian(d, basis)
+        h = hamiltonian(d)
         assert np.allclose(np.linalg.eigvalsh(h), [-1.7, -1.7, 1.7, 1.7], atol=1e-13)
 
-    def test_hermitian(self, basis, ge_b, rng):
+    def test_hermitian(self, ge_b, rng):
         for _ in range(20):
-            h = hamiltonian(d_quadratic(rng.normal(size=3) * 1e6, ge_b), basis)
+            h = hamiltonian(d_quadratic(rng.normal(size=3) * 1e6, ge_b))
             assert np.abs(h - h.conj().T).max() <= 1e-13
 
-    def test_quadratic_matches_direct_construction(self, basis, spin, ge_b, rng):
+    def test_quadratic_matches_direct_construction(self, spin, ge_b, rng):
         for _ in range(50):
             e = rng.normal(size=3) * 1e6
-            h = hamiltonian(d_quadratic(e, ge_b), basis)
+            h = hamiltonian(d_quadratic(e, ge_b))
             assert np.abs(h - quadratic_hamiltonian_direct(e, ge_b, spin)).max() <= 1e-10
 
-    def test_linear_matches_direct_construction(self, basis, spin, ge_b, rng):
+    def test_linear_matches_direct_construction(self, spin, ge_b, rng):
         for _ in range(50):
             e = rng.normal(size=3) * 1e5
-            h = hamiltonian(d_linear(e, ge_b), basis)
+            h = hamiltonian(d_linear(e, ge_b))
             assert np.abs(h - linear_hamiltonian_direct(e, ge_b, spin)).max() <= 1e-10
 
-    def test_eigen_split_matches_diagonalization(self, basis, ge_b, rng):
+    def test_eigen_split_matches_diagonalization(self, ge_b, rng):
         for _ in range(50):
             d = d_quadratic(rng.normal(size=3) * 1e6, ge_b)
             eps_minus, eps_plus, _ = eigen_split(d)
-            w = np.linalg.eigvalsh(hamiltonian(d, basis))
+            w = np.linalg.eigvalsh(hamiltonian(d))
             assert np.abs(w - [eps_minus, eps_minus, eps_plus, eps_plus]).max() <= 1e-10
 
-    def test_ge_b_quadratic_levels(self, basis, ge_b):
-        h = hamiltonian(d_quadratic([0, 0, 1e6], ge_b), basis)
+    def test_ge_b_quadratic_levels(self, ge_b):
+        h = hamiltonian(d_quadratic([0, 0, 1e6], ge_b))
         w = np.linalg.eigvalsh(h)
         assert np.allclose(w, [-10.35125, -10.35125, -5.57375, -5.57375], atol=1e-10)
 
 
 class TestKramers:
     @pytest.mark.parametrize("regime", ["linear", "quadratic"])
-    def test_double_degeneracy(self, basis, ge_b, rng, regime):
+    def test_double_degeneracy(self, ge_b, rng, regime):
         build = d_linear if regime == "linear" else d_quadratic
         for _ in range(100):
             d = build(rng.normal(size=3) * 1e6, ge_b)
-            w = np.linalg.eigvalsh(hamiltonian(d, basis))
+            w = np.linalg.eigvalsh(hamiltonian(d))
             assert w[1] - w[0] <= 1e-10
             assert w[3] - w[2] <= 1e-10
 

@@ -2,10 +2,82 @@
 
 import numpy as np
 
-from holostark import acomm, default_basis
-from holostark._linalg import dagger
+from holostark import acomm, default_basis, gamma_basis
+from holostark._linalg import PAULI, dagger
+from holostark.algebra import CliffordBasis, _generators
 from holostark.connection import gap_norms
 from holostark.stark import d_components, d_jacobian
+
+
+class NoIntertwiner(Exception):
+    """No unitary relates the two matrix bases."""
+
+
+def unitarize(m):
+    """Nearest unitary to m in Frobenius norm (polar factor via SVD)."""
+    w, _, vh = np.linalg.svd(m)
+    return w @ vh
+
+
+def canonical_gamma():
+    """The explicit block forms of the quintet.
+
+    gamma_i (i=1..3) has i*sigma_i / -i*sigma_i off-diagonal blocks, gamma_4
+    is the antidiagonal block identity and gamma_5 = diag(I, -I).  These live
+    in a basis permuted relative to the Sz ordering; see basis_intertwiner.
+    """
+    z = np.zeros((2, 2))
+    i2 = np.eye(2)
+    gamma = np.zeros((5, 4, 4), dtype=complex)
+    for i in range(3):
+        gamma[i] = np.block([[z, 1j * PAULI[i]], [-1j * PAULI[i], z]])
+    gamma[3] = np.block([[z, i2], [i2, z]])
+    gamma[4] = np.block([[i2, z], [z, -i2]])
+    return CliffordBasis(gamma=gamma, gammab=_generators(gamma))
+
+
+def basis_intertwiner(a, b, tol=1e-10):
+    """Unitary Q with Q a.gamma[k] Q^dag = b.gamma[k] for all k.
+
+    Solves the stacked linear intertwining system by SVD, unitarizes the
+    null vector, and verifies the residual.  Raises NoIntertwiner when the
+    two quintets are not unitarily equivalent (e.g. a single generator with
+    flipped sign, which changes the product gamma_1...gamma_5).
+    """
+    eye = np.eye(4)
+    rows = [np.kron(eye, ak.T) - np.kron(bk, eye) for ak, bk in zip(a.gamma, b.gamma)]
+    system = np.vstack(rows)
+    _, _, vh = np.linalg.svd(system)
+    q = unitarize(vh[-1].reshape(4, 4))
+    residual = max(
+        np.abs(q @ ak @ q.conj().T - bk).max() for ak, bk in zip(a.gamma, b.gamma)
+    )
+    if not residual <= tol:
+        raise NoIntertwiner(
+            f"no unitary relates the two bases (best residual {residual:.3e})"
+        )
+    return q
+
+
+def isotropic_check(e, m_iso, spin):
+    """Residual of the spherical-limit identity, per unit field squared.
+
+    For beta = delta/sqrt(3) the traceless part of the quadratic Hamiltonian
+    collapses to beta * [(Ehat.S)^2 - (5/4) I] in units of the quadratic
+    prefactor.  Returns the max-abs deviation between the two constructions
+    evaluated at the unit field direction; anisotropic constants give a
+    strictly positive residual.
+    """
+    e = np.asarray(e, dtype=float)
+    ehat = e / np.linalg.norm(e)
+    basis = gamma_basis(spin)
+    comps = d_components(ehat, m_iso, "quadratic")
+    p0 = m_iso.dipole_mev_per_field
+    kappa = -(p0 * p0) / m_iso.ionization_meV
+    lhs = np.einsum("a,aij->ij", comps[1:] / kappa, basis.gamma)
+    es = ehat[0] * spin.sx + ehat[1] * spin.sy + ehat[2] * spin.sz
+    rhs = m_iso.beta * (es @ es - 1.25 * np.eye(4))
+    return float(np.abs(lhs - rhs).max())
 
 
 def expm_antiherm(a):
