@@ -24,7 +24,7 @@ from .holonomy import (FieldPath, Holonomy, basepoint_frames, eigenphase_distanc
                        make_spherical_triangle, path_from_dict, path_to_dict,
                        sampled_path, wilson_loop, zee_holonomy)
 from .stark import (DVector, FeasibilityReport, MaterialParams, builtin_materials,
-                    d_jacobian, d_linear, d_quadratic, direction_grid, eigen_split,
+                    d_increment, d_linear, d_quadratic, direction_grid, eigen_split,
                     feasibility_report, hamiltonian, load_material_table,
                     material_lookup)
 from .synth import LoopModel, SynthesisResult, loop_holonomy, loop_product, synthesize

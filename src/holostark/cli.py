@@ -20,12 +20,12 @@ import numpy as np
 
 from . import __version__
 from .dynamics import Drive, adiabatic_fidelity
-from .errors import (DegeneratePoint, HolostarkError, InvalidInput, is_number_tree,
-                     load_json)
+from .connection import gap_norms
+from .errors import HolostarkError, InvalidInput, is_number_tree, load_json
 from .holonomy import (eigenphases, half_spin_band, load_path, path_to_dict,
                        wilson_loop)
-from .stark import (builtin_materials, d_vector, eigen_split, feasibility_report,
-                    load_material_table, material_lookup)
+from .stark import (builtin_materials, d_components, d_vector, eigen_split,
+                    feasibility_report, load_material_table, material_lookup)
 from .synth import LoopModel, synthesize
 
 EXIT_OK = 0
@@ -128,12 +128,12 @@ def cmd_spectrum(args):
     if e is None or e.shape != (3,) or not np.all(np.isfinite(e)):
         raise InvalidInput(f"--field needs three finite comma-separated components, "
                            f"got {args.field}")
+    gap_norms(d_components(e, m, args.regime))  # zero gap or overflow: exit 2
     d = d_vector(e, m, args.regime)
-    if not d.norm > 0:
-        raise DegeneratePoint("zero splitting at this field point")
     eps_minus, eps_plus, gap = eigen_split(d)
-    rep = feasibility_report(np.linalg.norm(e), m, args.rotation_freq,
-                             regime=args.regime)
+    with np.errstate(over="ignore"):  # feasibility_report rejects an infinite |E|
+        e_mag = np.linalg.norm(e)
+    rep = feasibility_report(e_mag, m, args.rotation_freq, regime=args.regime)
     results = {
         "material": _material_dict(m),
         "regime": args.regime,

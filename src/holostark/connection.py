@@ -18,15 +18,16 @@ cannot be exponentiated to a unitary; this package transports with [dP, P]
 itself, the convention singled out by the time-dependent Schrodinger oracle
 (see dynamics) and by the Berry-phase limit.
 
-transport_exponents pulls them back to electric-field space via the
-analytic Jacobian, A^i = (d d_a / d E_i) A_a, one path step at a time.
+transport_exponents pulls them back to electric-field space one path step
+at a time: a step from a to b changes d by J(E_mid) dE = d(b) - d(a), which
+stark.d_increment takes from the same bilinear form as d itself.
 """
 
 import numpy as np
 
 from .algebra import default_basis
-from .errors import DegeneratePoint
-from .stark import d_components, d_jacobian
+from .errors import DegeneratePoint, InvalidInput
+from .stark import d_components, d_increment
 
 # points with |d| below this fraction of the largest |d| seen on a path are
 # treated as gap closures: 1/d^2 amplifies noise near degeneracy
@@ -61,10 +62,14 @@ def connection_d(d):
 
 def gap_norms(comps):
     """|d| per row of d_components output; DegeneratePoint if the gap closes
-    (|d| not above DEGENERACY_RTOL times the largest |d|)."""
-    norms = np.linalg.norm(comps[..., 1:], axis=-1)
+    (|d| not above DEGENERACY_RTOL times the largest |d|), InvalidInput if
+    |d| overflows float64."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(comps[..., 1:], axis=-1)
+    if not np.all(np.isfinite(norms)):
+        raise InvalidInput("field too strong for float64: |d| overflows")
     if not norms.min() > DEGENERACY_RTOL * norms.max():
-        raise DegeneratePoint("gap closes along the path")
+        raise DegeneratePoint("gap closes: |d| vanishes at a field point")
     return norms
 
 
@@ -72,16 +77,16 @@ def transport_exponents(points, regime, m):
     """Per-step anti-Hermitian exponents A^i(E_mid) dE_i along a polyline.
 
     Midpoint evaluation makes the ordered product of their exponentials a
-    second-order integrator.  The contraction with the Clifford generators is
-    one (k, 25) @ (25, 16) matmul of the bivectors jde_a d_b.  Raises
+    second-order integrator.  jde = J(E_mid) dE is the step's change of d
+    (stark.d_increment); the contraction with the Clifford generators is one
+    (k, 25) @ (25, 16) matmul of the bivectors jde_a d_b.  Raises
     DegeneratePoint if the gap closes along the way (see gap_norms).
     """
     points = np.asarray(points, dtype=float)
     mids = 0.5 * (points[1:] + points[:-1])
-    diffs = points[1:] - points[:-1]
     comps = d_components(mids, m, regime)
     norms = gap_norms(comps)
-    jde = np.einsum("kai,ki->ka", d_jacobian(mids, m, regime), diffs)
+    jde = d_increment(mids, points[1:] - points[:-1], m, regime)
     bivector = (jde[:, :, None] * comps[:, None, 1:]).reshape(-1, 25)
     expo = (bivector @ default_basis().gammab.reshape(25, 16)).reshape(-1, 4, 4)
     return (0.5j / (norms * norms))[:, None, None] * expo

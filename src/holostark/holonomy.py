@@ -43,6 +43,7 @@ from .stark import MaterialParams, d_components, d_vector
 
 DEFAULT_STEPS = 20000
 MIN_STEPS = 100
+CLOSURE_RTOL = 1e-9  # largest endpoint gap of a closed path, relative to |E|
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class FieldPath:
     theta: float = 0.0
     phi: float = 0.0
     samples: np.ndarray = None
-    closure_rtol: float = 1e-9
     backwards: bool = False
 
     def __post_init__(self):
@@ -146,7 +146,7 @@ def make_latitude_loop(theta, magnitude):
     return FieldPath(kind="latitude_loop", magnitude=float(magnitude), theta=float(theta))
 
 
-def sampled_path(samples, closure_rtol=1e-9):
+def sampled_path(samples):
     """Closed path through explicit field samples (n, 3); see FieldPath.points
     for how they are refined."""
     try:
@@ -163,11 +163,10 @@ def sampled_path(samples, closure_rtol=1e-9):
     if not norms.min() > 0:
         raise NonPositiveMagnitude("sampled path passes through zero field")
     gap = np.linalg.norm(samples[0] - samples[-1])
-    if gap > closure_rtol * magnitude:
+    if gap > CLOSURE_RTOL * magnitude:
         raise NotClosed(f"endpoints differ by {gap:.3e} (tolerance "
-                        f"{closure_rtol * magnitude:.3e})")
-    return FieldPath(kind="sampled", magnitude=magnitude, samples=samples,
-                     closure_rtol=closure_rtol)
+                        f"{CLOSURE_RTOL * magnitude:.3e})")
+    return FieldPath(kind="sampled", magnitude=magnitude, samples=samples)
 
 
 def path_to_dict(path):
@@ -202,8 +201,7 @@ def path_from_dict(desc):
     for key in _PATH_KEYS[kind]:
         if key not in desc:
             raise InvalidInput(f"{kind} path description needs a {key!r} key")
-    num = {k: v for k, v in desc.items()
-           if k in ("theta", "phi", "magnitude_V_per_m", "closure_rtol")}
+    num = {k: v for k, v in desc.items() if k in ("theta", "phi", "magnitude_V_per_m")}
     if not all(is_finite_number(v) for v in num.values()):
         raise InvalidInput(f"path values must be finite numbers, got {num}")
     if kind == "spherical_triangle":
@@ -213,7 +211,7 @@ def path_from_dict(desc):
         return make_latitude_loop(num["theta"], num["magnitude_V_per_m"])
     if not is_number_tree(desc["samples"]):
         raise InvalidInput("path samples must be finite numbers")
-    return sampled_path(desc["samples"], closure_rtol=num.get("closure_rtol", 1e-9))
+    return sampled_path(desc["samples"])
 
 
 def load_path(path_file):
@@ -272,7 +270,7 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
         raise InvalidInput(f"steps must be >= {MIN_STEPS}")
     pts = path.points(steps)
     gap = np.linalg.norm(pts[0] - pts[-1])
-    if gap > path.closure_rtol * path.magnitude:
+    if gap > CLOSURE_RTOL * path.magnitude:
         raise NotClosed(f"path endpoints differ by {gap:.3e}")
     gap_norms(d_components(0.5 * (pts[1:] + pts[:-1]), m, regime))
     full = blocked_product(len(pts) - 1, lambda lo, hi: clifford_exp(

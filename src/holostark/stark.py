@@ -8,6 +8,10 @@ encoded as six real coefficients (d0, d1..d5) in meV:
 so the Kramers doublets sit at eps_pm = d0 +/- |d| and the gap is 2|d|.
 Fields are in V/m, lengths in Angstrom; see units.py.
 
+d is linear in E, or quadratic: d(E) = B(E, E) for one symmetric bilinear
+form B.  A path step from a to b therefore changes d by exactly
+J(E_mid) dE = d(b) - d(a) (d_increment), the input of the transport.
+
 The two regimes are kept strictly separate (explicit ``regime`` argument,
 no automatic crossover): the linear effect applies at small fields, the
 quadratic one at large fields.
@@ -160,64 +164,53 @@ def _check_regime(regime):
         raise InvalidInput(f"regime must be one of {REGIMES}, got {regime!r}")
 
 
+def _quadratic_form(e, f, m):
+    """Bilinear form B(e, f) (..., 6) holding the quadratic coefficients:
+    d(E) = B(E, E) and d(b) - d(a) = 2 B((a+b)/2, b - a).  Mixed terms sum
+    their two orderings at half weight, so B(E, E) rounds like one product."""
+    p0 = m.dipole_mev_per_field
+    kappa = -(p0 * p0) / m.ionization_meV  # meV per (V/m)^2
+    hd = 0.5 * kappa * m.delta
+    ex, ey, ez = np.moveaxis(e, -1, 0)
+    fx, fy, fz = np.moveaxis(f, -1, 0)
+    xx, yy, zz = ex * fx, ey * fy, ez * fz
+    out = np.empty(e.shape[:-1] + (6,))
+    out[..., 0] = kappa * m.alpha * (xx + yy + zz)
+    out[..., 1] = hd * ez * fy + hd * fz * ey
+    out[..., 2] = hd * ez * fx + hd * fz * ex
+    out[..., 3] = hd * ex * fy + hd * fx * ey
+    out[..., 4] = kappa * (math.sqrt(3.0) / 2.0) * m.beta * (xx - yy)
+    out[..., 5] = kappa * 0.5 * m.beta * (2 * zz - xx - yy)
+    return out
+
+
 def d_components(e, m, regime):
     """Vectorized d-vector components: e of shape (..., 3) -> (..., 6).
 
     Used by the transport integrators; d_vector wraps single points into
-    DVector values.
+    DVector values.  InvalidInput if d overflows float64 (field too strong).
     """
     _check_regime(regime)
     e = np.asarray(e, dtype=float)
-    out = np.zeros(e.shape[:-1] + (6,))
-    if regime == "linear":
-        out[..., 1:4] = m.dipole_mev_per_field * m.chi * e
-        return out
-    p0 = m.dipole_mev_per_field
-    kappa = -(p0 * p0) / m.ionization_meV  # meV per (V/m)^2
-    ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
-    e2 = ex * ex + ey * ey + ez * ez
-    out[..., 0] = kappa * m.alpha * e2
-    out[..., 1] = kappa * m.delta * ez * ey
-    out[..., 2] = kappa * m.delta * ez * ex
-    out[..., 3] = kappa * m.delta * ex * ey
-    out[..., 4] = kappa * (math.sqrt(3.0) / 2.0) * m.beta * (ex * ex - ey * ey)
-    out[..., 5] = kappa * 0.5 * m.beta * (2 * ez * ez - ex * ex - ey * ey)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if regime == "linear":
+            out = np.zeros(e.shape[:-1] + (6,))
+            out[..., 1:4] = m.dipole_mev_per_field * m.chi * e
+        else:
+            out = _quadratic_form(e, e, m)
+    if not np.all(np.isfinite(out)):
+        raise InvalidInput("field too strong for float64: the d-vector overflows"
+                           if np.all(np.isfinite(e)) else "field must be finite")
     return out
 
 
-def d_jacobian(e, m, regime):
-    """Analytic Jacobian d(d_a)/d(E_i), a = 1..5: shape (..., 5, 3).
-
-    Constant diagonal in the linear regime; linear in the field components in
-    the quadratic one.  Production transport always uses this analytic form
-    (numeric Jacobians appear only in tests).
-    """
-    _check_regime(regime)
-    e = np.asarray(e, dtype=float)
-    jac = np.zeros(e.shape[:-1] + (5, 3))
-    if regime == "linear":
-        p_chi = m.dipole_mev_per_field * m.chi
-        jac[..., 0, 0] = p_chi
-        jac[..., 1, 1] = p_chi
-        jac[..., 2, 2] = p_chi
-        return jac
-    p0 = m.dipole_mev_per_field
-    kappa = -(p0 * p0) / m.ionization_meV
-    ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
-    kd = kappa * m.delta
-    kb = kappa * m.beta
-    jac[..., 0, 1] = kd * ez
-    jac[..., 0, 2] = kd * ey
-    jac[..., 1, 0] = kd * ez
-    jac[..., 1, 2] = kd * ex
-    jac[..., 2, 0] = kd * ey
-    jac[..., 2, 1] = kd * ex
-    jac[..., 3, 0] = math.sqrt(3.0) * kb * ex
-    jac[..., 3, 1] = -math.sqrt(3.0) * kb * ey
-    jac[..., 4, 0] = -kb * ex
-    jac[..., 4, 1] = -kb * ey
-    jac[..., 4, 2] = 2 * kb * ez
-    return jac
+def d_increment(e, de, m, regime):
+    """J(e) de for d_1..d_5, shape (..., 5).  At the chord midpoint
+    e = (a + b)/2 with de = b - a it is exactly d(b) - d(a), free of the
+    cancellation of taking that difference."""
+    if regime == "quadratic":
+        return 2.0 * _quadratic_form(np.asarray(e, dtype=float), de, m)[..., 1:]
+    return d_components(de, m, regime)[..., 1:]  # linear: J is constant
 
 
 def d_vector(e, m, regime):
@@ -304,8 +297,10 @@ def feasibility_report(e_mag, m, rotation_freq, regime="quadratic"):
     worst-direction distance of either level shift |eps_pm| from the
     ionization energy, flagged when negative.
     """
-    if not (np.isfinite(e_mag) and e_mag > 0):
+    if not e_mag > 0:
         raise InvalidInput("field magnitude must be positive")
+    if not np.isfinite(e_mag):
+        raise InvalidInput("field too strong for float64: |E| overflows")
     if not (np.isfinite(rotation_freq) and rotation_freq > 0):
         raise InvalidInput("rotation frequency must be positive")
     _check_regime(regime)

@@ -168,10 +168,8 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
         candidates = np.vstack([np.zeros((1, 2 * max_loops)), candidates])
     scores = np.array([objective(x) for x in candidates])
     order = np.argsort(scores, kind="stable")
+    # the grid holds at least 64 candidates, more than any restart count
     seeds = [candidates[i] for i in order[:restarts]]
-    while len(seeds) < restarts:
-        jitter = rng.normal(scale=0.2, size=2 * max_loops)
-        seeds.append(seeds[0] + jitter)
 
     # restarts run in seed order; strict improvement keeps the lowest-index
     # winner on ties, so selection is deterministic

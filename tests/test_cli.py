@@ -311,6 +311,29 @@ def test_step_count_too_large_to_allocate_exits_2(capsys, tmp_path, flag):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--regime", "quadratic", "--field", "1e300,0,1e300"],
+    ["spectrum", "--regime", "linear", "--field", "1e160,0,0"],
+    ["holonomy", "--regime", "linear", "--steps", "200"],
+    ["holonomy", "--regime", "quadratic", "--steps", "200"],
+    ["verify-adiabatic", "--regime", "linear", "--T", "1e-9", "--time-steps", "100",
+     "--wl-steps", "100"],
+    ["verify-adiabatic", "--regime", "quadratic", "--T", "1e-9", "--time-steps", "100",
+     "--wl-steps", "100"],
+], ids=["spectrum-quadratic", "spectrum-linear", "holonomy-linear",
+        "holonomy-quadratic", "adiabatic-linear", "adiabatic-quadratic"])
+def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
+    # d, |d| or |E| overflows: reported as such, not as a gap closure, and
+    # without numpy warnings (the suite turns those into errors)
+    if argv[0] != "spectrum":
+        argv = argv + ["--path", write_octant(tmp_path, magnitude=1e300)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: field too strong for float64")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("kind", ["path", "target", "materials", "env"])
 def test_deeply_nested_json_exits_2(capsys, tmp_path, monkeypatch, kind):
     # deep enough that the JSON parser itself runs out of recursion depth

@@ -142,7 +142,7 @@ class TestConnectionField:
             assert np.abs(pm @ a @ pm).max() <= 1e-12 * scale
 
     def test_quadratic_pullback_vs_finite_difference_connection(self, ge_b, rng):
-        # A^i from the analytic Jacobian equals the finite-difference derivative
+        # A^i from the midpoint increment equals the finite-difference derivative
         # of the projector along E_i, commutated with P
         e = rng.normal(size=3) * 1e6
         gf = field_connection(e, "quadratic", ge_b)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from holostark import (InvalidInput, UnknownMaterial, builtin_materials, d_jacobian,
+from holostark import (InvalidInput, UnknownMaterial, builtin_materials, d_increment,
                        d_linear, d_quadratic, direction_grid, eigen_split,
                        feasibility_report, hamiltonian, load_material_table,
                        material_lookup)
@@ -211,17 +211,29 @@ class TestFeasibility:
 class TestJacobian:
     @pytest.mark.parametrize("regime", ["linear", "quadratic"])
     def test_matches_finite_differences(self, ge_b, rng, regime):
+        # J(e) u from d_increment against the central difference of d along u
         for _ in range(20):
             e = rng.normal(size=3) * 1e6
-            jac = d_jacobian(e, ge_b, regime)
+            u = random_unit(rng, 3)
+            ju = d_increment(e, u, ge_b, regime)
             h = 1e-6 * np.linalg.norm(e)
-            for i in range(3):
-                step = np.zeros(3)
-                step[i] = h
-                fd = (d_components(e + step, ge_b, regime)[1:]
-                      - d_components(e - step, ge_b, regime)[1:]) / (2 * h)
-                scale = max(np.abs(jac[:, i]).max(), 1e-30)
-                assert np.abs(fd - jac[:, i]).max() <= 1e-6 * max(scale, 1.0)
+            fd = (d_components(e + h * u, ge_b, regime)[1:]
+                  - d_components(e - h * u, ge_b, regime)[1:]) / (2 * h)
+            scale = max(np.abs(ju).max(), 1e-30)
+            assert np.abs(fd - ju).max() <= 1e-6 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("regime", ["linear", "quadratic"])
+    def test_midpoint_increment_is_the_chord_difference(self, ge_b, si_b, rng, regime):
+        # d is linear or quadratic in E, so J((a+b)/2) (b-a) = d(b) - d(a)
+        for m in (ge_b, si_b, ge_b.spherical()):
+            a = rng.normal(size=(200, 3)) * 1e6
+            b = a + rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(0, 6, (200, 1))
+            inc = d_increment(0.5 * (a + b), b - a, m, regime)
+            da = d_components(a, m, regime)[:, 1:]
+            db = d_components(b, m, regime)[:, 1:]
+            scale = np.maximum(np.linalg.norm(da, axis=1), np.linalg.norm(db, axis=1))
+            rel = np.abs(inc - (db - da)).max(axis=1) / scale
+            assert rel.max() <= 1e-15
 
 
 def test_linear_dvector_invariant_enforced():

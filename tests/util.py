@@ -6,7 +6,7 @@ from holostark import acomm, default_basis, gamma_basis
 from holostark._linalg import PAULI, dagger
 from holostark.algebra import CliffordBasis, _generators
 from holostark.connection import gap_norms
-from holostark.stark import d_components, d_jacobian
+from holostark.stark import d_components, d_increment
 
 
 class NoIntertwiner(Exception):
@@ -94,12 +94,15 @@ def expm_antiherm(a):
 
 def transport_exponents_einsum(points, regime, m):
     """Per-step transport exponents (i / 2|d|^2) jde_a d_b gamma_ab built with
-    one three-operand einsum, independent of the production matmul."""
+    one three-operand einsum, independent of the production matmul; the
+    Jacobian columns are the increments of d along the unit vectors."""
     points = np.asarray(points, dtype=float)
     mids = 0.5 * (points[1:] + points[:-1])
     comps = d_components(mids, m, regime)
     norms = gap_norms(comps)
-    jde = np.einsum("kai,ki->ka", d_jacobian(mids, m, regime), points[1:] - points[:-1])
+    jac = np.stack([d_increment(mids, np.broadcast_to(u, mids.shape), m, regime)
+                    for u in np.eye(3)], axis=-1)
+    jde = np.einsum("kai,ki->ka", jac, points[1:] - points[:-1])
     expo = np.einsum("ka,kb,abij->kij", jde, comps[:, 1:], default_basis().gammab)
     return (0.5j / (norms * norms))[:, None, None] * expo
 
