@@ -31,7 +31,7 @@ def clifford_exp(x):
 
 def ordered_product(units):
     """Later-to-the-left product units[k-1] ... units[1] units[0] of a
-    (k, n, n) stack, k >= 1, as a pairwise tree of batched matmuls."""
+    (k, ..., n, n) stack, k >= 1, as a pairwise tree of batched matmuls."""
     while len(units) > 1:
         pairs = units[1::2] @ units[:-1:2]
         units = np.concatenate([pairs, units[-1:]]) if len(units) % 2 else pairs

@@ -157,12 +157,15 @@ def sampled_path(samples):
         raise InvalidInput("samples must be an (n, 3) array with n >= 2")
     if not np.all(np.isfinite(samples)):
         raise InvalidInput("samples must be finite")
-    norms = np.linalg.norm(samples, axis=1)
-    magnitude = float(norms.mean())
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(samples, axis=1)
+        magnitude = float(norms.mean())
+        gap = np.linalg.norm(samples[0] - samples[-1])
+    if not np.isfinite(magnitude):
+        raise InvalidInput("field too strong for float64: |E| overflows")
     _check_magnitude(magnitude)
     if not norms.min() > 0:
         raise NonPositiveMagnitude("sampled path passes through zero field")
-    gap = np.linalg.norm(samples[0] - samples[-1])
     if gap > CLOSURE_RTOL * magnitude:
         raise NotClosed(f"endpoints differ by {gap:.3e} (tolerance "
                         f"{CLOSURE_RTOL * magnitude:.3e})")
@@ -287,8 +290,8 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
 
 
 def _su2_generators(v):
-    """The stack i v_k . sigma (k, 2, 2) for real vectors v (k, 3)."""
-    return 1j * np.einsum("kc,cij->kij", v, PAULI)
+    """The stack i v . sigma (..., 2, 2) for real vectors v (..., 3)."""
+    return 1j * np.einsum("...c,cij->...ij", v, PAULI)
 
 
 def linear_stark_block_connection(path, steps=DEFAULT_STEPS):
@@ -315,10 +318,20 @@ def linear_stark_holonomy(path, steps=DEFAULT_STEPS):
 
 
 def _check_loop_angles(theta, phi):
-    if not (np.isfinite(theta) and 0 <= theta <= np.pi):
-        raise InvalidAngle(f"theta must lie in [0, pi], got {theta}")
-    if not np.isfinite(phi):
-        raise InvalidAngle(f"phi must be finite, got {phi}")
+    t, p = np.asarray(theta), np.asarray(phi)
+    for bad, rule in ((t[~((t >= 0) & (t <= np.pi))], "theta must lie in [0, pi]"),
+                      (p[~np.isfinite(p)], "phi must be finite")):
+        if bad.size:
+            raise InvalidAngle(f"{rule}, got {bad[0]}")
+
+
+def _triangle_product(theta, phi, rows):
+    """Product (..., 2, 2) of exp(i v . sigma) over four factor rows v, first
+    to last."""
+    vs = np.zeros((4,) + np.broadcast(theta, phi).shape + (3,))  # factor axis first
+    for k, c in itertools.product(range(4), range(3)):
+        vs[k, ..., c] = rows[k][c]
+    return ordered_product(clifford_exp(_su2_generators(vs)))
 
 
 def linear_triangle_holonomy(theta, phi):
@@ -327,32 +340,30 @@ def linear_triangle_holonomy(theta, phi):
 
     Meridians contribute rotations about the local azimuthal axis; the arc is
     solved in a frame corotating with the field.  The four factors
-    exp(i v . sigma) are listed first to last.
+    exp(i v . sigma) are listed first to last; angle arrays give a stack.
     """
     _check_loop_angles(theta, phi)
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    vs = np.array([[0.0, -theta / 2.0, 0.0],
-                   [phi * ct * st / 2.0, 0.0, phi * ct * ct / 2.0],
-                   [0.0, 0.0, -phi / 2.0],
-                   [-theta * sp / 2.0, theta * cp / 2.0, 0.0]])
-    return ordered_product(clifford_exp(_su2_generators(vs)))
+    return _triangle_product(theta, phi, [[0.0, -theta / 2.0, 0.0],
+                                          [phi * ct * st / 2.0, 0.0, phi * ct * ct / 2.0],
+                                          [0.0, 0.0, -phi / 2.0],
+                                          [-theta * sp / 2.0, theta * cp / 2.0, 0.0]])
 
 
 def zee_holonomy(theta, phi):
     """Spherical-quadratic-model holonomy of the same triangle, as the
     three-factor product W1^{-1} V W of exponentials exp(i v . sigma); V
     is itself a product of two, and the four factors are listed first to
-    last.
+    last.  Takes scalar or array angles like linear_triangle_holonomy.
 
     Describes the transport of the spin-projection +-1/2 doublet when
     beta = delta/sqrt(3); exactly unitary by construction.
     """
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    vs = np.array([[0.0, theta, 0.0],
-                   [-phi * st, 0.0, phi * ct / 2.0],
-                   [0.0, 0.0, -phi / 2.0],
-                   [theta * sp, -theta * cp, 0.0]])
-    return ordered_product(clifford_exp(_su2_generators(vs)))
+    return _triangle_product(theta, phi, [[0.0, theta, 0.0],
+                                          [-phi * st, 0.0, phi * ct / 2.0],
+                                          [0.0, 0.0, -phi / 2.0],
+                                          [theta * sp, -theta * cp, 0.0]])
 
 
 def half_spin_band(m):

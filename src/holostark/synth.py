@@ -7,9 +7,9 @@ refinements with restarts; the objective 1 - |tr(u^dag target)| / 2 is
 global-phase blind, matching holonomy equivalence classes.
 
 Per-loop holonomies come from the analytic oracles where they are valid
-(spherical quadratic model, linear regime); anisotropic quadratic materials
-fall back to the numeric Wilson loop.  With a fixed seed the whole search is
-deterministic.
+(spherical quadratic model, linear regime), batched over grid chunks of at
+most ``_linalg.BLOCK`` 2x2 factors, else from the numeric Wilson loop.
+Nelder-Mead runs per candidate; a fixed seed makes the search deterministic.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from ._linalg import require_unitary
+from ._linalg import BLOCK, dagger, ordered_product, require_unitary
 from .errors import InvalidInput
 from .holonomy import (_check_loop_angles, half_spin_band, holonomy_fidelity,
                        linear_triangle_holonomy, make_spherical_triangle,
@@ -66,28 +66,36 @@ class LoopModel:
 
 
 def loop_holonomy(theta, phi, model):
-    """2x2 holonomy of a single (theta, phi) triangle under the model."""
+    """2x2 holonomies (..., 2, 2) of (theta, phi) triangles under the model,
+    for scalar or array angles; theta = 0 or phi = 0 gives exactly I."""
     _check_loop_angles(theta, phi)
-    if theta == 0.0 or phi == 0.0:
-        return np.eye(2, dtype=complex)
+    trivial = np.asarray((theta == 0.0) | (phi == 0.0))
     if model.kind == "spherical_quadratic":
-        return zee_holonomy(theta, phi)
-    if model.kind == "linear":
-        return linear_triangle_holonomy(theta, phi)
-    if model.kind == "numeric_quadratic":
-        path = make_spherical_triangle(theta, phi, model.magnitude)
-        result = wilson_loop(path, "quadratic", model.material, steps=model.steps)
-        return result.block(model.band)
-    raise InvalidInput(f"unknown loop model {model.kind!r}")
+        units = zee_holonomy(theta, phi)
+    elif model.kind == "linear":
+        units = linear_triangle_holonomy(theta, phi)
+    elif model.kind == "numeric_quadratic":
+        theta, phi = np.broadcast_arrays(theta, phi)
+        units = np.empty(trivial.shape + (2, 2), dtype=complex)
+        for i in map(tuple, np.argwhere(~trivial)):
+            path = make_spherical_triangle(theta[i], phi[i], model.magnitude)
+            result = wilson_loop(path, "quadratic", model.material, steps=model.steps)
+            units[i] = result.block(model.band)
+    else:
+        raise InvalidInput(f"unknown loop model {model.kind!r}")
+    units[trivial] = np.eye(2)
+    return units
 
 
 def loop_product(loops, model):
     """Ordered product of per-loop holonomies, later loops multiplying from
-    the left: loop_product([a, b]) = holonomy(b) @ holonomy(a)."""
-    u = np.eye(2, dtype=complex)
-    for theta, phi in loops:
-        u = loop_holonomy(theta, phi, model) @ u
-    return u
+    the left: loop_product([a, b]) = holonomy(b) @ holonomy(a).  Takes
+    (..., L, 2) angles; the empty sequence is exactly the identity."""
+    loops = np.asarray(loops, dtype=float)
+    if loops.size == 0:
+        return np.eye(2, dtype=complex)
+    units = loop_holonomy(loops[..., 0], loops[..., 1], model)
+    return ordered_product(np.moveaxis(units, -3, 0))
 
 
 @dataclass(frozen=True)
@@ -100,14 +108,12 @@ class SynthesisResult:
 
 
 def _clip_angles(x):
-    """Map raw optimizer parameters to valid loop angles plus a penalty that
-    steers Nelder-Mead back into theta's [0, pi] box."""
-    x = np.asarray(x, dtype=float)
-    thetas = x[0::2]
-    phis = x[1::2]
-    clipped = np.clip(thetas, 0.0, np.pi)
-    penalty = float(np.sum((thetas - clipped) ** 2))
-    loops = tuple((float(t), float(p)) for t, p in zip(clipped, phis))
+    """Map raw optimizer parameters (..., 2L) to valid loop angles (..., L, 2)
+    plus a penalty that steers Nelder-Mead back into theta's [0, pi] box."""
+    loops = np.array(x, dtype=float).reshape(np.shape(x)[:-1] + (-1, 2))
+    thetas = loops[..., 0].copy()
+    loops[..., 0] = np.clip(thetas, 0.0, np.pi)
+    penalty = np.sum((thetas - loops[..., 0]) ** 2, axis=-1)
     return loops, penalty
 
 
@@ -124,10 +130,10 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     """Search for a loop sequence whose composed holonomy matches the target.
 
     Coarse 16x16-per-loop grid seeding (capped at a few thousand random
-    combinations for multi-loop searches) followed by Nelder-Mead refinement
-    with restarts.  ``converged`` reports whether 1 - fidelity <= tol; an
-    unreachable target yields converged=False, never an exception.  Fixed
-    seed implies a bit-for-bit identical result.
+    combinations for multi-loop searches, scored in chunks of at most BLOCK
+    2x2 factors), then per-candidate Nelder-Mead refinement with restarts.
+    ``converged`` reports whether 1 - fidelity <= tol; an unreachable target
+    yields converged=False, never an exception.  Fixed seed, identical bits.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
@@ -142,17 +148,19 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
 
     def objective(x):
         nonlocal evaluations
-        evaluations += 1
+        evaluations += np.size(x) // (2 * max_loops)
         loops, penalty = _clip_angles(x)
-        u = loop_product(loops, model)
-        fid = abs(np.trace(u.conj().T @ target)) / 2.0
-        return 1.0 - fid + 10.0 * penalty
+        tr = np.trace(dagger(loop_product(loops, model)) @ target, axis1=-2, axis2=-1)
+        # hypot rounds alike for one candidate and a batch; np.abs of complex does not
+        return 1.0 - np.hypot(tr.real, tr.imag) / 2.0 + 10.0 * penalty
 
     # the numeric model pays a Wilson loop per evaluation: shrink the budget
     grid_points = GRID_POINTS if model.analytic else 8
     restarts = RESTARTS if model.analytic else 3
     max_combinations = MAX_GRID_COMBINATIONS if model.analytic else 256
     maxiter = 4000 if model.analytic else 600
+    # grid candidates per call: at most BLOCK 2x2 oracle factors, four per loop
+    chunk = max(1, BLOCK // (4 * max_loops)) if model.analytic else 1
 
     theta_grid = np.linspace(0.0, np.pi, grid_points)
     phi_grid = np.linspace(-np.pi, np.pi, grid_points, endpoint=False)
@@ -166,7 +174,8 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
             for k in range(2 * max_loops)
         ])
         candidates = np.vstack([np.zeros((1, 2 * max_loops)), candidates])
-    scores = np.array([objective(x) for x in candidates])
+    scores = np.concatenate([objective(candidates[lo:lo + chunk])
+                             for lo in range(0, len(candidates), chunk)])
     order = np.argsort(scores, kind="stable")
     # the grid holds at least 64 candidates, more than any restart count
     seeds = [candidates[i] for i in order[:restarts]]
@@ -183,7 +192,7 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
         if best_obj <= 1e-12:
             break
 
-    loops, _ = _clip_angles(best_x)
+    loops = tuple(map(tuple, _clip_angles(best_x)[0].tolist()))
     achieved = loop_product(loops, model)
     fidelity = holonomy_fidelity(achieved, target)
     return SynthesisResult(

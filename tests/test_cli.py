@@ -320,18 +320,29 @@ def test_step_count_too_large_to_allocate_exits_2(capsys, tmp_path, flag):
      "--wl-steps", "100"],
     ["verify-adiabatic", "--regime", "quadratic", "--T", "1e-9", "--time-steps", "100",
      "--wl-steps", "100"],
+    ["holonomy", "--regime", "quadratic", "--steps", "200", "--path", "sampled"],
 ], ids=["spectrum-quadratic", "spectrum-linear", "holonomy-linear",
-        "holonomy-quadratic", "adiabatic-linear", "adiabatic-quadratic"])
+        "holonomy-quadratic", "adiabatic-linear", "adiabatic-quadratic",
+        "holonomy-sampled"])
 def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
     # d, |d| or |E| overflows: reported as such, not as a gap closure, and
     # without numpy warnings (the suite turns those into errors)
-    if argv[0] != "spectrum":
+    sampled = argv[-1] == "sampled"
+    if sampled:
+        # finite samples whose norms overflow: |E| itself is out of range
+        f = tmp_path / "sampled.json"
+        f.write_text(json.dumps({"kind": "sampled", "samples": [
+            [0, 0, 1e300], [1e299, 0, 1e300], [0, 1e299, 1e300], [0, 0, 1e300]]}))
+        argv = argv[:-1] + [str(f)]
+    elif argv[0] != "spectrum":
         argv = argv + ["--path", write_octant(tmp_path, magnitude=1e300)]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: field too strong for float64")
     assert len(err.splitlines()) == 1
+    if sampled:
+        assert err == "error: field too strong for float64: |E| overflows\n"
 
 
 @pytest.mark.parametrize("kind", ["path", "target", "materials", "env"])

@@ -300,6 +300,50 @@ class TestZeeHolonomy:
                                        hol.block(band)) <= 1e-6
 
 
+# theta = 0, phi = 0, theta = pi and negative phi, then generic angles
+EDGE_ANGLES = np.array([(0.0, 1.3), (0.9, 0.0), (np.pi, 1.1), (0.7, -2.2),
+                        (np.pi, -np.pi), (0.0, 0.0), (1.4, -0.3), (0.2, 5.9)])
+
+
+@pytest.mark.parametrize("oracle", [zee_holonomy, linear_triangle_holonomy])
+class TestBatchedOracles:
+    def test_vector_matches_scalar_calls(self, oracle):
+        theta, phi = EDGE_ANGLES.T
+        batch = oracle(theta, phi)
+        assert batch.shape == (len(theta), 2, 2)
+        for k, (t, p) in enumerate(EDGE_ANGLES):
+            assert np.abs(batch[k] - oracle(float(t), float(p))).max() <= 1e-15
+
+    def test_matrix_matches_scalar_calls(self, oracle, rng):
+        theta = rng.uniform(0.0, np.pi, size=(5, 3))
+        phi = rng.uniform(-2 * np.pi, 2 * np.pi, size=(5, 3))
+        theta[0], phi[1] = EDGE_ANGLES[:3, 0], EDGE_ANGLES[-3:, 1]
+        batch = oracle(theta, phi)
+        assert batch.shape == (5, 3, 2, 2)
+        for i, j in np.ndindex(theta.shape):
+            u = oracle(float(theta[i, j]), float(phi[i, j]))
+            assert np.abs(batch[i, j] - u).max() <= 1e-15
+
+    def test_zero_dimensional_call(self, oracle):
+        for theta, phi in ((0.8, -1.1), (np.float64(0.8), np.array(-1.1)),
+                           (np.array(0.8), np.array(-1.1))):
+            assert oracle(theta, phi).shape == (2, 2)
+        assert np.array_equal(oracle(np.array(0.8), np.array(-1.1)), oracle(0.8, -1.1))
+
+
+def test_loop_angle_check_names_first_bad_entry():
+    with pytest.raises(InvalidAngle, match=r"theta must lie in \[0, pi\], got 4.0$"):
+        linear_triangle_holonomy(np.array([0.5, 4.0, -1.0]), np.zeros(3))
+    with pytest.raises(InvalidAngle, match=r"got -1.0$"):
+        linear_triangle_holonomy(np.array([[0.5, 1.0], [-1.0, np.nan]]), np.ones((2, 2)))
+    with pytest.raises(InvalidAngle, match=r"theta must lie in \[0, pi\], got nan$"):
+        linear_triangle_holonomy(np.array([np.nan, 7.0]), np.ones(2))
+    with pytest.raises(InvalidAngle, match=r"phi must be finite, got nan$"):
+        linear_triangle_holonomy(np.ones(3), np.array([0.1, np.nan, np.inf]))
+    with pytest.raises(InvalidAngle, match=r"phi must be finite, got -inf$"):
+        linear_triangle_holonomy(1.0, -np.inf)
+
+
 class TestComparisons:
     def test_fidelity_self(self, rng):
         from util import random_su2

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from holostark import (InvalidAngle, LoopModel, NotUnitary, holonomy_fidelity,
                        linear_triangle_holonomy, loop_holonomy, loop_product,
                        synthesize, zee_holonomy)
+from holostark import synth
+from holostark._linalg import BLOCK
 
 from util import random_su2
 
@@ -33,6 +37,32 @@ class TestLoopProduct:
             loop_product([(-0.1, 1.0)], SPH)
         with pytest.raises(InvalidAngle):
             loop_product([(0.5, np.inf)], SPH)
+        # in a batch, the message names the first bad entry
+        loops = np.full((4, 2, 2), 0.5)
+        loops[2, 1, 0] = np.pi + 0.1
+        with pytest.raises(InvalidAngle, match="got 3.24"):
+            loop_product(loops, SPH)
+        loops[2, 1, 0] = 0.5
+        loops[3, 0, 1] = np.nan
+        with pytest.raises(InvalidAngle, match="phi must be finite, got nan"):
+            loop_product(loops, SPH)
+
+    @pytest.mark.parametrize("model", [SPH, LoopModel.linear()], ids=["sph", "linear"])
+    def test_batch_equals_row_by_row(self, model, rng):
+        loops = np.stack([rng.uniform(0.0, np.pi, size=(6, 3)),
+                          rng.uniform(-np.pi, np.pi, size=(6, 3))], axis=-1)
+        loops[0, 1, 0] = 0.0  # theta = 0
+        loops[2, :, 1] = 0.0  # a row of phi = 0
+        batch = loop_product(loops, model)
+        assert batch.shape == (6, 2, 2)
+        for row, u in zip(loops, batch):
+            assert np.array_equal(u, loop_product(row, model))
+            assert np.array_equal(u, loop_product([tuple(a) for a in row], model))
+        assert np.array_equal(batch[2], np.eye(2))
+        units = loop_holonomy(loops[..., 0], loops[..., 1], model)
+        assert np.array_equal(units[0, 1], np.eye(2))
+        assert np.array_equal(units[2], np.broadcast_to(np.eye(2), (3, 2, 2)))
+        assert np.array_equal(loop_holonomy(0.0, 1.3, model), np.eye(2))
 
     def test_numeric_model_agrees_with_analytic(self, ge_spherical):
         model = LoopModel.numeric_quadratic(ge_spherical, 1e6, steps=4000)
@@ -107,3 +137,56 @@ class TestSynthesize:
         result = synthesize(target, model=SPH, max_loops=2, tol=1e-6, seed=9)
         assert result.converged
         assert holonomy_fidelity(result.achieved, target) >= 1.0 - 1e-6
+
+
+class TestGridScoring:
+    def spy(self, monkeypatch):
+        """Record the grid's batched loop_product calls and what synthesize
+        hands to Nelder-Mead: the objective and each restart seed."""
+        seen = {"grid": [], "seeds": []}
+        real_product, real_minimize = synth.loop_product, synth.minimize
+
+        def loop_product_spy(loops, model):
+            if np.ndim(loops) == 3:
+                seen["grid"].append(np.array(loops))
+            return real_product(loops, model)
+
+        def minimize_spy(fun, x0, **kwargs):
+            seen["objective"] = fun
+            seen["seeds"].append(np.array(x0))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(synth, "loop_product", loop_product_spy)
+        monkeypatch.setattr(synth, "minimize", minimize_spy)
+        return seen
+
+    @pytest.mark.parametrize("max_loops", [1, 3])
+    def test_batched_scores_match_per_candidate_objective(self, monkeypatch, max_loops):
+        seen = self.spy(monkeypatch)
+        target = random_su2(np.random.default_rng(31))
+        result = synthesize(target, model=SPH, max_loops=max_loops, tol=1e-3, seed=4)
+        grid = np.concatenate(seen["grid"])
+        candidates = grid.reshape(len(grid), 2 * max_loops)
+        assert len(candidates) == (256 if max_loops == 1 else 4097)
+        # every grid call holds at most BLOCK 2x2 factors, four per loop
+        assert max(4 * g.shape[0] * g.shape[1] for g in seen["grid"]) <= BLOCK
+        assert result.evaluations >= len(candidates)
+
+        objective = seen["objective"]
+        batched = objective(candidates)
+        single = np.array([objective(x) for x in candidates])
+        assert np.abs(batched - single).max() <= 1e-15
+        order = np.argsort(single, kind="stable")
+        seeds = np.array(seen["seeds"])
+        assert np.array_equal(seeds, candidates[order[:len(seeds)]])
+
+    @pytest.mark.parametrize("max_loops", [3, 6])
+    def test_peak_memory_is_bounded(self, max_loops):
+        target = random_su2(np.random.default_rng(8))
+        tracemalloc.start()
+        try:
+            synthesize(target, model=SPH, max_loops=max_loops, tol=1e-3, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
