@@ -22,8 +22,8 @@ from . import __version__
 from .dynamics import Drive, adiabatic_fidelity
 from .connection import gap_norms
 from .errors import HolostarkError, InvalidInput, is_number_tree, load_json
-from .holonomy import (eigenphases, half_spin_band, load_path, path_to_dict,
-                       wilson_loop)
+from .holonomy import (MIN_STEPS, eigenphases, half_spin_band, load_path,
+                       path_to_dict, wilson_loop)
 from .stark import (builtin_materials, d_components, d_vector, eigen_split,
                     feasibility_report, load_material_table, material_lookup)
 from .synth import LoopModel, synthesize
@@ -170,17 +170,35 @@ def _check_tolerance(flag, tol):
         raise InvalidInput(f"{flag} must be a finite number >= 0, got {tol}")
 
 
+def _max_difference(a, b):
+    return float(np.abs(a.full - b.full).max())
+
+
 def cmd_holonomy(args):
+    """Wilson loop at --steps, with step-doubling convergence diagnostics.
+
+    The refinement ladder ends at n = --steps: runs at n/4 and n/2 give the
+    defect max|U_{n/2} - U_n|, about 3x the error of the reported U_n for a
+    second-order scheme, and the coarse defect max|U_{n/4} - U_{n/2}|.  When
+    n/4 would fall below MIN_STEPS, or the n/2 run takes as many steps as
+    the n run (a sampled path of at least n segments), the ladder is
+    max(n/2, MIN_STEPS), n, 2n instead.  The run converges when the defect
+    is within --defect-tol and its two runs differ in step count.
+    """
     _check_tolerance("--defect-tol", args.defect_tol)
     m = _material(args)
     path = load_path(args.path)
-    halved = wilson_loop(path, args.regime, m, steps=max(args.steps // 2, 100))
-    hol = wilson_loop(path, args.regime, m, steps=args.steps)
-    doubled = wilson_loop(path, args.regime, m, steps=2 * args.steps)
-    defect_coarse = float(np.abs(halved.full - hol.full).max())
-    defect = float(np.abs(hol.full - doubled.full).max())
+    n = args.steps
+    hol = wilson_loop(path, args.regime, m, steps=n)
+    half = wilson_loop(path, args.regime, m, steps=max(n // 2, MIN_STEPS))
+    if n // 4 >= MIN_STEPS and half.steps != hol.steps:
+        coarse, mid, fine = wilson_loop(path, args.regime, m, steps=n // 4), half, hol
+    else:
+        coarse, mid, fine = half, hol, wilson_loop(path, args.regime, m, steps=2 * n)
+    defect_coarse = _max_difference(coarse, mid)
+    defect = _max_difference(mid, fine)
     ratio = defect_coarse / defect if defect > 0 else float("inf")
-    converged = defect <= args.defect_tol
+    converged = defect <= args.defect_tol and mid.steps != fine.steps
     results = _holonomy_results(hol)
     results.update({
         "selected_band": args.band,
@@ -286,7 +304,10 @@ def build_parser():
     p.add_argument("--band", choices=["plus", "minus"], default="plus")
     p.add_argument("--steps", type=int, default=20000)
     p.add_argument("--defect-tol", type=float, default=1e-6,
-                   help="exit 3 when the step-doubling defect stays above this")
+                   help="exit 3 when the step-doubling defect stays above "
+                   "this: max|U(steps/2) - U(steps)|, or max|U(steps) - "
+                   f"U(2 steps)| below {4 * MIN_STEPS} steps, or on a "
+                   "sampled path of at least --steps segments")
     p.add_argument("--out")
     p.set_defaults(func=cmd_holonomy)
 

@@ -15,6 +15,7 @@ ns-us range are already deep in the adiabatic regime.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,10 +48,16 @@ class Drive:
                     f"time_steps must be >= 10x the {segments} path segments")
 
 
+@lru_cache(maxsize=1)
+def _gamma_table():
+    """gamma as a real (5, 32) table of interleaved (re, im) pairs."""
+    return default_basis().gamma.reshape(5, 16).view(float)
+
+
 def _d_dot_gamma(comps):
-    """The stack d . gamma (k, 4, 4) for d-components (k, 6), as one
-    (k, 5) @ (5, 16) matmul."""
-    return (comps[:, 1:] @ default_basis().gamma.reshape(5, 16)).reshape(-1, 4, 4)
+    """The stack d . gamma (k, 4, 4) for d-components (k, 6), as one real
+    (k, 5) @ (5, 32) matmul with _gamma_table."""
+    return (comps[:, 1:] @ _gamma_table()).view(complex).reshape(-1, 4, 4)
 
 
 def _propagate(drive, regime, m, block):

@@ -265,9 +265,10 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
 
     Midpoint-evaluated exponents (second-order accurate), exactly unitary
     steps, built and multiplied in blocks (see _linalg.blocked_product)
-    after one degeneracy check over the whole path.  The full unitary
-    commutes with the basepoint projectors up to the integration tolerance,
-    so its band blocks are the loop holonomies.
+    after one degeneracy check over the whole path, whose d-components the
+    blocks reuse.  The full unitary commutes with the basepoint projectors
+    up to the integration tolerance, so its band blocks are the loop
+    holonomies.
     """
     if steps < MIN_STEPS:
         raise InvalidInput(f"steps must be >= {MIN_STEPS}")
@@ -275,9 +276,10 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     gap = np.linalg.norm(pts[0] - pts[-1])
     if gap > CLOSURE_RTOL * path.magnitude:
         raise NotClosed(f"path endpoints differ by {gap:.3e}")
-    gap_norms(d_components(0.5 * (pts[1:] + pts[:-1]), m, regime))
+    comps = d_components(0.5 * (pts[1:] + pts[:-1]), m, regime)
+    gap_norms(comps)
     full = blocked_product(len(pts) - 1, lambda lo, hi: clifford_exp(
-        transport_exponents(pts[lo:hi + 1], regime, m)))
+        transport_exponents(pts[lo:hi + 1], regime, m, comps=comps[lo:hi])))
     fp, fm = basepoint_frames(pts[0], regime, m)
     return Holonomy(
         full=full,
@@ -359,6 +361,7 @@ def zee_holonomy(theta, phi):
     Describes the transport of the spin-projection +-1/2 doublet when
     beta = delta/sqrt(3); exactly unitary by construction.
     """
+    _check_loop_angles(theta, phi)
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
     return _triangle_product(theta, phi, [[0.0, theta, 0.0],
                                           [-phi * st, 0.0, phi * ct / 2.0],

@@ -67,14 +67,15 @@ class LoopModel:
 
 def loop_holonomy(theta, phi, model):
     """2x2 holonomies (..., 2, 2) of (theta, phi) triangles under the model,
-    for scalar or array angles; theta = 0 or phi = 0 gives exactly I."""
-    _check_loop_angles(theta, phi)
+    for scalar or array angles; theta = 0 or phi = 0 gives exactly I.  The
+    analytic oracles check the angles themselves."""
     trivial = np.asarray((theta == 0.0) | (phi == 0.0))
     if model.kind == "spherical_quadratic":
         units = zee_holonomy(theta, phi)
     elif model.kind == "linear":
         units = linear_triangle_holonomy(theta, phi)
     elif model.kind == "numeric_quadratic":
+        _check_loop_angles(theta, phi)
         theta, phi = np.broadcast_arrays(theta, phi)
         units = np.empty(trivial.shape + (2, 2), dtype=complex)
         for i in map(tuple, np.argwhere(~trivial)):

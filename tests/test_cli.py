@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from holostark import eigenphases, make_spherical_triangle, zee_holonomy
+from holostark import (eigenphases, make_spherical_triangle, material_lookup,
+                       wilson_loop, zee_holonomy)
+from holostark import cli
 from holostark.cli import main
 
 
@@ -204,6 +206,89 @@ class TestHolonomy:
         rec1.pop("timestamp")
         rec2.pop("timestamp")
         assert rec1 == rec2
+
+    @staticmethod
+    def _octant_record(capsys, tmp_path, steps, tol="1e-3"):
+        code, rec = run_cli(capsys, "holonomy", "--path", write_octant(tmp_path),
+                            "--regime", "quadratic", "--material", "Ge",
+                            "--dopant", "B", "--spherical", "--steps", str(steps),
+                            "--defect-tol", tol)
+        runs = {n: wilson_loop(make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6),
+                               "quadratic", material_lookup("Ge", "B").spherical(),
+                               steps=n)
+                for n in (steps // 4, steps // 2, steps, 2 * steps) if n >= 100}
+        return code, rec["results"], runs
+
+    @staticmethod
+    def _defect(a, b):
+        return float(np.abs(a.full - b.full).max())
+
+    @pytest.mark.parametrize("steps", [400, 2000, 20000])
+    def test_ladder_ends_at_steps(self, capsys, tmp_path, steps):
+        code, res, runs = self._octant_record(capsys, tmp_path, steps)
+        hol = runs[steps]
+        assert code == 0
+        assert res["steps"] == hol.steps
+        assert res["full"] == cli._complex_matrix(hol.full)
+        assert res["block_plus"] == cli._complex_matrix(hol.block_plus)
+        assert res["block_minus"] == cli._complex_matrix(hol.block_minus)
+        assert res["selected_block"] == cli._complex_matrix(hol.block_plus)
+        for key, u in (("full", hol.full), ("plus", hol.block_plus),
+                       ("minus", hol.block_minus)):
+            assert res[f"eigenphases_{key}"] == eigenphases(u, tol=1e-3).tolist()
+        assert res["convergence_defect"] == self._defect(runs[steps // 2], hol)
+        assert res["convergence_defect_coarse"] == self._defect(runs[steps // 4],
+                                                                runs[steps // 2])
+
+    def test_short_ladder_below_four_min_steps(self, capsys, tmp_path):
+        # n / 4 < 100: the ladder stays 100, 200, 400 and reports the 200 run
+        code, res, runs = self._octant_record(capsys, tmp_path, 200, tol="1.0")
+        assert code == 0
+        assert res["full"] == cli._complex_matrix(runs[200].full)
+        assert res["convergence_defect"] == self._defect(runs[200], runs[400])
+        assert res["convergence_defect_coarse"] == self._defect(runs[100], runs[200])
+        assert res["convergence_ratio"] == (res["convergence_defect_coarse"]
+                                            / res["convergence_defect"])
+
+    def test_three_wilson_loops_per_call(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(path, regime, m, steps):
+            calls.append(steps)
+            return wilson_loop(path, regime, m, steps=steps)
+
+        monkeypatch.setattr(cli, "wilson_loop", spy)
+        code, _ = run_cli(capsys, "holonomy", "--path", write_octant(tmp_path),
+                          "--regime", "quadratic", "--spherical", "--steps", "20000")
+        assert code == 0
+        assert sorted(calls) == [5000, 10000, 20000]
+
+    @pytest.mark.parametrize("steps, tol, code, compared", [
+        (200, "1e-12", 3, None), (400, "1e-12", 3, None), (600, "1.0", 0, 1200)])
+    def test_defect_never_compares_a_run_with_itself(self, capsys, tmp_path,
+                                                     steps, tol, code, compared):
+        # 999 segments: every level below 999 steps reuses the raw samples, so
+        # the ladder falls back to n, 2n, and a defect between two runs of
+        # equal step count never counts as converged
+        samples = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6).points(999)
+        assert len(samples) == 1000
+        f = tmp_path / "sampled.json"
+        f.write_text(json.dumps({"kind": "sampled", "samples": samples.tolist()}))
+        got, rec = run_cli(capsys, "holonomy", "--path", str(f), "--regime",
+                           "quadratic", "--spherical", "--steps", str(steps),
+                           "--defect-tol", tol)
+        res = rec["results"]
+        assert got == code
+        assert res["converged"] is (code == 0)
+        assert res["steps"] == 999
+        if compared is None:
+            assert res["convergence_defect"] == 0.0
+        else:
+            path = cli.load_path(str(f))
+            m = material_lookup("Ge", "B").spherical()
+            runs = [wilson_loop(path, "quadratic", m, steps=n) for n in (steps, compared)]
+            assert runs[1].steps == 1998
+            assert res["convergence_defect"] == self._defect(*runs) > 0
 
 
 class TestVerifyAdiabatic:

@@ -331,6 +331,12 @@ class TestBatchedOracles:
         assert np.array_equal(oracle(np.array(0.8), np.array(-1.1)), oracle(0.8, -1.1))
 
 
+@pytest.mark.parametrize("theta, says", [(4.0, "got 4.0"), (np.inf, "got inf")])
+def test_zee_holonomy_rejects_theta_outside_range(theta, says):
+    with pytest.raises(InvalidAngle, match=rf"theta must lie in \[0, pi\], {says}$"):
+        zee_holonomy(theta, 1.0)
+
+
 def test_loop_angle_check_names_first_bad_entry():
     with pytest.raises(InvalidAngle, match=r"theta must lie in \[0, pi\], got 4.0$"):
         linear_triangle_holonomy(np.array([0.5, 4.0, -1.0]), np.zeros(3))

@@ -100,6 +100,19 @@ def test_degeneracy_check_spans_blocks(ge_b):
         evolve(Drive(path, 1e-7, 40000), "linear", ge_b, np.eye(4)[0])
 
 
+def test_wilson_loop_evaluates_d_once_per_midpoint(ge_b, monkeypatch):
+    # the blocks reuse the components of the global gap check
+    from holostark import connection, holonomy
+    rows = []
+    for module in (connection, holonomy):
+        original = module.d_components
+        monkeypatch.setattr(module, "d_components", lambda e, m, regime, f=original:
+                            rows.append(len(e)) or f(e, m, regime))
+    hol = wilson_loop(make_spherical_triangle(0.7, 1.1, 1e6), "quadratic", ge_b,
+                      3 * BLOCK)
+    assert sum(rows) == hol.steps
+
+
 def _peak_mb(fn):
     tracemalloc.start()
     try:

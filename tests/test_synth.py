@@ -48,6 +48,17 @@ class TestLoopProduct:
             loop_product(loops, SPH)
 
     @pytest.mark.parametrize("model", [SPH, LoopModel.linear()], ids=["sph", "linear"])
+    def test_angles_checked_once_per_batch(self, monkeypatch, model):
+        from holostark import holonomy
+        checks = []
+        for module in (holonomy, synth):
+            original = module._check_loop_angles
+            monkeypatch.setattr(module, "_check_loop_angles",
+                                lambda t, p, f=original: checks.append(1) or f(t, p))
+        loop_product(np.full((4, 3, 2), 0.5), model)
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("model", [SPH, LoopModel.linear()], ids=["sph", "linear"])
     def test_batch_equals_row_by_row(self, model, rng):
         loops = np.stack([rng.uniform(0.0, np.pi, size=(6, 3)),
                           rng.uniform(-np.pi, np.pi, size=(6, 3))], axis=-1)
