@@ -38,17 +38,20 @@ def ordered_product(units):
     return units[0]
 
 
-def blocked_product(k, units):
-    """ordered_product of k step unitaries built BLOCK steps at a time, where
-    units(lo, hi) returns the (hi - lo, n, n) stack of steps lo to hi - 1.
+def blocked_product(k, exponents):
+    """ordered_product of the k step unitaries clifford_exp(X_j), built BLOCK
+    steps at a time, where exponents(lo, hi) returns the (hi - lo, n, n)
+    stack of step exponents X_lo to X_{hi-1}.
 
-    Each block is ordered_product'ed, then the block results are.  Every
-    full block is a whole subtree of the single product's pairwise tree, so
-    the result has the same bits as ordered_product over all k steps, in
-    memory bounded by one block.
+    Each block is exponentiated and ordered_product'ed, then the block
+    results are.  Every full block is a whole subtree of the single
+    product's pairwise tree, so the result has the same bits as
+    ordered_product(clifford_exp(X)) over all k steps, in memory bounded by
+    one block.
     """
-    return ordered_product(np.stack([ordered_product(units(lo, min(lo + BLOCK, k)))
-                                     for lo in range(0, k, BLOCK)]))
+    return ordered_product(np.stack([
+        ordered_product(clifford_exp(exponents(lo, min(lo + BLOCK, k))))
+        for lo in range(0, k, BLOCK)]))
 
 
 def unitarity_defect(u):

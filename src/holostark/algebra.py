@@ -103,3 +103,12 @@ def gamma_basis(spin):
 def default_basis():
     """The shared Sz-ordered CliffordBasis used by downstream modules."""
     return gamma_basis(spin_matrices())
+
+
+def _contract(coeffs, name, factor):
+    """The stack (k, 4, 4) of factor * sum_a coeffs[:, a] X_a over the n
+    matrices X_a of default_basis().<name> (5 of gamma, 25 of gammab), for
+    real coeffs (k, n): one real (k, n) @ (n, 32) matmul with the X_a as
+    interleaved (re, im) pairs, viewed as complex."""
+    table = (factor * getattr(default_basis(), name)).reshape(-1, 16).view(float)
+    return (coeffs @ table).view(complex).reshape(-1, 4, 4)

@@ -2,9 +2,11 @@
 
 Subcommands: materials, spectrum, holonomy, verify-adiabatic, synth.  Every
 run emits one JSON record (stdout, optionally a file) echoing the command,
-input digests, seed and all numeric results; identical inputs and seed
-reproduce all numeric fields bit-for-bit (floats are serialized in shortest
-round-trip form; the timestamp is the only field that varies).
+input digests, seed and all numeric results.  Records are strict JSON (RFC
+8259): a figure without a value is null, never NaN or Infinity.  Identical
+inputs and seed reproduce all numeric fields bit-for-bit (floats are
+serialized in shortest round-trip form; the timestamp is the only field that
+varies).
 
 Exit codes: 0 success, 2 invalid input, 3 non-convergence.
 """
@@ -72,7 +74,7 @@ def _record(args, results, seed=None, inputs=None):
 
 
 def _emit(record, out=None):
-    text = json.dumps(record, indent=2, sort_keys=True)
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -183,7 +185,9 @@ def cmd_holonomy(args):
     n/4 would fall below MIN_STEPS, or the n/2 run takes as many steps as
     the n run (a sampled path of at least n segments), the ladder is
     max(n/2, MIN_STEPS), n, 2n instead.  The run converges when the defect
-    is within --defect-tol and its two runs differ in step count.
+    is within --defect-tol and its two runs differ in step count.  The
+    coarse defect is null when its two runs take the same step count, and
+    the ratio defect_coarse / defect when either is null or the defect is 0.
     """
     _check_tolerance("--defect-tol", args.defect_tol)
     m = _material(args)
@@ -195,9 +199,10 @@ def cmd_holonomy(args):
         coarse, mid, fine = wilson_loop(path, args.regime, m, steps=n // 4), half, hol
     else:
         coarse, mid, fine = half, hol, wilson_loop(path, args.regime, m, steps=2 * n)
-    defect_coarse = _max_difference(coarse, mid)
     defect = _max_difference(mid, fine)
-    ratio = defect_coarse / defect if defect > 0 else float("inf")
+    # a coarse run of the mid run's step count would compare it with itself
+    defect_coarse = _max_difference(coarse, mid) if coarse.steps != mid.steps else None
+    ratio = defect_coarse / defect if defect_coarse is not None and defect > 0 else None
     converged = defect <= args.defect_tol and mid.steps != fine.steps
     results = _holonomy_results(hol)
     results.update({

@@ -23,11 +23,9 @@ at a time: a step from a to b changes d by J(E_mid) dE = d(b) - d(a), which
 stark.d_increment takes from the same bilinear form as d itself.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
-from .algebra import default_basis
+from .algebra import _contract, default_basis
 from .errors import DegeneratePoint, InvalidInput
 from .stark import d_components, d_increment
 
@@ -75,33 +73,22 @@ def gap_norms(comps):
     return norms
 
 
-@lru_cache(maxsize=1)
-def _exponent_table():
-    """i gammab as a real (25, 32) table of interleaved (re, im) pairs: a real
-    (k, 25) matrix times it, viewed as complex, is its product with i gammab
-    in real arithmetic."""
-    table = (1j * default_basis().gammab).reshape(25, 16).view(float)
-    table.setflags(write=False)
-    return table
-
-
 def transport_exponents(points, regime, m, comps=None):
     """Per-step anti-Hermitian exponents A^i(E_mid) dE_i along a polyline.
 
     Midpoint evaluation makes the ordered product of their exponentials a
     second-order integrator.  jde = J(E_mid) dE is the step's change of d
-    (stark.d_increment); the contraction with the Clifford generators is one
-    real (k, 25) @ (25, 32) matmul of the bivectors jde_a d_b with
-    _exponent_table.  ``comps`` are the midpoints' d_components when the
-    caller already has them.  Raises DegeneratePoint if the gap closes along
-    the way (see gap_norms).
+    (stark.d_increment); scaled by 0.5/|d|^2, its real bivectors with d are
+    contracted with i gammab in one real matmul (algebra._contract).
+    ``comps`` are the midpoints' d_components when the caller already has
+    them.  Raises DegeneratePoint if the gap closes along the way (see
+    gap_norms).
     """
     points = np.asarray(points, dtype=float)
     mids = 0.5 * (points[1:] + points[:-1])
     if comps is None:
         comps = d_components(mids, m, regime)
     norms = gap_norms(comps)
-    jde = d_increment(mids, points[1:] - points[:-1], m, regime)
-    bivector = (jde[:, :, None] * comps[:, None, 1:]).reshape(-1, 25)
-    expo = (bivector @ _exponent_table()).view(complex).reshape(-1, 4, 4)
-    return (0.5 / (norms * norms))[:, None, None] * expo
+    jde = (0.5 / (norms * norms))[:, None] * d_increment(
+        mids, points[1:] - points[:-1], m, regime)
+    return _contract((jde[:, :, None] * comps[:, None, 1:]).reshape(-1, 25), "gammab", 1j)

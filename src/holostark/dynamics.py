@@ -3,24 +3,25 @@
 Real dynamics under H(E(t)) factorizes, for slow drives, into a scalar
 dynamical phase exp(-i int eps_band dt / hbar) times the geometric loop
 transport computed by the Wilson-loop integrator.  This module propagates
-states exactly: since (d . gamma)^2 = |d|^2 I, one step under the frozen
-midpoint Hamiltonian is exp(-i d0 dt/hbar) (cos(|d| dt/hbar) I - i sin(|d|
-dt/hbar) dhat . gamma), unitary at any step size.  It strips the dynamical
-phase by integrating the band energy numerically along the drive (correct
-even when the quadratic-regime gap varies with direction), and compares the
-projected band block against the Wilson loop.
+states exactly.  H = d0 I + d . gamma, and d0 I commutes with every step, so
+the d0 part of the evolution is the one scalar exp(-i sum d0 dt/hbar).  The
+steps proper are the traceless rotations exp(-i (dt/hbar) d . gamma) =
+cos(|d| dt/hbar) I - i sin(|d| dt/hbar) dhat . gamma of the frozen midpoint
+field, since (d . gamma)^2 = |d|^2 I: unitary at any step size.  Comparing
+with the Wilson loop strips the band part exp(-+i sum |d| dt/hbar) of the
+dynamical phase, integrated numerically along the drive (correct even when
+the quadratic-regime gap varies with direction); d0 cancels from it exactly.
 
 hbar enters the package only here, in meV*s; with meV gaps, drives in the
 ns-us range are already deep in the adiabatic regime.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import blocked_product, clifford_exp, dagger
-from .algebra import default_basis
+from ._linalg import blocked_product, dagger
+from .algebra import _contract
 from .connection import gap_norms
 from .errors import InvalidInput
 from .holonomy import DEFAULT_STEPS, FieldPath, wilson_loop
@@ -48,28 +49,18 @@ class Drive:
                     f"time_steps must be >= 10x the {segments} path segments")
 
 
-@lru_cache(maxsize=1)
-def _gamma_table():
-    """gamma as a real (5, 32) table of interleaved (re, im) pairs."""
-    return default_basis().gamma.reshape(5, 16).view(float)
-
-
-def _d_dot_gamma(comps):
-    """The stack d . gamma (k, 4, 4) for d-components (k, 6), as one real
-    (k, 5) @ (5, 32) matmul with _gamma_table."""
-    return (comps[:, 1:] @ _gamma_table()).view(complex).reshape(-1, 4, 4)
-
-
 def _propagate(drive, regime, m, block):
-    """Propagate the column(s) of ``block`` and return them with the
-    per-midpoint d-components (for energy integration).
+    """Propagate the column(s) of ``block`` through the traceless steps
+    exp(-i (dt/hbar) d . gamma) and return them with the per-midpoint
+    d-components, their |d| and dt; the d0 phase is left to the caller.
 
     Each time step freezes the field at the midpoint of one segment of
     ``drive.path.points(drive.time_steps)``.  The discretization may round
     the segment count, so the true step count is the number of midpoints,
-    and dt is total_time divided by it; stripping must use the same grid.
-    The steps are multiplied in blocks (see _linalg.blocked_product); the
-    degeneracy check covers the whole drive.
+    and dt is total_time divided by it; phases must use the same grid.  The
+    real coefficients (dt/hbar) d are contracted with -i gamma in one real
+    matmul per block (algebra._contract), and blocked_product exponentiates
+    and multiplies the blocks; the degeneracy check covers the whole drive.
     """
     pts = drive.path.points(drive.time_steps)
     mids = 0.5 * (pts[1:] + pts[:-1])
@@ -77,27 +68,25 @@ def _propagate(drive, regime, m, block):
     norms = gap_norms(comps)
     dt = drive.total_time / len(mids)
     scale = dt / HBAR_MEV_S
-
-    def units(lo, hi):
-        x = -1j * scale * _d_dot_gamma(comps[lo:hi])
-        return np.exp(-1j * scale * comps[lo:hi, 0])[:, None, None] * clifford_exp(x)
-
-    return blocked_product(len(mids), units) @ block, comps, norms, dt
+    psi = blocked_product(len(mids), lambda lo, hi: _contract(
+        scale * comps[lo:hi, 1:], "gamma", -1j)) @ block
+    return psi, comps, norms, dt
 
 
 def evolve(drive, regime, m, psi0):
     """Schrodinger propagation of a unit state around the drive.
 
-    Per-step exact exponential of the frozen midpoint Hamiltonian; the norm
-    is conserved to roundoff at every step.
+    Per-step exact exponential of the traceless part of the frozen midpoint
+    Hamiltonian, then the scalar d0 phase exp(-i sum d0 dt/hbar) once; the
+    norm is conserved to roundoff at every step.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (4,):
         raise InvalidInput("psi0 must be a 4-vector")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise InvalidInput("psi0 must be normalized")
-    psi, _, _, _ = _propagate(drive, regime, m, psi0[:, None])
-    return psi[:, 0]
+    psi, comps, _, dt = _propagate(drive, regime, m, psi0[:, None])
+    return np.exp(-1j * comps[:, 0].sum() * dt / HBAR_MEV_S) * psi[:, 0]
 
 
 @dataclass(frozen=True)
@@ -115,11 +104,13 @@ def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS):
     """Transport both basepoint frame vectors of a band and compare with the
     Wilson loop after stripping the dynamical phase.
 
-    The scalar phase exp(-i int eps_band dt / hbar) is removed using the
-    midpoint-integrated band energy.  The fidelity is |tr(M^dag B)| / 2 with
-    M the projected propagator block and B the Wilson-loop block in the same
-    frame; leakage out of the band degrades it gracefully, and the adiabatic
-    theorem drives it to 1 as total_time grows.  band_leakage is one minus
+    The band energy is eps = d0 +- |d|.  The propagation never applies the
+    d0 phase (see _propagate), so only exp(-+i sum |d| dt / hbar), the
+    midpoint-integrated band part, is removed; the result does not depend
+    on d0 at all.  The fidelity is |tr(M^dag B)| / 2 with M the projected
+    propagator block and B the Wilson-loop block in the same frame; leakage
+    out of the band degrades it gracefully, and the adiabatic theorem
+    drives it to 1 as total_time grows.  band_leakage is one minus
     the mean returned band population.
     """
     hol = wilson_loop(drive.path, regime, m, steps=wl_steps)
@@ -127,8 +118,7 @@ def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS):
     frame = hol.frame(band)
     psi, comps, norms, dt = _propagate(drive, regime, m, frame)
     sign = 1.0 if band == "plus" else -1.0
-    band_energy = comps[:, 0] + sign * norms
-    psi = psi * np.exp(1j * band_energy.sum() * dt / HBAR_MEV_S)
+    psi = psi * np.exp(1j * sign * norms.sum() * dt / HBAR_MEV_S)
     block = dagger(frame) @ psi
     populations = np.sum(np.abs(block) ** 2, axis=0)
     leakage = float(1.0 - populations.mean())

@@ -264,9 +264,9 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     """Path-ordered transport around a closed loop.
 
     Midpoint-evaluated exponents (second-order accurate), exactly unitary
-    steps, built and multiplied in blocks (see _linalg.blocked_product)
-    after one degeneracy check over the whole path, whose d-components the
-    blocks reuse.  The full unitary commutes with the basepoint projectors
+    steps, built, exponentiated and multiplied in blocks (see
+    _linalg.blocked_product) after one degeneracy check over the whole
+    path, whose d-components the blocks reuse.  The full unitary commutes with the basepoint projectors
     up to the integration tolerance, so its band blocks are the loop
     holonomies.
     """
@@ -278,8 +278,8 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
         raise NotClosed(f"path endpoints differ by {gap:.3e}")
     comps = d_components(0.5 * (pts[1:] + pts[:-1]), m, regime)
     gap_norms(comps)
-    full = blocked_product(len(pts) - 1, lambda lo, hi: clifford_exp(
-        transport_exponents(pts[lo:hi + 1], regime, m, comps=comps[lo:hi])))
+    full = blocked_product(len(pts) - 1, lambda lo, hi: transport_exponents(
+        pts[lo:hi + 1], regime, m, comps=comps[lo:hi]))
     fp, fm = basepoint_frames(pts[0], regime, m)
     return Holonomy(
         full=full,

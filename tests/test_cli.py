@@ -9,10 +9,16 @@ from holostark import cli
 from holostark.cli import main
 
 
+def _reject_constant(name):
+    raise ValueError(f"record is not strict JSON: it carries {name}")
+
+
 def run_cli(capsys, *argv):
+    # strict JSON (RFC 8259): NaN and Infinity are not numbers there
     code = main(list(argv))
     out = capsys.readouterr().out
-    record = json.loads(out) if out.strip().startswith("{") else None
+    record = (json.loads(out, parse_constant=_reject_constant)
+              if out.strip().startswith("{") else None)
     return code, record
 
 
@@ -264,12 +270,15 @@ class TestHolonomy:
         assert sorted(calls) == [5000, 10000, 20000]
 
     @pytest.mark.parametrize("steps, tol, code, compared", [
-        (200, "1e-12", 3, None), (400, "1e-12", 3, None), (600, "1.0", 0, 1200)])
+        (200, "1e-12", 3, None), (400, "1e-12", 3, None), (600, "1.0", 0, 1200),
+        (1200, "1e-5", 0, 600)])
     def test_defect_never_compares_a_run_with_itself(self, capsys, tmp_path,
                                                      steps, tol, code, compared):
         # 999 segments: every level below 999 steps reuses the raw samples, so
         # the ladder falls back to n, 2n, and a defect between two runs of
-        # equal step count never counts as converged
+        # equal step count never counts as converged; at 1200 the ladder
+        # ends at n.  The coarse and mid runs are the raw samples at every
+        # level, so the coarse defect and the ratio are null
         samples = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6).points(999)
         assert len(samples) == 1000
         f = tmp_path / "sampled.json"
@@ -280,15 +289,17 @@ class TestHolonomy:
         res = rec["results"]
         assert got == code
         assert res["converged"] is (code == 0)
-        assert res["steps"] == 999
+        assert res["steps"] == (999 if steps < 999 else 1998)
         if compared is None:
             assert res["convergence_defect"] == 0.0
         else:
             path = cli.load_path(str(f))
             m = material_lookup("Ge", "B").spherical()
             runs = [wilson_loop(path, "quadratic", m, steps=n) for n in (steps, compared)]
-            assert runs[1].steps == 1998
+            assert sorted(run.steps for run in runs) == [999, 1998]
             assert res["convergence_defect"] == self._defect(*runs) > 0
+        assert res["convergence_defect_coarse"] is None
+        assert res["convergence_ratio"] is None
 
 
 class TestVerifyAdiabatic:

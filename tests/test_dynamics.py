@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,16 @@ class TestAdiabaticFidelity:
         assert out.fidelity >= 1.0 - 1e-9
         assert np.abs(out.block - np.eye(2)).max() <= 1e-9
         assert out.band_leakage <= 1e-12
+
+    def test_invariant_under_d0(self, ge_spherical):
+        # alpha moves only d0, whose phase commutes with every step and is
+        # never applied, so the stripped block keeps its bits
+        drive = Drive(path=OCTANT, total_time=5e-10, time_steps=5000)
+        out = [adiabatic_fidelity(drive, "quadratic", m, band="minus", wl_steps=2000)
+               for m in (ge_spherical, replace(ge_spherical, alpha=3.0))]
+        assert out[0].fidelity == out[1].fidelity
+        assert out[0].band_leakage == out[1].band_leakage
+        assert np.array_equal(out[0].block, out[1].block)
 
     def test_retraced_path_is_identity(self, ge_spherical):
         path = make_spherical_triangle(0.8, 0.0, 1e6)

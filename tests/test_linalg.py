@@ -7,9 +7,11 @@ from holostark import (DegeneratePoint, Drive, adiabatic_fidelity, evolve,
                        make_spherical_triangle, sampled_path, wilson_loop)
 from holostark._linalg import (BLOCK, PAULI, blocked_product, clifford_exp,
                                ordered_product)
+from holostark.algebra import _contract
 from holostark.connection import gap_norms, transport_exponents
-from holostark.dynamics import _d_dot_gamma
+from holostark.dynamics import _propagate
 from holostark.stark import d_components
+from holostark.units import HBAR_MEV_S
 
 from util import (d_dot_gamma_einsum, expm_antiherm, random_su2,
                   transport_exponents_einsum)
@@ -56,9 +58,9 @@ def test_ordered_product_matches_sequential_loop(rng, k):
 
 @pytest.mark.parametrize("k", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_blocked_product_has_the_bits_of_one_ordered_product(rng, k):
-    units = clifford_exp(1j * np.einsum("kc,cij->kij", rng.normal(size=(k, 3)), PAULI))
-    blocked = blocked_product(k, lambda lo, hi: units[lo:hi])
-    assert np.array_equal(blocked, ordered_product(units))
+    x = 1j * np.einsum("kc,cij->kij", rng.normal(size=(k, 3)), PAULI)
+    blocked = blocked_product(k, lambda lo, hi: x[lo:hi])
+    assert np.array_equal(blocked, ordered_product(clifford_exp(x)))
 
 
 @pytest.mark.parametrize("regime", ["linear", "quadratic"])
@@ -67,6 +69,18 @@ def test_wilson_loop_has_the_bits_of_one_ordered_product(ge_b, regime):
     single = ordered_product(clifford_exp(
         transport_exponents(path.points(20000), regime, ge_b)))
     assert np.array_equal(wilson_loop(path, regime, ge_b, 20000).full, single)
+
+
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+def test_propagate_has_the_bits_of_one_ordered_product(ge_b, regime):
+    # the Schrodinger steps are the traceless exp(-i (dt/hbar) d . gamma)
+    drive = Drive(make_spherical_triangle(0.7, 1.1, 1e6), 2e-9, 20000)
+    pts = drive.path.points(drive.time_steps)
+    comps = d_components(0.5 * (pts[1:] + pts[:-1]), ge_b, regime)
+    scale = drive.total_time / len(comps) / HBAR_MEV_S
+    single = ordered_product(clifford_exp(_contract(scale * comps[:, 1:], "gamma", -1j)))
+    psi, _, _, _ = _propagate(drive, regime, ge_b, np.eye(4))
+    assert np.array_equal(psi, single @ np.eye(4))
 
 
 @pytest.mark.parametrize("regime", ["linear", "quadratic"])
@@ -79,8 +93,9 @@ def test_transport_exponents_match_einsum(ge_b, regime):
 
 def test_schrodinger_generators_match_einsum(ge_b, rng):
     comps = d_components(rng.normal(size=(500, 3)) * 1e6, ge_b, "quadratic")
-    expected = d_dot_gamma_einsum(comps)
-    assert np.abs(_d_dot_gamma(comps) - expected).max() <= 1e-15 * np.abs(expected).max()
+    expected = -1j * d_dot_gamma_einsum(comps)
+    got = _contract(comps[:, 1:], "gamma", -1j)
+    assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def test_degeneracy_check_spans_blocks(ge_b):
