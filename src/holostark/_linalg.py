@@ -66,8 +66,9 @@ def require_unitary(u, tol=1e-8, what="matrix"):
         raise NotUnitary(f"{what} is not unitary: defect {defect:.3e} > {tol:.1e}")
 
 
-def projector_frame(p, rank=2):
-    """Deterministic orthonormal basis (columns) of range(P) for a projector P.
+def projector_frame(p):
+    """Deterministic orthonormal basis (columns) of range(P) for a rank-2
+    projector P.
 
     Gram-Schmidt over the projector columns in index order; each accepted
     vector is rotated so its largest-magnitude component is real positive.
@@ -83,8 +84,8 @@ def projector_frame(p, rank=2):
             k = int(np.argmax(np.abs(v)))
             v = v * np.exp(-1j * np.angle(v[k]))
             vs.append(v)
-        if len(vs) == rank:
+        if len(vs) == 2:
             break
-    if len(vs) != rank:
-        raise np.linalg.LinAlgError(f"projector does not have rank {rank}")
+    if len(vs) != 2:
+        raise np.linalg.LinAlgError("projector does not have rank 2")
     return np.stack(vs, axis=1)

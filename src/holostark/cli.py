@@ -24,10 +24,11 @@ from . import __version__
 from .dynamics import Drive, adiabatic_fidelity
 from .connection import gap_norms
 from .errors import HolostarkError, InvalidInput, is_number_tree, load_json
-from .holonomy import (MIN_STEPS, eigenphases, half_spin_band, load_path,
-                       path_to_dict, wilson_loop)
-from .stark import (builtin_materials, d_components, d_vector, eigen_split,
-                    feasibility_report, load_material_table, material_lookup)
+from .holonomy import (DEFAULT_STEPS, MIN_STEPS, eigenphases, half_spin_band,
+                       load_path, path_to_dict, wilson_loop)
+from .stark import (_UnusableFrequency, builtin_materials, d_components, d_vector,
+                    eigen_split, feasibility_report, load_material_table,
+                    material_lookup)
 from .synth import LoopModel, synthesize
 
 EXIT_OK = 0
@@ -135,7 +136,10 @@ def cmd_spectrum(args):
     eps_minus, eps_plus, gap = eigen_split(d)
     with np.errstate(over="ignore"):  # feasibility_report rejects an infinite |E|
         e_mag = np.linalg.norm(e)
-    rep = feasibility_report(e_mag, m, args.rotation_freq, regime=args.regime)
+    try:
+        rep = feasibility_report(e_mag, m, args.rotation_freq, regime=args.regime)
+    except _UnusableFrequency as exc:
+        raise InvalidInput(f"--rotation-freq: {exc}") from None
     results = {
         "material": _material_dict(m),
         "regime": args.regime,
@@ -307,7 +311,7 @@ def build_parser():
     p.add_argument("--path", required=True, help="path description (JSON)")
     p.add_argument("--regime", choices=["linear", "quadratic"], required=True)
     p.add_argument("--band", choices=["plus", "minus"], default="plus")
-    p.add_argument("--steps", type=int, default=20000)
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--defect-tol", type=float, default=1e-6,
                    help="exit 3 when the step-doubling defect stays above "
                    "this: max|U(steps/2) - U(steps)|, or max|U(steps) - "
@@ -324,8 +328,8 @@ def build_parser():
     p.add_argument("--band", choices=["plus", "minus"])
     p.add_argument("--T", dest="total_time", type=float, required=True,
                    help="drive duration in seconds")
-    p.add_argument("--time-steps", type=int, default=20000)
-    p.add_argument("--wl-steps", type=int, default=20000)
+    p.add_argument("--time-steps", type=int, default=DEFAULT_STEPS)
+    p.add_argument("--wl-steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_adiabatic)
 

@@ -39,7 +39,7 @@ from ._linalg import (PAULI, blocked_product, clifford_exp, dagger, ordered_prod
 from .connection import gap_norms, projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
                      NotConstantMagnitude, is_finite_number, is_number_tree, load_json)
-from .stark import MaterialParams, d_components, d_vector
+from .stark import d_components, d_vector
 
 DEFAULT_STEPS = 20000
 MIN_STEPS = 100
@@ -237,8 +237,6 @@ class Holonomy:
     frame_minus: np.ndarray
     basepoint: np.ndarray
     steps: int
-    regime: str
-    material: MaterialParams
     unitarity_defect: float
 
     def block(self, band):
@@ -286,7 +284,7 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
         block_plus=dagger(fp) @ full @ fp,
         block_minus=dagger(fm) @ full @ fm,
         frame_plus=fp, frame_minus=fm,
-        basepoint=pts[0].copy(), steps=len(pts) - 1, regime=regime, material=m,
+        basepoint=pts[0].copy(), steps=len(pts) - 1,
         unitarity_defect=unitarity_defect(full),
     )
 

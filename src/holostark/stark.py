@@ -214,19 +214,10 @@ def d_increment(e, de, m, regime):
 
 
 def d_vector(e, m, regime):
-    """DVector of the Stark Hamiltonian at one field point e (3,)."""
+    """DVector of the Stark Hamiltonian at one field point e (3,): d_{1..3} =
+    p * chi * E in the linear regime, B(E, E) in the quadratic one."""
     c = d_components(e, m, regime)
     return DVector(d0=float(c[0]), d=c[1:], regime=regime)
-
-
-def d_linear(e, m):
-    """Linear-regime d-vector: d_{1..3} = p * chi * E, d0 = d4 = d5 = 0."""
-    return d_vector(e, m, "linear")
-
-
-def d_quadratic(e, m):
-    """Quadratic-regime d-vector with prefactor -(e rbar)^2 E^2 / ionization."""
-    return d_vector(e, m, "quadratic")
 
 
 def hamiltonian(d):
@@ -242,8 +233,9 @@ def eigen_split(d):
     return (d.d0 - n, d.d0 + n, 2 * n)
 
 
-def direction_grid(n=200):
-    """Deterministic unit directions: symmetry axes plus a Fibonacci sphere.
+def direction_grid():
+    """Deterministic unit directions: symmetry axes plus a 200-point Fibonacci
+    sphere.
 
     The axes, face diagonals and body diagonals are included explicitly since
     the quadratic gap takes its extremes at these symmetry points.
@@ -255,6 +247,7 @@ def direction_grid(n=200):
     ]
     dirs = [np.array(s, dtype=float) / np.linalg.norm(s) for s in special]
     golden = math.pi * (3.0 - math.sqrt(5.0))
+    n = 200
     for k in range(n):
         z = 1.0 - 2.0 * (k + 0.5) / n
         r = math.sqrt(max(0.0, 1.0 - z * z))
@@ -266,18 +259,19 @@ def direction_grid(n=200):
 class FeasibilityReport:
     """Static experimental budget at one field magnitude and rotation rate."""
 
-    material: str
-    dopant: str
-    regime: str
-    e_mag: float
-    rotation_freq_hz: float
     gap_min_meV: float
     gap_max_meV: float
     drive_quantum_meV: float
     adiabaticity_ratio: float
     ionization_margin_meV: float
-    adiabaticity_flag: bool
-    ionization_flag: bool
+
+    @property
+    def adiabaticity_flag(self):
+        return self.adiabaticity_ratio < 100.0
+
+    @property
+    def ionization_flag(self):
+        return self.ionization_margin_meV < 0.0
 
     @property
     def flags(self):
@@ -289,20 +283,23 @@ class FeasibilityReport:
         return out
 
 
+class _UnusableFrequency(InvalidInput):
+    """The rotation frequency leaves no finite adiabaticity ratio."""
+
+
 def feasibility_report(e_mag, m, rotation_freq, regime="quadratic"):
     """Gap extremes over field directions, ionization margin and adiabaticity.
 
     The drive quantum is h*f for rotation frequency f; the adiabaticity ratio
     is (min gap)/(h*f) and is flagged below 100.  The ionization margin is the
     worst-direction distance of either level shift |eps_pm| from the
-    ionization energy, flagged when negative.
+    ionization energy, flagged when negative.  InvalidInput unless h*f is
+    finite and positive and the ratio finite.
     """
     if not e_mag > 0:
         raise InvalidInput("field magnitude must be positive")
     if not np.isfinite(e_mag):
         raise InvalidInput("field too strong for float64: |E| overflows")
-    if not (np.isfinite(rotation_freq) and rotation_freq > 0):
-        raise InvalidInput("rotation frequency must be positive")
     _check_regime(regime)
     comps = d_components(direction_grid() * e_mag, m, regime)
     norms = np.linalg.norm(comps[:, 1:], axis=1)
@@ -310,14 +307,14 @@ def feasibility_report(e_mag, m, rotation_freq, regime="quadratic"):
     eps_minus = comps[:, 0] - norms
     eps_plus = comps[:, 0] + norms
     worst_shift = max(np.abs(eps_minus).max(), np.abs(eps_plus).max())
-    drive_quantum = PLANCK_MEV_S * rotation_freq
+    drive_quantum = PLANCK_MEV_S * float(rotation_freq)
     gap_min = float(gaps.min())
-    ratio = gap_min / drive_quantum
-    margin = float(m.ionization_meV - worst_shift)
+    ratio = gap_min / drive_quantum if drive_quantum > 0 else math.inf
+    if not (math.isfinite(drive_quantum) and math.isfinite(ratio)):
+        raise _UnusableFrequency(f"h*f = {drive_quantum!r} meV at {rotation_freq!r} Hz "
+                                 "leaves no finite adiabaticity ratio")
     return FeasibilityReport(
-        material=m.name, dopant=m.dopant, regime=regime, e_mag=float(e_mag),
-        rotation_freq_hz=float(rotation_freq), gap_min_meV=gap_min,
-        gap_max_meV=float(gaps.max()), drive_quantum_meV=float(drive_quantum),
-        adiabaticity_ratio=float(ratio), ionization_margin_meV=margin,
-        adiabaticity_flag=bool(ratio < 100.0), ionization_flag=bool(margin < 0.0),
+        gap_min_meV=gap_min, gap_max_meV=float(gaps.max()),
+        drive_quantum_meV=drive_quantum, adiabaticity_ratio=ratio,
+        ionization_margin_meV=float(m.ionization_meV - worst_shift),
     )

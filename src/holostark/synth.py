@@ -36,8 +36,7 @@ class LoopModel:
     kind: str  # spherical_quadratic | linear | numeric_quadratic
     material: MaterialParams = None
     magnitude: float = None
-    band: str = None
-    steps: int = 4000
+    steps: int = None
 
     @classmethod
     def spherical_quadratic(cls):
@@ -50,15 +49,15 @@ class LoopModel:
         return cls(kind="linear")
 
     @classmethod
-    def numeric_quadratic(cls, material, magnitude, band=None, steps=1000):
-        """Anisotropic quadratic material, evaluated by the Wilson loop.
+    def numeric_quadratic(cls, material, magnitude, steps=1000):
+        """Anisotropic quadratic material, evaluated by the Wilson loop on
+        its spin-projection +-1/2 band (half_spin_band).
 
         steps trades per-evaluation cost against holonomy accuracy (the
         refinement defect falls off as 1/steps^2; 1000 steps reaches ~1e-6).
         """
-        band = band or half_spin_band(material)
         return cls(kind="numeric_quadratic", material=material,
-                   magnitude=magnitude, band=band, steps=steps)
+                   magnitude=magnitude, steps=steps)
 
     @property
     def analytic(self):
@@ -76,12 +75,13 @@ def loop_holonomy(theta, phi, model):
         units = linear_triangle_holonomy(theta, phi)
     elif model.kind == "numeric_quadratic":
         _check_loop_angles(theta, phi)
+        band = half_spin_band(model.material)
         theta, phi = np.broadcast_arrays(theta, phi)
         units = np.empty(trivial.shape + (2, 2), dtype=complex)
         for i in map(tuple, np.argwhere(~trivial)):
             path = make_spherical_triangle(theta[i], phi[i], model.magnitude)
             result = wilson_loop(path, "quadratic", model.material, steps=model.steps)
-            units[i] = result.block(model.band)
+            units[i] = result.block(band)
     else:
         raise InvalidInput(f"unknown loop model {model.kind!r}")
     units[trivial] = np.eye(2)

@@ -9,13 +9,12 @@ import json
 import numpy as np
 import pytest
 
-from holostark import (Drive, adiabatic_fidelity, connection_d, d_linear,
-                       d_quadratic, eigen_split, eigenphase_distance,
-                       feasibility_report, half_spin_band, hamiltonian,
-                       linear_stark_holonomy, make_spherical_triangle, projectors,
-                       sampled_path, synthesize, wilson_loop, zee_holonomy)
+from holostark import (Drive, adiabatic_fidelity, connection_d, eigen_split,
+                       eigenphase_distance, feasibility_report, half_spin_band,
+                       hamiltonian, linear_stark_holonomy, make_spherical_triangle,
+                       projectors, sampled_path, synthesize, wilson_loop, zee_holonomy)
 from holostark.cli import main as cli_main
-from holostark.stark import DVector
+from holostark.stark import DVector, d_vector
 from holostark.synth import LoopModel
 
 from util import random_su2, random_unit
@@ -99,17 +98,17 @@ def test_criterion_03_projector_connection_suite(acc_rng):
 
 def test_criterion_04_kramers_degeneracy(ge_b, acc_rng):
     worst = 0.0
-    for regime, build, scale in (("linear", d_linear, 1e5),
-                                 ("quadratic", d_quadratic, 1e6)):
+    for regime, scale in (("linear", 1e5), ("quadratic", 1e6)):
         for _ in range(100):
-            d = build(acc_rng.normal(size=3) * scale, ge_b)
+            d = d_vector(acc_rng.normal(size=3) * scale, ge_b, regime)
             w = np.linalg.eigvalsh(hamiltonian(d))
             worst = max(worst, w[1] - w[0], w[3] - w[2])
     report(4, "Kramers pairing <= 1e-10 meV", worst <= 1e-10, f"worst {worst:.2e}")
 
 
 def test_criterion_05_linear_direction_and_scale_invariance(ge_b, acc_rng):
-    gaps = np.array([eigen_split(d_linear(random_unit(acc_rng, 3) * 3e5, ge_b))[2]
+    gaps = np.array([eigen_split(d_vector(random_unit(acc_rng, 3) * 3e5, ge_b,
+                                          "linear"))[2]
                      for _ in range(100)])
     rel_spread = (gaps.max() - gaps.min()) / gaps.mean()
     small = wilson_loop(make_spherical_triangle(0.8, 1.2, 1e5), "linear", ge_b,

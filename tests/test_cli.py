@@ -116,6 +116,14 @@ class TestSpectrum:
         assert code == 2
         assert err.startswith("error: --field needs three finite")
 
+    @pytest.mark.parametrize("freq", ["1e-320", "1e-300"])
+    def test_unusable_rotation_freq_exits_2(self, capsys, freq):
+        code = main(["spectrum", "--regime", "quadratic", "--field", "0,0,1e6",
+                     "--rotation-freq", freq])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --rotation-freq") and err.count("\n") == 1
+
 
 class TestHolonomy:
     def test_octant_spherical_eigenphases(self, capsys, tmp_path):

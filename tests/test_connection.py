@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from holostark import (DegeneratePoint, connection_d, d_quadratic, projectors,
-                       transport_exponents)
-from holostark.stark import DVector
+from holostark import DegeneratePoint, connection_d, projectors, transport_exponents
+from holostark.stark import DVector, d_vector
 
 
 def random_dvector(rng, scale=1.0):
@@ -134,7 +133,7 @@ class TestConnectionField:
     def test_band_diagonal_blocks_vanish(self, ge_b, rng):
         e = rng.normal(size=3) * 1e6
         gf = field_connection(e, "quadratic", ge_b)
-        d = d_quadratic(e, ge_b)
+        d = d_vector(e, ge_b, "quadratic")
         pp, pm = projectors(d)
         for a in gf:
             scale = max(np.abs(a).max(), 1e-30)
@@ -150,10 +149,10 @@ class TestConnectionField:
         for i in range(3):
             step = np.zeros(3)
             step[i] = h
-            pp = projectors(d_quadratic(e + step, ge_b))[0]
-            pm = projectors(d_quadratic(e - step, ge_b))[0]
+            pp = projectors(d_vector(e + step, ge_b, "quadratic"))[0]
+            pm = projectors(d_vector(e - step, ge_b, "quadratic"))[0]
             dp = (pp - pm) / (2 * h)
-            p = projectors(d_quadratic(e, ge_b))[0]
+            p = projectors(d_vector(e, ge_b, "quadratic"))[0]
             fd = dp @ p - p @ dp
             scale = max(np.abs(gf[i]).max(), 1e-30)
             assert np.abs(fd - gf[i]).max() <= 1e-6 * scale

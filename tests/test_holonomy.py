@@ -3,12 +3,13 @@ import pytest
 
 from holostark import (DegeneratePoint, InvalidAngle, InvalidInput,
                        NonPositiveMagnitude, NotClosed, NotConstantMagnitude,
-                       NotUnitary, d_quadratic, eigenphase_distance, eigenphases,
+                       NotUnitary, eigenphase_distance, eigenphases,
                        half_spin_band, holonomy_fidelity,
                        linear_stark_block_connection, linear_stark_holonomy,
                        linear_triangle_holonomy, make_latitude_loop,
                        make_spherical_triangle, path_from_dict, path_to_dict,
                        projectors, sampled_path, wilson_loop, zee_holonomy)
+from holostark.stark import d_vector
 
 OCTANT = (np.pi / 2, np.pi / 2)
 
@@ -109,7 +110,7 @@ class TestWilsonLoop:
         # commutation with the basepoint projectors and off-band leakage are
         # bounded by the integration tolerance (the step-refinement defect)
         conv_defect = np.abs(coarse.full - hol.full).max()
-        d = d_quadratic(hol.basepoint, ge_spherical)
+        d = d_vector(hol.basepoint, ge_spherical, "quadratic")
         for p in projectors(d):
             assert np.abs(hol.full @ p - p @ hol.full).max() <= 10 * conv_defect
         off = hol.frame_plus.conj().T @ hol.full @ hol.frame_minus

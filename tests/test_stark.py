@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from holostark import (InvalidInput, UnknownMaterial, builtin_materials, d_increment,
-                       d_linear, d_quadratic, direction_grid, eigen_split,
+from holostark import (FeasibilityReport, InvalidInput, UnknownMaterial,
+                       builtin_materials, d_increment, direction_grid, eigen_split,
                        feasibility_report, hamiltonian, load_material_table,
                        material_lookup)
-from holostark.stark import DVector, d_components
+from holostark.stark import DVector, d_components, d_vector
 
 from util import (isotropic_check, linear_hamiltonian_direct,
                   quadratic_hamiltonian_direct, random_unit)
@@ -62,34 +62,35 @@ class TestMaterials:
 
 class TestDLinear:
     def test_hand_value(self, ge_b):
-        d = d_linear([1e5, 0.0, 0.0], ge_b)
+        d = d_vector([1e5, 0.0, 0.0], ge_b, "linear")
         # 91 Angstrom * 1e5 V/m -> 0.91 meV dipole energy, times chi
         assert d.d[0] == pytest.approx(6.37e-4, rel=1e-12)
         assert d.d[1] == 0.0 and d.d[2] == 0.0
         assert d.d0 == 0.0 and d.d[3] == 0.0 and d.d[4] == 0.0
 
     def test_zero_field(self, ge_b):
-        d = d_linear([0.0, 0.0, 0.0], ge_b)
+        d = d_vector([0.0, 0.0, 0.0], ge_b, "linear")
         assert d.norm == 0.0 and d.d0 == 0.0
 
     def test_direction_independent_gap(self, ge_b, rng):
         e_mag = 2.5e5
         gaps = []
         for _ in range(100):
-            d = d_linear(random_unit(rng, 3) * e_mag, ge_b)
+            d = d_vector(random_unit(rng, 3) * e_mag, ge_b, "linear")
             gaps.append(eigen_split(d)[2])
         gaps = np.array(gaps)
         assert (gaps.max() - gaps.min()) / gaps.mean() <= 1e-12
 
     def test_axis_matches_body_diagonal(self, ge_b):
-        g1 = eigen_split(d_linear([1e5, 0, 0], ge_b))[2]
-        g2 = eigen_split(d_linear(np.array([1, 1, 1]) * 1e5 / np.sqrt(3), ge_b))[2]
+        g1 = eigen_split(d_vector([1e5, 0, 0], ge_b, "linear"))[2]
+        e = np.array([1, 1, 1]) * 1e5 / np.sqrt(3)
+        g2 = eigen_split(d_vector(e, ge_b, "linear"))[2]
         assert g1 == pytest.approx(g2, rel=1e-14)
 
 
 class TestDQuadratic:
     def test_hand_values_along_z(self, ge_b):
-        d = d_quadratic([0.0, 0.0, 1e6], ge_b)
+        d = d_vector([0.0, 0.0, 1e6], ge_b, "quadratic")
         # p0 E = 9.1 meV; prefactor -(9.1^2)/10.4 = -7.9625 meV
         assert d.d0 == pytest.approx(-7.9625, rel=1e-12)
         assert np.allclose(d.d[:4], 0.0, atol=0)
@@ -100,11 +101,11 @@ class TestDQuadratic:
         assert gap == pytest.approx(4.7775, rel=1e-12)
 
     def test_zero_field(self, ge_b):
-        d = d_quadratic([0.0, 0.0, 0.0], ge_b)
+        d = d_vector([0.0, 0.0, 0.0], ge_b, "quadratic")
         assert d.norm == 0.0 and d.d0 == 0.0
 
     def test_equal_component_symmetry(self, ge_b):
-        d = d_quadratic(np.array([1.0, 1.0, 0.0]) * 1e6 / np.sqrt(2), ge_b)
+        d = d_vector(np.array([1.0, 1.0, 0.0]) * 1e6 / np.sqrt(2), ge_b, "quadratic")
         assert d.d[3] == 0.0  # Ex^2 = Ey^2
         assert d.d[2] != 0.0  # ExEy term survives
 
@@ -121,30 +122,30 @@ class TestHamiltonian:
 
     def test_hermitian(self, ge_b, rng):
         for _ in range(20):
-            h = hamiltonian(d_quadratic(rng.normal(size=3) * 1e6, ge_b))
+            h = hamiltonian(d_vector(rng.normal(size=3) * 1e6, ge_b, "quadratic"))
             assert np.abs(h - h.conj().T).max() <= 1e-13
 
     def test_quadratic_matches_direct_construction(self, spin, ge_b, rng):
         for _ in range(50):
             e = rng.normal(size=3) * 1e6
-            h = hamiltonian(d_quadratic(e, ge_b))
+            h = hamiltonian(d_vector(e, ge_b, "quadratic"))
             assert np.abs(h - quadratic_hamiltonian_direct(e, ge_b, spin)).max() <= 1e-10
 
     def test_linear_matches_direct_construction(self, spin, ge_b, rng):
         for _ in range(50):
             e = rng.normal(size=3) * 1e5
-            h = hamiltonian(d_linear(e, ge_b))
+            h = hamiltonian(d_vector(e, ge_b, "linear"))
             assert np.abs(h - linear_hamiltonian_direct(e, ge_b, spin)).max() <= 1e-10
 
     def test_eigen_split_matches_diagonalization(self, ge_b, rng):
         for _ in range(50):
-            d = d_quadratic(rng.normal(size=3) * 1e6, ge_b)
+            d = d_vector(rng.normal(size=3) * 1e6, ge_b, "quadratic")
             eps_minus, eps_plus, _ = eigen_split(d)
             w = np.linalg.eigvalsh(hamiltonian(d))
             assert np.abs(w - [eps_minus, eps_minus, eps_plus, eps_plus]).max() <= 1e-10
 
     def test_ge_b_quadratic_levels(self, ge_b):
-        h = hamiltonian(d_quadratic([0, 0, 1e6], ge_b))
+        h = hamiltonian(d_vector([0, 0, 1e6], ge_b, "quadratic"))
         w = np.linalg.eigvalsh(h)
         assert np.allclose(w, [-10.35125, -10.35125, -5.57375, -5.57375], atol=1e-10)
 
@@ -152,9 +153,8 @@ class TestHamiltonian:
 class TestKramers:
     @pytest.mark.parametrize("regime", ["linear", "quadratic"])
     def test_double_degeneracy(self, ge_b, rng, regime):
-        build = d_linear if regime == "linear" else d_quadratic
         for _ in range(100):
-            d = build(rng.normal(size=3) * 1e6, ge_b)
+            d = d_vector(rng.normal(size=3) * 1e6, ge_b, regime)
             w = np.linalg.eigvalsh(hamiltonian(d))
             assert w[1] - w[0] <= 1e-10
             assert w[3] - w[2] <= 1e-10
@@ -199,9 +199,25 @@ class TestFeasibility:
         rep = feasibility_report(1.2e6, ge_b, 2020.0)
         assert rep.ionization_flag
 
+    @pytest.mark.parametrize("ratio, margin, flags", [
+        (100.0, 0.0, []),
+        (99.999, 0.0, ["adiabaticity"]),
+        (100.0, -1e-12, ["ionization"]),
+        (99.999, -1e-12, ["adiabaticity", "ionization"]),
+    ], ids=["none", "adiabaticity", "ionization", "both"])
+    def test_flags_derive_from_ratio_and_margin(self, ratio, margin, flags):
+        rep = FeasibilityReport(gap_min_meV=1.0, gap_max_meV=2.0,
+                                drive_quantum_meV=1.0 / ratio, adiabaticity_ratio=ratio,
+                                ionization_margin_meV=margin)
+        assert rep.flags == flags
+        assert rep.adiabaticity_flag == ("adiabaticity" in flags)
+        assert rep.ionization_flag == ("ionization" in flags)
+
     def test_invalid_inputs(self, ge_b):
-        with pytest.raises(InvalidInput):
-            feasibility_report(1e6, ge_b, 0.0)
+        # 1e-320 Hz: h*f underflows to 0; 1e-300 Hz: the ratio overflows
+        for freq in (0.0, 1e-320, 1e-300):
+            with pytest.raises(InvalidInput):
+                feasibility_report(1e6, ge_b, freq)
         with pytest.raises(InvalidInput):
             feasibility_report(0.0, ge_b, 2020.0)
         with pytest.raises(InvalidInput):

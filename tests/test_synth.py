@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holostark import (InvalidAngle, LoopModel, NotUnitary, holonomy_fidelity,
-                       linear_triangle_holonomy, loop_holonomy, loop_product,
-                       synthesize, zee_holonomy)
+from holostark import (InvalidAngle, LoopModel, NotUnitary, half_spin_band,
+                       holonomy_fidelity, linear_triangle_holonomy, loop_holonomy,
+                       loop_product, synthesize, zee_holonomy)
 from holostark import synth
 from holostark._linalg import BLOCK
 
@@ -77,7 +77,7 @@ class TestLoopProduct:
 
     def test_numeric_model_agrees_with_analytic(self, ge_spherical):
         model = LoopModel.numeric_quadratic(ge_spherical, 1e6, steps=4000)
-        assert model.band == "minus"
+        assert half_spin_band(ge_spherical) == "minus"
         u_num = loop_holonomy(0.9, 1.2, model)
         u_ana = zee_holonomy(0.9, 1.2)
         # same band transport up to frame conjugation: compare eigenphases
