@@ -26,9 +26,8 @@ from .connection import gap_norms
 from .errors import HolostarkError, InvalidInput, is_number_tree, load_json
 from .holonomy import (DEFAULT_STEPS, MIN_STEPS, eigenphases, half_spin_band,
                        load_path, path_to_dict, wilson_loop)
-from .stark import (_UnusableFrequency, builtin_materials, d_components, d_vector,
-                    eigen_split, feasibility_report, load_material_table,
-                    material_lookup)
+from .stark import (builtin_materials, d_components, d_vector, eigen_split,
+                    feasibility_report, load_material_table, material_lookup)
 from .synth import LoopModel, synthesize
 
 EXIT_OK = 0
@@ -36,6 +35,9 @@ EXIT_INVALID = 2
 EXIT_NOT_CONVERGED = 3
 
 MATERIALS_ENV = "STARK_MATERIALS_PATH"
+
+# the flag that sets each library argument an error can blame (_ArgumentError)
+_FLAGS = {"rotation_freq": "--rotation-freq", "total_time": "--T"}
 
 
 def _complex_matrix(m):
@@ -136,10 +138,7 @@ def cmd_spectrum(args):
     eps_minus, eps_plus, gap = eigen_split(d)
     with np.errstate(over="ignore"):  # feasibility_report rejects an infinite |E|
         e_mag = np.linalg.norm(e)
-    try:
-        rep = feasibility_report(e_mag, m, args.rotation_freq, regime=args.regime)
-    except _UnusableFrequency as exc:
-        raise InvalidInput(f"--rotation-freq: {exc}") from None
+    rep = feasibility_report(e_mag, m, args.rotation_freq, regime=args.regime)
     results = {
         "material": _material_dict(m),
         "regime": args.regime,
@@ -256,6 +255,8 @@ def _synth_model(args):
 
 def cmd_synth(args):
     _check_tolerance("--tol", args.tol)
+    if args.seed < 0:
+        raise InvalidInput(f"--seed must be an integer >= 0, got {args.seed}")
     target = _parse_complex_matrix(load_json(args.target))
     result = synthesize(target, model=_synth_model(args),
                         max_loops=args.max_loops, tol=args.tol, seed=args.seed)
@@ -362,7 +363,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (HolostarkError, OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        flag = _FLAGS.get(getattr(exc, "argument", None))
+        print(f"error: {flag}: {exc}" if flag else f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError as exc:  # e.g. a step count too large to allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ import numpy as np
 from ._linalg import blocked_product, dagger
 from .algebra import _contract
 from .connection import gap_norms
-from .errors import InvalidInput
+from .errors import InvalidInput, _ArgumentError
 from .holonomy import DEFAULT_STEPS, FieldPath, wilson_loop
 from .stark import d_components
 from .units import HBAR_MEV_S
@@ -68,6 +68,16 @@ def _propagate(drive, regime, m, block):
     norms = gap_norms(comps)
     dt = drive.total_time / len(mids)
     scale = dt / HBAR_MEV_S
+    # the callers sum level shifts and their phases over the drive, and
+    # clifford_exp squares each step's |X|_F = 2 (dt/hbar)|d|
+    with np.errstate(over="ignore"):
+        peak = (np.abs(comps[:, 0]) + norms).max()
+        shifts, angle_sq = len(mids) * peak, (2.0 * scale * peak) ** 2
+    if not np.isfinite(shifts):
+        raise InvalidInput("field too strong for float64: summed level shifts overflow")
+    if not np.isfinite(angle_sq):
+        raise _ArgumentError("total_time", f"a {drive.total_time!r} s drive "
+                             "overflows the step phases in float64")
     psi = blocked_product(len(mids), lambda lo, hi: _contract(
         scale * comps[lo:hi, 1:], "gamma", -1j)) @ block
     return psi, comps, norms, dt

@@ -41,6 +41,15 @@ class InvalidInput(HolostarkError):
     """Argument outside the domain of the requested operation."""
 
 
+class _ArgumentError(InvalidInput):
+    """InvalidInput caused by the value of one named argument, so that the
+    command line can name the flag that set it."""
+
+    def __init__(self, argument, message):
+        super().__init__(message)
+        self.argument = argument
+
+
 def is_finite_number(value):
     """True for an int or float that converts to a finite float (bools and
     integers beyond float range are not)."""

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import default_basis
-from .errors import InvalidInput, UnknownMaterial, is_finite_number, load_json
+from .errors import (InvalidInput, UnknownMaterial, _ArgumentError, is_finite_number,
+                     load_json)
 from .units import MEV_PER_ANGSTROM_V_PER_M, PLANCK_MEV_S
 
 REGIMES = ("linear", "quadratic")
@@ -233,28 +234,6 @@ def eigen_split(d):
     return (d.d0 - n, d.d0 + n, 2 * n)
 
 
-def direction_grid():
-    """Deterministic unit directions: symmetry axes plus a 200-point Fibonacci
-    sphere.
-
-    The axes, face diagonals and body diagonals are included explicitly since
-    the quadratic gap takes its extremes at these symmetry points.
-    """
-    special = [
-        (1, 0, 0), (0, 1, 0), (0, 0, 1),
-        (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1),
-        (1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
-    ]
-    dirs = [np.array(s, dtype=float) / np.linalg.norm(s) for s in special]
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    n = 200
-    for k in range(n):
-        z = 1.0 - 2.0 * (k + 0.5) / n
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        dirs.append(np.array([r * math.cos(golden * k), r * math.sin(golden * k), z]))
-    return np.array(dirs)
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Static experimental budget at one field magnitude and rotation rate."""
@@ -275,23 +254,26 @@ class FeasibilityReport:
 
     @property
     def flags(self):
-        out = []
-        if self.adiabaticity_flag:
-            out.append("adiabaticity")
-        if self.ionization_flag:
-            out.append("ionization")
-        return out
+        return [name for name, raised in (("adiabaticity", self.adiabaticity_flag),
+                                          ("ionization", self.ionization_flag)) if raised]
 
 
-class _UnusableFrequency(InvalidInput):
-    """The rotation frequency leaves no finite adiabaticity ratio."""
+# the three cubic axes <100> and the four body diagonals <111>
+_CUBIC_DIRECTIONS = np.array([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
+                              (1, 1, -1), (1, -1, 1), (-1, 1, 1)], dtype=float)
+_CUBIC_DIRECTIONS /= np.linalg.norm(_CUBIC_DIRECTIONS, axis=1, keepdims=True)
 
 
 def feasibility_report(e_mag, m, rotation_freq, regime="quadratic"):
     """Gap extremes over field directions, ionization margin and adiabaticity.
 
-    The drive quantum is h*f for rotation frequency f; the adiabaticity ratio
-    is (min gap)/(h*f) and is flagged below 100.  The ionization margin is the
+    For a unit field with S = ex^2 ey^2 + ey^2 ez^2 + ez^2 ex^2 in [0, 1/3],
+    _quadratic_form gives |d|^2 = kappa^2 |E|^4 [beta^2 + (delta^2 - 3 beta^2) S]:
+    the gap is extremal on <100> (S = 0) and <111> (S = 1/3), and so are the
+    level shifts |d0| + |d|, as d0 is isotropic; the linear gap is isotropic.
+    The seven cubic directions therefore give every extreme.  The drive
+    quantum is h*f for rotation frequency f; the adiabaticity ratio is (min
+    gap)/(h*f) and is flagged below 100.  The ionization margin is the
     worst-direction distance of either level shift |eps_pm| from the
     ionization energy, flagged when negative.  InvalidInput unless h*f is
     finite and positive and the ratio finite.
@@ -300,21 +282,17 @@ def feasibility_report(e_mag, m, rotation_freq, regime="quadratic"):
         raise InvalidInput("field magnitude must be positive")
     if not np.isfinite(e_mag):
         raise InvalidInput("field too strong for float64: |E| overflows")
-    _check_regime(regime)
-    comps = d_components(direction_grid() * e_mag, m, regime)
+    comps = d_components(_CUBIC_DIRECTIONS * e_mag, m, regime)
     norms = np.linalg.norm(comps[:, 1:], axis=1)
-    gaps = 2.0 * norms
-    eps_minus = comps[:, 0] - norms
-    eps_plus = comps[:, 0] + norms
-    worst_shift = max(np.abs(eps_minus).max(), np.abs(eps_plus).max())
+    worst_shift = (np.abs(comps[:, 0]) + norms).max()  # max |d0 -/+ |d||
     drive_quantum = PLANCK_MEV_S * float(rotation_freq)
-    gap_min = float(gaps.min())
+    gap_min = float(2.0 * norms.min())
     ratio = gap_min / drive_quantum if drive_quantum > 0 else math.inf
     if not (math.isfinite(drive_quantum) and math.isfinite(ratio)):
-        raise _UnusableFrequency(f"h*f = {drive_quantum!r} meV at {rotation_freq!r} Hz "
-                                 "leaves no finite adiabaticity ratio")
+        raise _ArgumentError("rotation_freq", f"h*f = {drive_quantum!r} meV at "
+                             f"{rotation_freq!r} Hz leaves no finite adiabaticity ratio")
     return FeasibilityReport(
-        gap_min_meV=gap_min, gap_max_meV=float(gaps.max()),
+        gap_min_meV=gap_min, gap_max_meV=float(2.0 * norms.max()),
         drive_quantum_meV=drive_quantum, adiabaticity_ratio=ratio,
         ionization_margin_meV=float(m.ionization_meV - worst_shift),
     )

@@ -340,6 +340,16 @@ class TestVerifyAdiabatic:
         assert code == 0
         assert rec["results"]["time_steps"] == propagated
 
+    @pytest.mark.parametrize("total_time", ["1e300", "1e200"])
+    def test_drive_overflowing_the_phase_exits_2(self, capsys, tmp_path, total_time):
+        # 1e200 s leaves dt/hbar and the step angle (dt/hbar)|d| finite
+        code = main(["verify-adiabatic", "--path", write_octant(tmp_path),
+                     "--regime", "quadratic", "--spherical", "--T", total_time,
+                     "--time-steps", "2000", "--wl-steps", "400"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --T") and len(err.splitlines()) == 1
+
 
 class TestSynth:
     def test_identity_target(self, capsys, tmp_path):
@@ -371,6 +381,14 @@ class TestSynth:
         f.write_text(json.dumps({"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
         code, _ = run_cli(capsys, "synth", "--target", str(f))
         assert code == 2
+
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "identity.json"
+        f.write_text(json.dumps({"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+        code = main(["synth", "--target", str(f), "--max-loops", "1", "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --seed") and len(err.splitlines()) == 1
 
     def test_malformed_matrix_exits_2(self, capsys, tmp_path):
         f = tmp_path / "bad.json"

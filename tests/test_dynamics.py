@@ -68,6 +68,24 @@ class TestEvolve:
         assert pop.sum() >= 1.0 - 1e-4
 
 
+@pytest.mark.parametrize("total_time, ionization_meV", [
+    (1e300, None),  # dt/hbar overflows
+    (1e200, None),  # (dt/hbar)|d| is finite, its square in clifford_exp is not
+    (1e-9, 1e-305),  # |d0| is finite, the sum of the level shifts is not
+])
+def test_phase_overflow_raises_before_propagating(ge_spherical, total_time,
+                                                   ionization_meV):
+    # warnings are errors in this suite, so no numpy overflow may come first
+    m = ge_spherical
+    if ionization_meV is not None:  # a huge d0 = kappa alpha |E|^2, small |d|
+        m = replace(m, delta=-1e-160, ionization_meV=ionization_meV).spherical()
+    drive = Drive(path=OCTANT, total_time=total_time, time_steps=2000)
+    with pytest.raises(InvalidInput):
+        evolve(drive, "quadratic", m, np.array([1.0, 0, 0, 0]))
+    with pytest.raises(InvalidInput):
+        adiabatic_fidelity(drive, "quadratic", m, wl_steps=400)
+
+
 class TestAdiabaticFidelity:
     def test_static_drive_identity(self, ge_b):
         drive = Drive(path=static_path(), total_time=7e-10, time_steps=300)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from holostark import (FeasibilityReport, InvalidInput, UnknownMaterial,
-                       builtin_materials, d_increment, direction_grid, eigen_split,
+from holostark import (FeasibilityReport, InvalidInput, MaterialParams, UnknownMaterial,
+                       builtin_materials, d_increment, eigen_split,
                        feasibility_report, hamiltonian, load_material_table,
                        material_lookup)
 from holostark.stark import DVector, d_components, d_vector
@@ -172,7 +172,8 @@ class TestIsotropicCheck:
         assert isotropic_check([1.0, 1.0, 0.3], ge_b, spin) > 1e-3
 
     def test_quadratic_gap_depends_on_direction(self, ge_b):
-        comps = d_components(direction_grid(), ge_b, "quadratic")
+        comps = d_components(np.array([[0, 0, 1.0], [1, 1, 1] / np.sqrt(3)]), ge_b,
+                             "quadratic")
         gaps = 2 * np.linalg.norm(comps[:, 1:], axis=1)
         assert gaps.max() / gaps.min() > 1 + 1e-6
 
@@ -222,6 +223,40 @@ class TestFeasibility:
             feasibility_report(0.0, ge_b, 2020.0)
         with pytest.raises(InvalidInput):
             feasibility_report(-1e6, ge_b, 2020.0)
+
+    @pytest.mark.parametrize("regime", ["linear", "quadratic"])
+    def test_extremes_bound_random_directions(self, rng, regime):
+        # the seven cubic directions bound the gap and the level shifts over
+        # the whole sphere, for any table: anisotropic or spherical
+        for _ in range(20):
+            m = MaterialParams(name="X", dopant="Y", alpha=rng.uniform(0.1, 2),
+                               beta=rng.uniform(-1, 1), delta=rng.uniform(-1, 1),
+                               chi=10 ** rng.uniform(-4, -1),
+                               rbar_angstrom=rng.uniform(10, 100),
+                               ionization_meV=rng.uniform(5, 70))
+            e_mag = 10 ** rng.uniform(4, 6.5)
+            for mat in (m, m.spherical()):
+                rep = feasibility_report(e_mag, mat, 2020.0, regime=regime)
+                e = rng.normal(size=(2000, 3))
+                e *= e_mag / np.linalg.norm(e, axis=1, keepdims=True)
+                comps = d_components(e, mat, regime)
+                norms = np.linalg.norm(comps[:, 1:], axis=1)
+                gaps = 2 * norms
+                assert gaps.min() >= rep.gap_min_meV * (1 - 1e-12)
+                assert gaps.max() <= rep.gap_max_meV * (1 + 1e-12)
+                # the margin I - max shift carries rounding relative to I
+                shift = (np.abs(comps[:, 0]) + norms).max()
+                assert (mat.ionization_meV - shift
+                        >= rep.ionization_margin_meV - 1e-12 * mat.ionization_meV)
+                p0 = mat.dipole_mev_per_field
+                if regime == "linear":
+                    extremes = [2 * abs(p0 * mat.chi) * e_mag] * 2
+                else:
+                    k_e2 = p0 * p0 / mat.ionization_meV * e_mag ** 2  # |kappa| |E|^2
+                    extremes = sorted([2 * k_e2 * abs(mat.beta),
+                                       2 * k_e2 * abs(mat.delta) / np.sqrt(3)])
+                assert [rep.gap_min_meV, rep.gap_max_meV] == pytest.approx(extremes,
+                                                                           rel=1e-12)
 
 
 class TestJacobian:
