@@ -85,7 +85,7 @@ def transport_exponents(points, regime, m, comps=None):
     gap_norms).
     """
     points = np.asarray(points, dtype=float)
-    mids = 0.5 * (points[1:] + points[:-1])
+    mids = 0.5 * points[1:] + 0.5 * points[:-1]
     if comps is None:
         comps = d_components(mids, m, regime)
     norms = gap_norms(comps)

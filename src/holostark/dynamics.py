@@ -49,21 +49,18 @@ class Drive:
                     f"time_steps must be >= 10x the {segments} path segments")
 
 
-def _propagate(drive, regime, m, block):
-    """Propagate the column(s) of ``block`` through the traceless steps
-    exp(-i (dt/hbar) d . gamma) and return them with the per-midpoint
-    d-components, their |d| and dt; the d0 phase is left to the caller.
+def _drive_steps(drive, regime, m):
+    """The drive's per-midpoint d-components, their |d| and dt, after
+    checking that the gap stays open and that float64 holds the summed
+    level shifts and the step phases.
 
     Each time step freezes the field at the midpoint of one segment of
     ``drive.path.points(drive.time_steps)``.  The discretization may round
     the segment count, so the true step count is the number of midpoints,
-    and dt is total_time divided by it; phases must use the same grid.  The
-    real coefficients (dt/hbar) d are contracted with -i gamma in one real
-    matmul per block (algebra._contract), and blocked_product exponentiates
-    and multiplies the blocks; the degeneracy check covers the whole drive.
+    and dt is total_time divided by it; phases must use the same grid.
     """
     pts = drive.path.points(drive.time_steps)
-    mids = 0.5 * (pts[1:] + pts[:-1])
+    mids = 0.5 * pts[1:] + 0.5 * pts[:-1]
     comps = d_components(mids, m, regime)
     norms = gap_norms(comps)
     dt = drive.total_time / len(mids)
@@ -78,9 +75,20 @@ def _propagate(drive, regime, m, block):
     if not np.isfinite(angle_sq):
         raise _ArgumentError("total_time", f"a {drive.total_time!r} s drive "
                              "overflows the step phases in float64")
-    psi = blocked_product(len(mids), lambda lo, hi: _contract(
+    return comps, norms, dt
+
+
+def _propagate(comps, dt, block):
+    """Propagate the column(s) of ``block`` through the traceless steps
+    exp(-i (dt/hbar) d . gamma) of a checked drive (_drive_steps); the d0
+    phase is left to the caller.  The real coefficients (dt/hbar) d are
+    contracted with -i gamma in one real matmul per block
+    (algebra._contract), and blocked_product exponentiates and multiplies
+    the blocks.
+    """
+    scale = dt / HBAR_MEV_S
+    return blocked_product(len(comps), lambda lo, hi: _contract(
         scale * comps[lo:hi, 1:], "gamma", -1j)) @ block
-    return psi, comps, norms, dt
 
 
 def evolve(drive, regime, m, psi0):
@@ -95,7 +103,8 @@ def evolve(drive, regime, m, psi0):
         raise InvalidInput("psi0 must be a 4-vector")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise InvalidInput("psi0 must be normalized")
-    psi, comps, _, dt = _propagate(drive, regime, m, psi0[:, None])
+    comps, _, dt = _drive_steps(drive, regime, m)
+    psi = _propagate(comps, dt, psi0[:, None])
     return np.exp(-1j * comps[:, 0].sum() * dt / HBAR_MEV_S) * psi[:, 0]
 
 
@@ -121,12 +130,14 @@ def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS):
     propagator block and B the Wilson-loop block in the same frame; leakage
     out of the band degrades it gracefully, and the adiabatic theorem
     drives it to 1 as total_time grows.  band_leakage is one minus
-    the mean returned band population.
+    the mean returned band population.  The drive is checked before the
+    reference Wilson loop runs, so a rejected drive costs no transport.
     """
+    comps, norms, dt = _drive_steps(drive, regime, m)
     hol = wilson_loop(drive.path, regime, m, steps=wl_steps)
     reference = hol.block(band)
     frame = hol.frame(band)
-    psi, comps, norms, dt = _propagate(drive, regime, m, frame)
+    psi = _propagate(comps, dt, frame)
     sign = 1.0 if band == "plus" else -1.0
     psi = psi * np.exp(1j * sign * norms.sum() * dt / HBAR_MEV_S)
     block = dagger(frame) @ psi

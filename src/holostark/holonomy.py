@@ -274,7 +274,7 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     gap = np.linalg.norm(pts[0] - pts[-1])
     if gap > CLOSURE_RTOL * path.magnitude:
         raise NotClosed(f"path endpoints differ by {gap:.3e}")
-    comps = d_components(0.5 * (pts[1:] + pts[:-1]), m, regime)
+    comps = d_components(0.5 * pts[1:] + 0.5 * pts[:-1], m, regime)
     gap_norms(comps)
     full = blocked_product(len(pts) - 1, lambda lo, hi: transport_exponents(
         pts[lo:hi + 1], regime, m, comps=comps[lo:hi]))
@@ -306,7 +306,7 @@ def linear_stark_block_connection(path, steps=DEFAULT_STEPS):
     norms = np.linalg.norm(pts, axis=1)
     if norms.max() - norms.min() > 1e-9 * norms.mean():
         raise NotConstantMagnitude("path does not keep |E| constant")
-    mids = 0.5 * (pts[1:] + pts[:-1])
+    mids = 0.5 * pts[1:] + 0.5 * pts[:-1]
     diffs = pts[1:] - pts[:-1]
     v = np.cross(diffs, mids) / (2.0 * np.einsum("ki,ki->k", mids, mids))[:, None]
     return _su2_generators(v)

@@ -9,13 +9,14 @@ global-phase blind, matching holonomy equivalence classes.
 Per-loop holonomies come from the analytic oracles where they are valid
 (spherical quadratic model, linear regime), batched over grid chunks of at
 most ``_linalg.BLOCK`` 2x2 factors, else from the numeric Wilson loop.
-Nelder-Mead runs per candidate; a fixed seed makes the search deterministic.
+Nelder-Mead runs per candidate through the package's own ``minimize``, a
+port of scipy's method="Nelder-Mead" with identical iterates, so scipy is
+not needed at run time; a fixed seed makes the search deterministic.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._linalg import BLOCK, dagger, ordered_product, require_unitary
 from .errors import InvalidInput
@@ -108,6 +109,91 @@ class SynthesisResult:
     converged: bool
 
 
+@dataclass(frozen=True)
+class _NelderMeadResult:
+    x: np.ndarray  # best vertex of the final simplex
+    fun: float
+    nfev: int
+    nit: int
+
+
+class _MaxFev(Exception):
+    """The evaluation budget is spent: abandon the current iteration."""
+
+
+def minimize(fun, x0, *, fatol, xatol, maxiter, maxfev):
+    """Unbounded Nelder-Mead (Nelder & Mead, Comput. J. 7, 308, 1965) with
+    the standard coefficients rho = 1, chi = 2, psi = sigma = 0.5.
+
+    Operation for operation the non-adaptive, unbounded
+    ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead")`` of scipy 1.17,
+    so both give the same bits: the same initial simplex, vertex ordering
+    and termination test; ``fun`` gets a copy of each vertex; and a spent
+    ``maxfev`` abandons the iteration uncounted, leaving a half-done shrink
+    with the stale values of the vertices it did not reach.
+    """
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFev
+        nfev += 1
+        return fun(np.copy(x))
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFev:
+        pass
+    # sorted twice, as scipy does: argsort need not keep ties in place
+    sim, fsim = by_value(*by_value(sim, fsim))
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+                break
+            xbar = sim[:-1].sum(axis=0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:  # expand
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _MaxFev:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return _NelderMeadResult(x=sim[0], fun=np.min(fsim), nfev=nfev, nit=iterations)
+
+
 def _clip_angles(x):
     """Map raw optimizer parameters (..., 2L) to valid loop angles (..., L, 2)
     plus a penalty that steers Nelder-Mead back into theta's [0, pi] box."""
@@ -185,9 +271,8 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     # winner on ties, so selection is deterministic
     best_x, best_obj = None, np.inf
     for x0 in seeds:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options=dict(fatol=1e-14, xatol=1e-12,
-                                    maxiter=maxiter, maxfev=2 * maxiter))
+        res = minimize(objective, x0, fatol=1e-14, xatol=1e-12,
+                       maxiter=maxiter, maxfev=2 * maxiter)
         if res.fun < best_obj:
             best_x, best_obj = res.x, res.fun
         if best_obj <= 1e-12:

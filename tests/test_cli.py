@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +354,20 @@ class TestVerifyAdiabatic:
         assert code == 2
         assert err.startswith("error: --T") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("total_time, exit_code, calls", [("1e300", 2, 0),
+                                                              ("1e-9", 0, 1)])
+    def test_drive_checked_before_the_wilson_loop(self, capsys, tmp_path, monkeypatch,
+                                                 total_time, exit_code, calls):
+        from holostark import dynamics
+        seen = []
+        monkeypatch.setattr(dynamics, "wilson_loop", lambda *a, f=dynamics.wilson_loop,
+                            **k: seen.append(1) or f(*a, **k))
+        code = main(["verify-adiabatic", "--path", write_octant(tmp_path),
+                     "--regime", "quadratic", "--spherical", "--T", total_time,
+                     "--time-steps", "2000", "--wl-steps", "400"])
+        capsys.readouterr()
+        assert (code, len(seen)) == (exit_code, calls)
+
 
 class TestSynth:
     def test_identity_target(self, capsys, tmp_path):
@@ -465,6 +483,49 @@ def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
     if sampled:
         assert err == "error: field too strong for float64: |E| overflows\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["holonomy", "--regime", "linear", "--steps", "400"],
+    ["holonomy", "--regime", "quadratic", "--steps", "400"],
+    ["verify-adiabatic", "--regime", "linear", "--T", "1e-9", "--time-steps", "2000",
+     "--wl-steps", "400"],
+    ["verify-adiabatic", "--regime", "quadratic", "--spherical", "--T", "1e-9",
+     "--time-steps", "2000", "--wl-steps", "400"],
+], ids=["holonomy-linear", "holonomy-quadratic", "adiabatic-linear",
+        "adiabatic-quadratic"])
+def test_chord_midpoints_near_float64_limit(capsys, tmp_path, argv):
+    # every corner of a 1e308 V/m loop is finite, but the sum of two of them
+    # is not: the chord midpoints must not overflow (the suite turns numpy
+    # warnings into errors) nor be reported as a non-finite field
+    code = main(argv + ["--path", write_octant(tmp_path, magnitude=1e308)])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and "must be finite" not in err
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test-only oracle: the CLI, synth included, must neither
+    # need nor load it
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"matrix": [[[v.real, v.imag] for v in row]
+                                             for row in zee_holonomy(0.9, 1.3)]}))
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "import holostark.cli\n"
+        "code = holostark.cli.main(['synth', '--target', sys.argv[1], "
+        "'--max-loops', '1', '--seed', '0'])\n"
+        "loaded = [k for k, v in sys.modules.items() "
+        "if k.split('.')[0] == 'scipy' and v is not None]\n"
+        "sys.exit(f'scipy loaded: {loaded}' if loaded else code)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, str(target)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["command"][1] == "synth"
 
 
 @pytest.mark.parametrize("kind", ["path", "target", "materials", "env"])

@@ -9,7 +9,7 @@ from holostark._linalg import (BLOCK, PAULI, blocked_product, clifford_exp,
                                ordered_product)
 from holostark.algebra import _contract
 from holostark.connection import gap_norms, transport_exponents
-from holostark.dynamics import _propagate
+from holostark.dynamics import _drive_steps, _propagate
 from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
 
@@ -79,7 +79,9 @@ def test_propagate_has_the_bits_of_one_ordered_product(ge_b, regime):
     comps = d_components(0.5 * (pts[1:] + pts[:-1]), ge_b, regime)
     scale = drive.total_time / len(comps) / HBAR_MEV_S
     single = ordered_product(clifford_exp(_contract(scale * comps[:, 1:], "gamma", -1j)))
-    psi, _, _, _ = _propagate(drive, regime, ge_b, np.eye(4))
+    steps, _, dt = _drive_steps(drive, regime, ge_b)
+    assert np.array_equal(steps, comps)
+    psi = _propagate(steps, dt, np.eye(4))
     assert np.array_equal(psi, single @ np.eye(4))
 
 

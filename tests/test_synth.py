@@ -201,3 +201,79 @@ class TestGridScoring:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _rugged(x):
+    # bowl with ripples: the simplex shrinks when it straddles a ripple
+    return float(np.sum(x ** 2) + 0.3 * np.sum(np.cos(40.0 * x)))
+
+
+OPTIONS = dict(fatol=1e-14, xatol=1e-12, maxiter=4000, maxfev=8000)
+
+
+class TestNelderMead:
+    """synth.minimize against scipy's Nelder-Mead, the method it ports:
+    the same options must give the same bits."""
+
+    def assert_same_as_scipy(self, fun, x0, options, ours=None):
+        from scipy.optimize import minimize as scipy_minimize
+        ours = ours or synth.minimize(fun, x0, **options)
+        ref = scipy_minimize(fun, x0, method="Nelder-Mead", options=options)
+        assert np.array_equal(ours.x, ref.x)
+        assert ours.fun == ref.fun
+        assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
+        return ours
+
+    @pytest.mark.parametrize("max_loops", [1, 3])
+    def test_synth_restarts_match_scipy(self, monkeypatch, max_loops):
+        runs = []
+        real_minimize = synth.minimize
+
+        def minimize_spy(fun, x0, **kwargs):
+            runs.append((fun, np.array(x0), kwargs, real_minimize(fun, x0, **kwargs)))
+            return runs[-1][-1]
+
+        monkeypatch.setattr(synth, "minimize", minimize_spy)
+        synthesize(random_su2(np.random.default_rng(31)), model=SPH,
+                   max_loops=max_loops, tol=1e-3, seed=4)
+        assert runs
+        for fun, x0, kwargs, ours in runs:
+            self.assert_same_as_scipy(fun, x0, kwargs, ours)
+
+    def test_rosenbrock_from_a_zero_coordinate(self):
+        res = self.assert_same_as_scipy(_rosenbrock, np.array([0.0, 1.2, -0.7, 0.0]),
+                                        OPTIONS)
+        assert res.nit < OPTIONS["maxiter"] and res.nfev < OPTIONS["maxfev"]
+        assert np.abs(res.x - 1.0).max() <= 1e-6
+
+    def test_objective_gets_a_copy(self):
+        def clobbering(x):
+            f = _rosenbrock(x)
+            x[:] = 0.0
+            return f
+
+        self.assert_same_as_scipy(clobbering, np.array([-1.2, 1.0]), OPTIONS)
+
+    def test_stops_at_maxiter(self):
+        res = self.assert_same_as_scipy(_rosenbrock, np.array([-1.2, 1.0, 0.0]),
+                                        dict(OPTIONS, maxiter=50))
+        assert res.nit == 50
+
+    def test_stops_at_maxfev_inside_a_shrink(self):
+        # scipy's per-iteration evaluation counts locate the first shrink:
+        # an iteration of n + 2 evaluations (reflect, contract, n vertices)
+        from scipy.optimize import minimize as scipy_minimize
+        x0 = np.array([0.0, 1.2, -0.7, 0.0])
+        n, calls = len(x0), []
+        marks = [n + 1]
+        scipy_minimize(lambda x: calls.append(1) or _rugged(x), x0, method="Nelder-Mead",
+                       callback=lambda xk: marks.append(len(calls)), options=OPTIONS)
+        first = int(np.flatnonzero(np.diff(marks) == n + 2)[0])
+        # the budget runs out after half of the shrink's vertex evaluations
+        maxfev = marks[first] + 2 + n // 2
+        res = self.assert_same_as_scipy(_rugged, x0, dict(OPTIONS, maxfev=maxfev))
+        assert res.nfev == maxfev and res.nit == first + 1
