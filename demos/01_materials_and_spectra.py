@@ -10,7 +10,7 @@ d0 +/- |d|.
 import numpy as np
 
 from holostark import builtin_materials, eigen_split, feasibility_report
-from holostark.stark import d_vector
+from holostark.stark import d_components
 
 print("Built-in material constants")
 print(f"{'material':>9} {'dopant':>6} {'alpha':>6} {'beta':>6} {'delta':>6} "
@@ -25,8 +25,7 @@ print("\nQuadratic regime, Ge:B at |E| = 1e6 V/m")
 for label, e in [("E || z", [0, 0, 1e6]),
                  ("E || (110)", np.array([1, 1, 0]) * 1e6 / np.sqrt(2)),
                  ("E || (111)", np.array([1, 1, 1]) * 1e6 / np.sqrt(3))]:
-    d = d_vector(e, ge, "quadratic")
-    eps_minus, eps_plus, gap = eigen_split(d)
+    eps_minus, eps_plus, gap = eigen_split(d_components(e, ge, "quadratic"))
     print(f"  {label:<12} levels ({eps_minus:+.4f}, {eps_plus:+.4f}) meV, "
           f"gap {gap:.4f} meV")
 print("  -> the quadratic splitting depends on the field direction")
@@ -34,7 +33,7 @@ print("  -> the quadratic splitting depends on the field direction")
 print("\nLinear regime, Ge:B at |E| = 1e5 V/m")
 for label, e in [("E || x", [1e5, 0, 0]),
                  ("E || (111)", np.array([1, 1, 1]) * 1e5 / np.sqrt(3))]:
-    gap = eigen_split(d_vector(e, ge, "linear"))[2]
+    gap = eigen_split(d_components(e, ge, "linear"))[2]
     print(f"  {label:<12} gap {gap:.6e} meV")
 print("  -> the linear splitting is independent of the field direction")
 

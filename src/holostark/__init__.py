@@ -23,7 +23,7 @@ from .holonomy import (FieldPath, Holonomy, basepoint_frames, eigenphase_distanc
                        linear_triangle_holonomy, make_latitude_loop,
                        make_spherical_triangle, path_from_dict, path_to_dict,
                        sampled_path, wilson_loop, zee_holonomy)
-from .stark import (DVector, FeasibilityReport, MaterialParams, builtin_materials,
-                    d_increment, eigen_split, feasibility_report, hamiltonian,
-                    load_material_table, material_lookup)
+from .stark import (FeasibilityReport, MaterialParams, builtin_materials, d_increment,
+                    eigen_split, feasibility_report, hamiltonian, load_material_table,
+                    material_lookup)
 from .synth import LoopModel, SynthesisResult, loop_holonomy, loop_product, synthesize

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid input, 3 non-convergence.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,7 +27,7 @@ from .connection import gap_norms
 from .errors import HolostarkError, InvalidInput, is_number_tree, load_json
 from .holonomy import (DEFAULT_STEPS, MIN_STEPS, eigenphases, half_spin_band,
                        load_path, path_to_dict, wilson_loop)
-from .stark import (builtin_materials, d_components, d_vector, eigen_split,
+from .stark import (_MATERIAL_CONSTANTS, builtin_materials, d_components, eigen_split,
                     feasibility_report, load_material_table, material_lookup)
 from .synth import LoopModel, synthesize
 
@@ -102,17 +103,12 @@ def _material(args):
 
 
 def _material_dict(m):
-    return {"material": m.name, "dopant": m.dopant, "alpha": m.alpha,
-            "beta": m.beta, "delta": m.delta, "chi": m.chi,
-            "rbar_angstrom": m.rbar_angstrom, "ionization_meV": m.ionization_meV}
+    return {"material": m.name, "dopant": m.dopant,
+            **{k: getattr(m, k) for k in _MATERIAL_CONSTANTS}}
 
 
 def _feasibility_dict(rep):
-    return {"gap_min_meV": rep.gap_min_meV, "gap_max_meV": rep.gap_max_meV,
-            "drive_quantum_meV": rep.drive_quantum_meV,
-            "adiabaticity_ratio": rep.adiabaticity_ratio,
-            "ionization_margin_meV": rep.ionization_margin_meV,
-            "flags": rep.flags}
+    return {**dataclasses.asdict(rep), "flags": rep.flags}
 
 
 def cmd_materials(args):
@@ -133,8 +129,8 @@ def cmd_spectrum(args):
     if e is None or e.shape != (3,) or not np.all(np.isfinite(e)):
         raise InvalidInput(f"--field needs three finite comma-separated components, "
                            f"got {args.field}")
-    gap_norms(d_components(e, m, args.regime))  # zero gap or overflow: exit 2
-    d = d_vector(e, m, args.regime)
+    d = d_components(e, m, args.regime)
+    gap_norms(d)  # zero gap or overflow: exit 2
     eps_minus, eps_plus, gap = eigen_split(d)
     with np.errstate(over="ignore"):  # feasibility_report rejects an infinite |E|
         e_mag = np.linalg.norm(e)
@@ -143,8 +139,8 @@ def cmd_spectrum(args):
         "material": _material_dict(m),
         "regime": args.regime,
         "field_V_per_m": e.tolist(),
-        "d0_meV": d.d0,
-        "d_meV": d.d.tolist(),
+        "d0_meV": float(d[0]),
+        "d_meV": d[1:].tolist(),
         "eps_minus_meV": eps_minus,
         "eps_plus_meV": eps_plus,
         "gap_meV": gap,

@@ -35,29 +35,31 @@ DEGENERACY_RTOL = 1e-9
 
 
 def projectors(d):
-    """Band projectors (P_plus, P_minus) for a DVector.
+    """Band projectors (P_plus, P_minus) for the d_components row d = (d0,
+    d1..d5) of one field point.
 
     Each is Hermitian, idempotent, rank 2, and they resolve the identity.
     Raises DegeneratePoint when |d| = 0 (gap closed, no band decomposition).
     """
-    n = d.norm
+    n = float(np.linalg.norm(d[1:]))
     if not n > 0:
         raise DegeneratePoint("zero d-vector: Kramers bands are degenerate")
-    nd = np.einsum("a,aij->ij", d.d / n, default_basis().gamma)
+    nd = np.einsum("a,aij->ij", d[1:] / n, default_basis().gamma)
     eye = np.eye(4)
     return (eye + nd) / 2, (eye - nd) / 2
 
 
 def connection_d(d):
-    """The five transport generators A_a = +(i/2d^2) d_b gamma_ab, (5, 4, 4).
+    """The five transport generators A_a = +(i/2d^2) d_b gamma_ab, (5, 4, 4),
+    at the d_components row d.
 
     Anti-Hermitian, in 1/meV.  Matches the finite-difference commutator
     [dP/d(d_a), P] built from either projector.
     """
-    n = d.norm
+    n = float(np.linalg.norm(d[1:]))
     if not n > 0:
         raise DegeneratePoint("zero d-vector: transport generator undefined")
-    return (0.5j / (n * n)) * np.einsum("b,abij->aij", d.d, default_basis().gammab)
+    return (0.5j / (n * n)) * np.einsum("b,abij->aij", d[1:], default_basis().gammab)
 
 
 def gap_norms(comps):

@@ -39,7 +39,7 @@ from ._linalg import (PAULI, blocked_product, clifford_exp, dagger, ordered_prod
 from .connection import gap_norms, projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
                      NotConstantMagnitude, is_finite_number, is_number_tree, load_json)
-from .stark import d_components, d_vector
+from .stark import d_components
 
 DEFAULT_STEPS = 20000
 MIN_STEPS = 100
@@ -173,7 +173,12 @@ def sampled_path(samples):
 
 
 def path_to_dict(path):
-    """JSON-ready description of a path (inverse of path_from_dict)."""
+    """JSON-ready description of a path (inverse of path_from_dict).
+
+    InvalidInput for a reversed path, which no description kind carries.
+    """
+    if path.backwards:
+        raise InvalidInput("a reversed path has no JSON description")
     if path.kind == "sampled":
         return {"kind": "sampled", "samples": path.samples.tolist()}
     out = {"kind": path.kind, "theta": path.theta,
@@ -254,7 +259,7 @@ def _is_plus(band):
 
 def basepoint_frames(point, regime, m):
     """Deterministic band frames (F_plus, F_minus) at one field point."""
-    pp, pm = projectors(d_vector(np.asarray(point, dtype=float), m, regime))
+    pp, pm = projectors(d_components(point, m, regime))
     return projector_frame(pp), projector_frame(pm)
 
 
@@ -300,9 +305,11 @@ def linear_stark_block_connection(path, steps=DEFAULT_STEPS):
     At constant |E| the band transport reduces to increments
     (i / 2|E|^2) sigma . (dE x E_mid); their ordered product is the
     closed-form oracle (see linear_stark_holonomy).  Material constants
-    cancel, so the increments depend on the direction history only.
+    cancel, so the increments depend on the direction history only.  The
+    points are first scaled by a power of two to |E| in [0.5, 1), which is
+    exact, so no square over- or underflows.
     """
-    pts = path.points(steps)
+    pts = np.ldexp(path.points(steps), -np.frexp(path.magnitude)[1])
     norms = np.linalg.norm(pts, axis=1)
     if norms.max() - norms.min() > 1e-9 * norms.mean():
         raise NotConstantMagnitude("path does not keep |E| constant")

@@ -82,13 +82,14 @@ class MaterialParams:
         return replace(self, beta=self.delta / math.sqrt(3.0))
 
 
+_BUILTIN = {(name, dopant): MaterialParams(name=name, dopant=dopant, ionization_meV=ion,
+                                           **_COEFFICIENTS[name])
+            for (name, dopant), ion in _IONIZATION_MEV.items()}
+
+
 def builtin_materials():
     """All built-in (material, dopant) entries."""
-    out = []
-    for (name, dopant), ion in sorted(_IONIZATION_MEV.items()):
-        out.append(MaterialParams(name=name, dopant=dopant, ionization_meV=ion,
-                                  **_COEFFICIENTS[name]))
-    return tuple(out)
+    return tuple(_BUILTIN[key] for key in sorted(_BUILTIN))
 
 
 def material_lookup(material, dopant, table=None):
@@ -98,15 +99,14 @@ def material_lookup(material, dopant, table=None):
     over the built-in entries.  Raises UnknownMaterial when the pair is in
     neither; callers must then supply constants themselves.
     """
-    if table and (material, dopant) in table:
-        return table[(material, dopant)]
     key = (material, dopant)
-    if key not in _IONIZATION_MEV:
+    if table and key in table:
+        return table[key]
+    if key not in _BUILTIN:
         raise UnknownMaterial(
             f"no constants for {material}:{dopant}; supply a user material table"
         )
-    return MaterialParams(name=material, dopant=dopant,
-                          ionization_meV=_IONIZATION_MEV[key], **_COEFFICIENTS[material])
+    return _BUILTIN[key]
 
 
 _MATERIAL_CONSTANTS = ("alpha", "beta", "delta", "chi", "rbar_angstrom", "ionization_meV")
@@ -138,33 +138,6 @@ def load_material_table(path):
     return table
 
 
-@dataclass(frozen=True)
-class DVector:
-    """Six coefficients of a Stark Hamiltonian, in meV."""
-
-    d0: float
-    d: np.ndarray  # (5,)
-    regime: str
-
-    def __post_init__(self):
-        _check_regime(self.regime)
-        d = np.ascontiguousarray(self.d, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
-        if self.regime == "linear":
-            if self.d0 != 0.0 or d[3] != 0.0 or d[4] != 0.0:
-                raise InvalidInput("linear regime requires d0 = d4 = d5 = 0")
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.d))
-
-
-def _check_regime(regime):
-    if regime not in REGIMES:
-        raise InvalidInput(f"regime must be one of {REGIMES}, got {regime!r}")
-
-
 def _quadratic_form(e, f, m):
     """Bilinear form B(e, f) (..., 6) holding the quadratic coefficients:
     d(E) = B(E, E) and d(b) - d(a) = 2 B((a+b)/2, b - a).  Mixed terms sum
@@ -186,12 +159,15 @@ def _quadratic_form(e, f, m):
 
 
 def d_components(e, m, regime):
-    """Vectorized d-vector components: e of shape (..., 3) -> (..., 6).
+    """The d-vector (d0, d1..d5) in meV: e of shape (..., 3) -> (..., 6).
 
-    Used by the transport integrators; d_vector wraps single points into
-    DVector values.  InvalidInput if d overflows float64 (field too strong).
+    d_{1..3} = p * chi * E in the linear regime (d0 = d4 = d5 = 0), B(E, E)
+    in the quadratic one.  One field point gives the row that hamiltonian,
+    eigen_split, connection.projectors and connection.connection_d take.
+    InvalidInput if d overflows float64 (field too strong).
     """
-    _check_regime(regime)
+    if regime not in REGIMES:
+        raise InvalidInput(f"regime must be one of {REGIMES}, got {regime!r}")
     e = np.asarray(e, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         if regime == "linear":
@@ -214,24 +190,19 @@ def d_increment(e, de, m, regime):
     return d_components(de, m, regime)[..., 1:]  # linear: J is constant
 
 
-def d_vector(e, m, regime):
-    """DVector of the Stark Hamiltonian at one field point e (3,): d_{1..3} =
-    p * chi * E in the linear regime, B(E, E) in the quadratic one."""
-    c = d_components(e, m, regime)
-    return DVector(d0=float(c[0]), d=c[1:], regime=regime)
-
-
 def hamiltonian(d):
-    """4x4 Hermitian Stark Hamiltonian d0*I + d_a gamma_a, in meV."""
-    h = d.d0 * np.eye(4, dtype=complex)
-    h = h + np.einsum("a,aij->ij", d.d, default_basis().gamma)
+    """4x4 Hermitian Stark Hamiltonian d0*I + d_a gamma_a, in meV, for the
+    d_components row d = (d0, d1..d5) of one field point."""
+    h = d[0] * np.eye(4, dtype=complex)
+    h = h + np.einsum("a,aij->ij", d[1:], default_basis().gamma)
     return h
 
 
 def eigen_split(d):
-    """(eps_minus, eps_plus, gap) of the Kramers doublets: d0 -/+ |d|, 2|d|."""
-    n = d.norm
-    return (d.d0 - n, d.d0 + n, 2 * n)
+    """(eps_minus, eps_plus, gap) of the Kramers doublets of the row d:
+    d0 -/+ |d|, 2|d|."""
+    d0, n = float(d[0]), float(np.linalg.norm(d[1:]))
+    return (d0 - n, d0 + n, 2 * n)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from holostark import (Drive, adiabatic_fidelity, connection_d, eigen_split,
                        hamiltonian, linear_stark_holonomy, make_spherical_triangle,
                        projectors, sampled_path, synthesize, wilson_loop, zee_holonomy)
 from holostark.cli import main as cli_main
-from holostark.stark import DVector, d_vector
+from holostark.stark import d_components
 from holostark.synth import LoopModel
 
 from util import random_su2, random_unit
@@ -65,8 +65,7 @@ def test_criterion_02_algebra_suite(spin, basis, acc_rng):
 def test_criterion_03_projector_connection_suite(acc_rng):
     worst_proj = worst_fd = worst_radial = worst_homog = 0.0
     for _ in range(100):
-        d = DVector(d0=float(acc_rng.normal()), d=acc_rng.normal(size=5),
-                    regime="quadratic")
+        d = np.concatenate([[acc_rng.normal()], acc_rng.normal(size=5)])
         pp, pm = projectors(d)
         worst_proj = max(worst_proj,
                          np.abs(pp @ pp - pp).max(),
@@ -75,19 +74,19 @@ def test_criterion_03_projector_connection_suite(acc_rng):
                          np.abs(pp @ pm).max(),
                          abs(np.trace(pp) - 2.0))
         aa = connection_d(d)
-        h = 1e-5 * d.norm
+        h = 1e-5 * np.linalg.norm(d[1:])
         for a in range(5):
-            step = np.zeros(5)
-            step[a] = h
-            p_hi = projectors(DVector(d0=d.d0, d=d.d + step, regime="quadratic"))[0]
-            p_lo = projectors(DVector(d0=d.d0, d=d.d - step, regime="quadratic"))[0]
+            step = np.zeros(6)
+            step[1 + a] = h
+            p_hi = projectors(d + step)[0]
+            p_lo = projectors(d - step)[0]
             dp = (p_hi - p_lo) / (2 * h)
             p0 = projectors(d)[0]
             worst_fd = max(worst_fd, np.abs(dp @ p0 - p0 @ dp - aa[a]).max())
         worst_radial = max(worst_radial, np.abs(
-            np.einsum("a,aij->ij", d.d / d.norm, aa)).max())
+            np.einsum("a,aij->ij", d[1:] / np.linalg.norm(d[1:]), aa)).max())
         lam = float(acc_rng.uniform(0.2, 5.0))
-        scaled = connection_d(DVector(d0=d.d0, d=lam * d.d, regime="quadratic"))
+        scaled = connection_d(np.concatenate([d[:1], lam * d[1:]]))
         worst_homog = max(worst_homog, np.abs(scaled - aa / lam).max())
     ok = (worst_proj <= 1e-12 and worst_fd <= 1e-8
           and worst_radial <= 1e-12 and worst_homog <= 1e-10)
@@ -100,15 +99,15 @@ def test_criterion_04_kramers_degeneracy(ge_b, acc_rng):
     worst = 0.0
     for regime, scale in (("linear", 1e5), ("quadratic", 1e6)):
         for _ in range(100):
-            d = d_vector(acc_rng.normal(size=3) * scale, ge_b, regime)
+            d = d_components(acc_rng.normal(size=3) * scale, ge_b, regime)
             w = np.linalg.eigvalsh(hamiltonian(d))
             worst = max(worst, w[1] - w[0], w[3] - w[2])
     report(4, "Kramers pairing <= 1e-10 meV", worst <= 1e-10, f"worst {worst:.2e}")
 
 
 def test_criterion_05_linear_direction_and_scale_invariance(ge_b, acc_rng):
-    gaps = np.array([eigen_split(d_vector(random_unit(acc_rng, 3) * 3e5, ge_b,
-                                          "linear"))[2]
+    gaps = np.array([eigen_split(d_components(random_unit(acc_rng, 3) * 3e5, ge_b,
+                                              "linear"))[2]
                      for _ in range(100)])
     rel_spread = (gaps.max() - gaps.min()) / gaps.mean()
     small = wilson_loop(make_spherical_triangle(0.8, 1.2, 1e5), "linear", ge_b,

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holostark import (eigenphases, make_spherical_triangle, material_lookup,
-                       wilson_loop, zee_holonomy)
+from holostark import (eigen_split, eigenphases, make_spherical_triangle,
+                       material_lookup, wilson_loop, zee_holonomy)
 from holostark import cli
 from holostark.cli import main
+from holostark.stark import d_components
 
 
 def _reject_constant(name):
@@ -92,6 +93,19 @@ class TestSpectrum:
         assert code == 0
         expected = 2 * (34.4e-10 * 1e5 * 1e3 * 1e-2)
         assert rec["results"]["gap_meV"] == pytest.approx(expected, rel=1e-12)
+
+    def test_record_is_the_components_row(self, capsys):
+        field = "3.1e5,-7.7e5,2.3e5"
+        e = [float(x) for x in field.split(",")]
+        for regime in ("linear", "quadratic"):
+            code, rec = run_cli(capsys, "spectrum", "--material", "Si", "--dopant", "Ga",
+                                "--regime", regime, "--field", field)
+            assert code == 0
+            res = rec["results"]
+            d = d_components(e, material_lookup("Si", "Ga"), regime)
+            assert res["d0_meV"] == d[0] and res["d_meV"] == d[1:].tolist()
+            levels = (res["eps_minus_meV"], res["eps_plus_meV"], res["gap_meV"])
+            assert levels == eigen_split(d)
 
     def test_zero_field_exits_2(self, capsys):
         code, _ = run_cli(capsys, "spectrum", "--material", "Ge", "--dopant", "B",

@@ -7,7 +7,7 @@ from holostark import (Drive, InvalidInput, adiabatic_fidelity, evolve,
                        hamiltonian, linear_stark_holonomy, make_latitude_loop,
                        make_spherical_triangle, sampled_path)
 from holostark.connection import transport_exponents
-from holostark.stark import d_vector
+from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
 
 from util import expm_antiherm, unitarize
@@ -35,7 +35,7 @@ class TestEvolve:
         drive = Drive(path=static_path(), total_time=t, time_steps=200)
         psi0 = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
         out = evolve(drive, "quadratic", ge_b, psi0)
-        h = hamiltonian(d_vector([0, 0, 1e6], ge_b, "quadratic"))
+        h = hamiltonian(d_components([0, 0, 1e6], ge_b, "quadratic"))
         w, v = np.linalg.eigh(h)
         expected = v @ (np.exp(-1j * w * t / HBAR_MEV_S) * (v.conj().T @ psi0))
         assert np.abs(out - expected).max() <= 1e-10
@@ -59,7 +59,7 @@ class TestEvolve:
             evolve(drive, "quadratic", ge_b, np.array([1.0, 1.0, 0, 0]))
 
     def test_eigenstate_stays_in_band_when_slow(self, ge_spherical):
-        h = hamiltonian(d_vector([0, 0, 1e6], ge_spherical, "quadratic"))
+        h = hamiltonian(d_components([0, 0, 1e6], ge_spherical, "quadratic"))
         w, v = np.linalg.eigh(h)
         psi0 = v[:, 0]  # lower band
         drive = Drive(path=OCTANT, total_time=2e-9, time_steps=20000)

@@ -9,7 +9,7 @@ from holostark import (DegeneratePoint, InvalidAngle, InvalidInput,
                        linear_triangle_holonomy, make_latitude_loop,
                        make_spherical_triangle, path_from_dict, path_to_dict,
                        projectors, sampled_path, wilson_loop, zee_holonomy)
-from holostark.stark import d_vector
+from holostark.stark import d_components
 
 OCTANT = (np.pi / 2, np.pi / 2)
 
@@ -87,6 +87,14 @@ class TestPaths:
         path = octant_path()
         assert np.allclose(path.reverse().points(500), path.points(500)[::-1])
 
+    def test_reversed_path_has_no_dict(self):
+        # no description kind carries a direction: a dict would be the
+        # forward loop, which path_from_dict cannot tell apart
+        path = make_spherical_triangle(1.0, 0.7, 1e6)
+        with pytest.raises(InvalidInput):
+            path_to_dict(path.reverse())
+        assert path_to_dict(path.reverse().reverse()) == path_to_dict(path)
+
 
 class TestWilsonLoop:
     def test_constant_path_is_identity(self, ge_b):
@@ -110,7 +118,7 @@ class TestWilsonLoop:
         # commutation with the basepoint projectors and off-band leakage are
         # bounded by the integration tolerance (the step-refinement defect)
         conv_defect = np.abs(coarse.full - hol.full).max()
-        d = d_vector(hol.basepoint, ge_spherical, "quadratic")
+        d = d_components(hol.basepoint, ge_spherical, "quadratic")
         for p in projectors(d):
             assert np.abs(hol.full @ p - p @ hol.full).max() <= 10 * conv_defect
         off = hol.frame_plus.conj().T @ hol.full @ hol.frame_minus
@@ -223,6 +231,13 @@ class TestLinearOracle:
         assert inc.shape[1:] == (2, 2)
         assert abs(inc.shape[0] - 500) <= 2  # arc-length allocation rounds
         assert np.abs(inc + np.conj(np.swapaxes(inc, 1, 2))).max() <= 1e-15
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 1e-160, 1e160, 1e308])
+    def test_scale_free(self, magnitude):
+        # the increments are homogeneous of degree 0 in E: no square of a
+        # raw field may over- or underflow
+        u = linear_stark_holonomy(octant_path(magnitude), steps=400)
+        assert np.abs(u - linear_stark_holonomy(octant_path(), steps=400)).max() <= 1e-14
 
     def test_requires_constant_magnitude(self):
         samples = np.array([[0, 0, 1e6], [1.5e6, 0, 0], [0, 0, 1e6]])

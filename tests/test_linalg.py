@@ -118,16 +118,17 @@ def test_degeneracy_check_spans_blocks(ge_b):
 
 
 def test_wilson_loop_evaluates_d_once_per_midpoint(ge_b, monkeypatch):
-    # the blocks reuse the components of the global gap check
+    # the blocks reuse the components of the global gap check; the one more
+    # point is the basepoint of the band frames
     from holostark import connection, holonomy
-    rows = []
+    points = []
     for module in (connection, holonomy):
         original = module.d_components
         monkeypatch.setattr(module, "d_components", lambda e, m, regime, f=original:
-                            rows.append(len(e)) or f(e, m, regime))
+                            points.append(np.size(e) // 3) or f(e, m, regime))
     hol = wilson_loop(make_spherical_triangle(0.7, 1.1, 1e6), "quadratic", ge_b,
                       3 * BLOCK)
-    assert sum(rows) == hol.steps
+    assert sum(points) == hol.steps + 1
 
 
 def _peak_mb(fn):

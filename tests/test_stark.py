@@ -7,7 +7,7 @@ from holostark import (FeasibilityReport, InvalidInput, MaterialParams, UnknownM
                        builtin_materials, d_increment, eigen_split,
                        feasibility_report, hamiltonian, load_material_table,
                        material_lookup)
-from holostark.stark import DVector, d_components, d_vector
+from holostark.stark import d_components
 
 from util import (isotropic_check, linear_hamiltonian_direct,
                   quadratic_hamiltonian_direct, random_unit)
@@ -62,90 +62,90 @@ class TestMaterials:
 
 class TestDLinear:
     def test_hand_value(self, ge_b):
-        d = d_vector([1e5, 0.0, 0.0], ge_b, "linear")
+        d = d_components([1e5, 0.0, 0.0], ge_b, "linear")
         # 91 Angstrom * 1e5 V/m -> 0.91 meV dipole energy, times chi
-        assert d.d[0] == pytest.approx(6.37e-4, rel=1e-12)
-        assert d.d[1] == 0.0 and d.d[2] == 0.0
-        assert d.d0 == 0.0 and d.d[3] == 0.0 and d.d[4] == 0.0
+        assert d[1] == pytest.approx(6.37e-4, rel=1e-12)
+        assert d[2] == 0.0 and d[3] == 0.0
+        assert d[0] == 0.0 and d[4] == 0.0 and d[5] == 0.0
 
     def test_zero_field(self, ge_b):
-        d = d_vector([0.0, 0.0, 0.0], ge_b, "linear")
-        assert d.norm == 0.0 and d.d0 == 0.0
+        d = d_components([0.0, 0.0, 0.0], ge_b, "linear")
+        assert np.linalg.norm(d[1:]) == 0.0 and d[0] == 0.0
 
     def test_direction_independent_gap(self, ge_b, rng):
         e_mag = 2.5e5
         gaps = []
         for _ in range(100):
-            d = d_vector(random_unit(rng, 3) * e_mag, ge_b, "linear")
+            d = d_components(random_unit(rng, 3) * e_mag, ge_b, "linear")
             gaps.append(eigen_split(d)[2])
         gaps = np.array(gaps)
         assert (gaps.max() - gaps.min()) / gaps.mean() <= 1e-12
 
     def test_axis_matches_body_diagonal(self, ge_b):
-        g1 = eigen_split(d_vector([1e5, 0, 0], ge_b, "linear"))[2]
+        g1 = eigen_split(d_components([1e5, 0, 0], ge_b, "linear"))[2]
         e = np.array([1, 1, 1]) * 1e5 / np.sqrt(3)
-        g2 = eigen_split(d_vector(e, ge_b, "linear"))[2]
+        g2 = eigen_split(d_components(e, ge_b, "linear"))[2]
         assert g1 == pytest.approx(g2, rel=1e-14)
 
 
 class TestDQuadratic:
     def test_hand_values_along_z(self, ge_b):
-        d = d_vector([0.0, 0.0, 1e6], ge_b, "quadratic")
+        d = d_components([0.0, 0.0, 1e6], ge_b, "quadratic")
         # p0 E = 9.1 meV; prefactor -(9.1^2)/10.4 = -7.9625 meV
-        assert d.d0 == pytest.approx(-7.9625, rel=1e-12)
-        assert np.allclose(d.d[:4], 0.0, atol=0)
-        assert d.d[4] == pytest.approx(2.38875, rel=1e-12)
+        assert d[0] == pytest.approx(-7.9625, rel=1e-12)
+        assert np.allclose(d[1:5], 0.0, atol=0)
+        assert d[5] == pytest.approx(2.38875, rel=1e-12)
         eps_minus, eps_plus, gap = eigen_split(d)
         assert eps_minus == pytest.approx(-10.35125, rel=1e-12)
         assert eps_plus == pytest.approx(-5.57375, rel=1e-12)
         assert gap == pytest.approx(4.7775, rel=1e-12)
 
     def test_zero_field(self, ge_b):
-        d = d_vector([0.0, 0.0, 0.0], ge_b, "quadratic")
-        assert d.norm == 0.0 and d.d0 == 0.0
+        d = d_components([0.0, 0.0, 0.0], ge_b, "quadratic")
+        assert np.linalg.norm(d[1:]) == 0.0 and d[0] == 0.0
 
     def test_equal_component_symmetry(self, ge_b):
-        d = d_vector(np.array([1.0, 1.0, 0.0]) * 1e6 / np.sqrt(2), ge_b, "quadratic")
-        assert d.d[3] == 0.0  # Ex^2 = Ey^2
-        assert d.d[2] != 0.0  # ExEy term survives
+        d = d_components(np.array([1.0, 1.0, 0.0]) * 1e6 / np.sqrt(2), ge_b, "quadratic")
+        assert d[4] == 0.0  # Ex^2 = Ey^2
+        assert d[3] != 0.0  # ExEy term survives
 
 
 class TestHamiltonian:
     def test_zero_d(self):
-        d = DVector(d0=0.0, d=np.zeros(5), regime="quadratic")
+        d = np.zeros(6)
         assert np.abs(hamiltonian(d)).max() == 0.0
 
     def test_gamma5_only(self):
-        d = DVector(d0=0.0, d=np.array([0, 0, 0, 0, 1.7]), regime="quadratic")
+        d = np.array([0, 0, 0, 0, 0, 1.7])
         h = hamiltonian(d)
         assert np.allclose(np.linalg.eigvalsh(h), [-1.7, -1.7, 1.7, 1.7], atol=1e-13)
 
     def test_hermitian(self, ge_b, rng):
         for _ in range(20):
-            h = hamiltonian(d_vector(rng.normal(size=3) * 1e6, ge_b, "quadratic"))
+            h = hamiltonian(d_components(rng.normal(size=3) * 1e6, ge_b, "quadratic"))
             assert np.abs(h - h.conj().T).max() <= 1e-13
 
     def test_quadratic_matches_direct_construction(self, spin, ge_b, rng):
         for _ in range(50):
             e = rng.normal(size=3) * 1e6
-            h = hamiltonian(d_vector(e, ge_b, "quadratic"))
+            h = hamiltonian(d_components(e, ge_b, "quadratic"))
             assert np.abs(h - quadratic_hamiltonian_direct(e, ge_b, spin)).max() <= 1e-10
 
     def test_linear_matches_direct_construction(self, spin, ge_b, rng):
         for _ in range(50):
             e = rng.normal(size=3) * 1e5
-            h = hamiltonian(d_vector(e, ge_b, "linear"))
+            h = hamiltonian(d_components(e, ge_b, "linear"))
             assert np.abs(h - linear_hamiltonian_direct(e, ge_b, spin)).max() <= 1e-10
 
     def test_eigen_split_matches_diagonalization(self, ge_b, rng):
         for _ in range(50):
-            d = d_vector(rng.normal(size=3) * 1e6, ge_b, "quadratic")
+            d = d_components(rng.normal(size=3) * 1e6, ge_b, "quadratic")
             eps_minus, eps_plus, _ = eigen_split(d)
             w = np.linalg.eigvalsh(hamiltonian(d))
             assert np.abs(w - [eps_minus, eps_minus, eps_plus, eps_plus]).max() <= 1e-10
 
     def test_ge_b_quadratic_levels(self, ge_b):
-        h = hamiltonian(d_vector([0, 0, 1e6], ge_b, "quadratic"))
+        h = hamiltonian(d_components([0, 0, 1e6], ge_b, "quadratic"))
         w = np.linalg.eigvalsh(h)
         assert np.allclose(w, [-10.35125, -10.35125, -5.57375, -5.57375], atol=1e-10)
 
@@ -154,7 +154,7 @@ class TestKramers:
     @pytest.mark.parametrize("regime", ["linear", "quadratic"])
     def test_double_degeneracy(self, ge_b, rng, regime):
         for _ in range(100):
-            d = d_vector(rng.normal(size=3) * 1e6, ge_b, regime)
+            d = d_components(rng.normal(size=3) * 1e6, ge_b, regime)
             w = np.linalg.eigvalsh(hamiltonian(d))
             assert w[1] - w[0] <= 1e-10
             assert w[3] - w[2] <= 1e-10
@@ -287,10 +287,10 @@ class TestJacobian:
             assert rel.max() <= 1e-15
 
 
-def test_linear_dvector_invariant_enforced():
+def test_linear_dvector_invariant_enforced(ge_b, rng):
+    # linear rows carry d1..d3 only; an unknown regime is rejected
+    d = d_components(rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-3, 8, (200, 1)),
+                     ge_b, "linear")
+    assert np.all(d[:, [0, 4, 5]] == 0.0) and np.all(d[:, 1:4] != 0.0)
     with pytest.raises(InvalidInput):
-        DVector(d0=1.0, d=np.array([1, 0, 0, 0, 0.0]), regime="linear")
-    with pytest.raises(InvalidInput):
-        DVector(d0=0.0, d=np.array([1, 0, 0, 0, 2.0]), regime="linear")
-    with pytest.raises(InvalidInput):
-        DVector(d0=0.0, d=np.zeros(5), regime="mixed")
+        d_components([1e5, 0.0, 0.0], ge_b, "mixed")
