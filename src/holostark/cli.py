@@ -1,12 +1,12 @@
 """Command-line interface with reproducible structured output.
 
-Subcommands: materials, spectrum, holonomy, verify-adiabatic, synth.  Every
-run emits one JSON record (stdout, optionally a file) echoing the command,
-input digests, seed and all numeric results.  Records are strict JSON (RFC
-8259): a figure without a value is null, never NaN or Infinity.  Identical
-inputs and seed reproduce all numeric fields bit-for-bit (floats are
-serialized in shortest round-trip form; the timestamp is the only field that
-varies).
+Subcommands: materials, spectrum, holonomy, verify-adiabatic, synth.  Each
+cmd_* returns (results, inputs, converged); main alone prints the one JSON
+record (and writes it with --out), echoing the command, the sha256 and raw
+text of the input bytes parsed, the seed and all numeric results.  Records
+are strict JSON (RFC 8259): a figure without a value is null, never NaN or
+Infinity.  Identical inputs and seed reproduce all numeric fields
+bit-for-bit (floats in shortest round-trip form; only the timestamp varies).
 
 Exit codes: 0 success, 2 invalid input, 3 non-convergence.
 """
@@ -24,11 +24,11 @@ import numpy as np
 from . import __version__
 from .dynamics import Drive, adiabatic_fidelity
 from .connection import gap_norms
-from .errors import HolostarkError, InvalidInput, is_number_tree, load_json
+from .errors import HolostarkError, InvalidInput, _parse_json, is_number_tree
 from .holonomy import (DEFAULT_STEPS, MIN_STEPS, eigenphases, half_spin_band,
-                       load_path, path_to_dict, wilson_loop)
-from .stark import (_MATERIAL_CONSTANTS, builtin_materials, d_components, eigen_split,
-                    feasibility_report, load_material_table, material_lookup)
+                       path_from_dict, path_to_dict, wilson_loop)
+from .stark import (_MATERIAL_CONSTANTS, REGIMES, builtin_materials, d_components,
+                    eigen_split, feasibility_report, load_material_table, material_lookup)
 from .synth import LoopModel, synthesize
 
 EXIT_OK = 0
@@ -59,45 +59,27 @@ def _parse_complex_matrix(desc):
     return pairs.view(complex)[..., 0]  # (re, im) pairs as complex128
 
 
-def _file_record(path):
+def _read_input(path):
+    """The parsed JSON of a path or target file, and the record of the same
+    bytes: their sha256 and raw text."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return {"sha256": hashlib.sha256(raw).hexdigest(),
-            "raw": raw.decode("utf-8")}
-
-
-def _record(args, results, seed=None, inputs=None):
-    return {
-        "command": [args._prog] + args._argv,
-        "tool_version": __version__,
-        "seed": seed,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "inputs": inputs or {},
-        "results": results,
-    }
-
-
-def _emit(record, out=None):
-    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    return _parse_json(path, raw), {"sha256": hashlib.sha256(raw).hexdigest(),
+                                    "raw": raw.decode("utf-8")}
 
 
 def _material_table(args):
-    table = {}
-    env_path = os.environ.get(MATERIALS_ENV)
-    if env_path:
-        table.update(load_material_table(env_path))
-    if getattr(args, "materials", None):
-        table.update(load_material_table(args.materials))
+    """The built-ins, overridden by $STARK_MATERIALS_PATH, then by --materials."""
+    table = {(m.name, m.dopant): m for m in builtin_materials()}
+    for path in (os.environ.get(MATERIALS_ENV), args.materials):
+        if path:
+            table.update(load_material_table(path))
     return table
 
 
 def _material(args):
     m = material_lookup(args.material, args.dopant, table=_material_table(args))
-    if getattr(args, "spherical", False):
+    if args.spherical:
         m = m.spherical()
     return m
 
@@ -107,17 +89,9 @@ def _material_dict(m):
             **{k: getattr(m, k) for k in _MATERIAL_CONSTANTS}}
 
 
-def _feasibility_dict(rep):
-    return {**dataclasses.asdict(rep), "flags": rep.flags}
-
-
 def cmd_materials(args):
     table = _material_table(args)
-    entries = {(m.name, m.dopant): m for m in builtin_materials()}
-    entries.update(table)
-    listing = [_material_dict(entries[k]) for k in sorted(entries)]
-    _emit(_record(args, {"materials": listing}), getattr(args, "out", None))
-    return EXIT_OK
+    return {"materials": [_material_dict(table[k]) for k in sorted(table)]}, {}, True
 
 
 def cmd_spectrum(args):
@@ -144,10 +118,9 @@ def cmd_spectrum(args):
         "eps_minus_meV": eps_minus,
         "eps_plus_meV": eps_plus,
         "gap_meV": gap,
-        "feasibility": _feasibility_dict(rep),
+        "feasibility": {**dataclasses.asdict(rep), "flags": rep.flags},
     }
-    _emit(_record(args, results), getattr(args, "out", None))
-    return EXIT_OK
+    return results, {}, True
 
 
 def _holonomy_results(hol):
@@ -190,7 +163,8 @@ def cmd_holonomy(args):
     """
     _check_tolerance("--defect-tol", args.defect_tol)
     m = _material(args)
-    path = load_path(args.path)
+    desc, path_file = _read_input(args.path)
+    path = path_from_dict(desc)
     n = args.steps
     hol = wilson_loop(path, args.regime, m, steps=n)
     half = wilson_loop(path, args.regime, m, steps=max(n // 2, MIN_STEPS))
@@ -213,14 +187,13 @@ def cmd_holonomy(args):
         "converged": converged,
         "path": path_to_dict(path),
     })
-    record = _record(args, results, inputs={"path_file": _file_record(args.path)})
-    _emit(record, args.out)
-    return EXIT_OK if converged else EXIT_NOT_CONVERGED
+    return results, {"path_file": path_file}, converged
 
 
 def cmd_verify_adiabatic(args):
     m = _material(args)
-    path = load_path(args.path)
+    desc, path_file = _read_input(args.path)
+    path = path_from_dict(desc)
     drive = Drive(path=path, total_time=args.total_time, time_steps=args.time_steps)
     band = args.band or half_spin_band(m)
     out = adiabatic_fidelity(drive, args.regime, m, band=band,
@@ -235,9 +208,7 @@ def cmd_verify_adiabatic(args):
         "time_steps": out.time_steps,
         "path": path_to_dict(path),
     }
-    record = _record(args, results, inputs={"path_file": _file_record(args.path)})
-    _emit(record, args.out)
-    return EXIT_OK
+    return results, {"path_file": path_file}, True
 
 
 def _synth_model(args):
@@ -253,7 +224,8 @@ def cmd_synth(args):
     _check_tolerance("--tol", args.tol)
     if args.seed < 0:
         raise InvalidInput(f"--seed must be an integer >= 0, got {args.seed}")
-    target = _parse_complex_matrix(load_json(args.target))
+    desc, target_file = _read_input(args.target)
+    target = _parse_complex_matrix(desc)
     result = synthesize(target, model=_synth_model(args),
                         max_loops=args.max_loops, tol=args.tol, seed=args.seed)
     results = {
@@ -266,10 +238,7 @@ def cmd_synth(args):
         "max_loops": args.max_loops,
         "tol": args.tol,
     }
-    record = _record(args, results, seed=args.seed,
-                     inputs={"target_file": _file_record(args.target)})
-    _emit(record, args.out)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return results, {"target_file": target_file}, result.converged
 
 
 def _add_material_args(p):
@@ -281,8 +250,13 @@ def _add_material_args(p):
                    help="impose beta = delta/sqrt(3) (idealized isotropic model)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is one line, exit 2
+        raise InvalidInput(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holostark",
         description="Holonomies of acceptor-bound holes under rotated electric fields")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -296,7 +270,7 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="d-vector, levels, gap, feasibility")
     _add_material_args(p)
-    p.add_argument("--regime", choices=["linear", "quadratic"], required=True)
+    p.add_argument("--regime", choices=REGIMES, required=True)
     p.add_argument("--field", required=True, help='"Ex,Ey,Ez" in V/m')
     p.add_argument("--rotation-freq", type=float, default=2020.0,
                    help="field rotation frequency in Hz for the feasibility block")
@@ -306,7 +280,7 @@ def build_parser():
     p = sub.add_parser("holonomy", help="Wilson loop over a path file")
     _add_material_args(p)
     p.add_argument("--path", required=True, help="path description (JSON)")
-    p.add_argument("--regime", choices=["linear", "quadratic"], required=True)
+    p.add_argument("--regime", choices=REGIMES, required=True)
     p.add_argument("--band", choices=["plus", "minus"], default="plus")
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--defect-tol", type=float, default=1e-6,
@@ -321,7 +295,7 @@ def build_parser():
                        help="Schrodinger propagation vs Wilson loop")
     _add_material_args(p)
     p.add_argument("--path", required=True)
-    p.add_argument("--regime", choices=["linear", "quadratic"], required=True)
+    p.add_argument("--regime", choices=REGIMES, required=True)
     p.add_argument("--band", choices=["plus", "minus"])
     p.add_argument("--T", dest="total_time", type=float, required=True,
                    help="drive duration in seconds")
@@ -352,12 +326,16 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    args._argv = argv
-    args._prog = parser.prog
-    try:
-        return args.func(args)
+        results, inputs, converged = args.func(args)
+        record = {"command": [parser.prog] + argv, "tool_version": __version__,
+                  "seed": getattr(args, "seed", None), "inputs": inputs,
+                  "timestamp": datetime.now(timezone.utc).isoformat(), "results": results}
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        print(text)
+        return EXIT_OK if converged else EXIT_NOT_CONVERGED
     except (HolostarkError, OSError, KeyError, ValueError) as exc:
         flag = _FLAGS.get(getattr(exc, "argument", None))
         print(f"error: {flag}: {exc}" if flag else f"error: {exc}", file=sys.stderr)

@@ -65,14 +65,30 @@ def connection_d(d):
 def gap_norms(comps):
     """|d| per row of d_components output; DegeneratePoint if the gap closes
     (|d| not above DEGENERACY_RTOL times the largest |d|), InvalidInput if
-    |d| overflows float64."""
+    |d| overflows float64 or underflows at a nonzero d."""
+    return _gap_norms(comps, transport=False)
+
+
+def _too_weak(n):
+    """True when the transport scale 0.5/|d|^2 at |d| = n overflows float64."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return not 0.5 / (n * n) < np.inf
+
+
+def _gap_norms(comps, transport=True):
+    """gap_norms; for the transport also InvalidInput where 0.5/|d|^2 overflows."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(comps[..., 1:], axis=-1)
     if not np.all(np.isfinite(norms)):
         raise InvalidInput("field too strong for float64: |d| overflows")
-    if not norms.min() > DEGENERACY_RTOL * norms.max():
-        raise DegeneratePoint("gap closes: |d| vanishes at a field point")
-    return norms
+    low, high = norms.min(), norms.max()
+    gap_open = low > DEGENERACY_RTOL * high
+    if gap_open and not (transport and _too_weak(low)):
+        return norms
+    # an open gap failed on 0.5/|d|^2; a closed one is underflow unless d = 0
+    if gap_open or (_too_weak(high) and np.any(comps[..., 1:])):
+        raise InvalidInput("field too weak for float64: |d|^2 underflows")
+    raise DegeneratePoint("gap closes: |d| vanishes at a field point")
 
 
 def transport_exponents(points, regime, m, comps=None):
@@ -83,14 +99,14 @@ def transport_exponents(points, regime, m, comps=None):
     (stark.d_increment); scaled by 0.5/|d|^2, its real bivectors with d are
     contracted with i gammab in one real matmul (algebra._contract).
     ``comps`` are the midpoints' d_components when the caller already has
-    them.  Raises DegeneratePoint if the gap closes along the way (see
-    gap_norms).
+    them.  Raises DegeneratePoint if the gap closes along the way, and
+    InvalidInput if |d| overflows float64 or 0.5/|d|^2 does (see gap_norms).
     """
     points = np.asarray(points, dtype=float)
     mids = 0.5 * points[1:] + 0.5 * points[:-1]
     if comps is None:
         comps = d_components(mids, m, regime)
-    norms = gap_norms(comps)
+    norms = _gap_norms(comps)
     jde = (0.5 / (norms * norms))[:, None] * d_increment(
         mids, points[1:] - points[:-1], m, regime)
     return _contract((jde[:, :, None] * comps[:, None, 1:]).reshape(-1, 25), "gammab", 1j)

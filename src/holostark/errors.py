@@ -1,6 +1,7 @@
 """Exception types shared across the package, the JSON file reader, and
 the number checks that guard its JSON inputs."""
 
+import io
 import json
 import sys
 
@@ -71,10 +72,15 @@ def is_number_tree(value):
 def load_json(path):
     """Parse a JSON file; text that does not parse (bad syntax, not UTF-8,
     nesting too deep for the parser) is invalid input naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise InvalidInput(f"{path}: JSON nested too deeply to parse") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidInput(f"{path}: {exc}") from None
+    with open(path, "rb") as fh:
+        return _parse_json(path, fh.read())
+
+
+def _parse_json(path, raw):
+    """The JSON of ``raw``, the bytes of ``path``, read as a UTF-8 text file."""
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except RecursionError:
+        raise InvalidInput(f"{path}: JSON nested too deeply to parse") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"{path}: {exc}") from None

@@ -36,9 +36,9 @@ import numpy as np
 
 from ._linalg import (PAULI, blocked_product, clifford_exp, dagger, ordered_product,
                       projector_frame, require_unitary, unitarity_defect)
-from .connection import gap_norms, projectors, transport_exponents
+from .connection import _gap_norms, projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
-                     NotConstantMagnitude, is_finite_number, is_number_tree, load_json)
+                     NotConstantMagnitude, is_finite_number, is_number_tree)
 from .stark import d_components
 
 DEFAULT_STEPS = 20000
@@ -222,10 +222,6 @@ def path_from_dict(desc):
     return sampled_path(desc["samples"])
 
 
-def load_path(path_file):
-    return path_from_dict(load_json(path_file))
-
-
 @dataclass(frozen=True)
 class Holonomy:
     """Transport result of one closed loop.
@@ -280,7 +276,7 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     if gap > CLOSURE_RTOL * path.magnitude:
         raise NotClosed(f"path endpoints differ by {gap:.3e}")
     comps = d_components(0.5 * pts[1:] + 0.5 * pts[:-1], m, regime)
-    gap_norms(comps)
+    _gap_norms(comps)
     full = blocked_product(len(pts) - 1, lambda lo, hi: transport_exponents(
         pts[lo:hi + 1], regime, m, comps=comps[lo:hi]))
     fp, fm = basepoint_frames(pts[0], regime, m)

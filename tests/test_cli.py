@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -319,7 +321,7 @@ class TestHolonomy:
         if compared is None:
             assert res["convergence_defect"] == 0.0
         else:
-            path = cli.load_path(str(f))
+            path = cli.path_from_dict(json.loads(f.read_text()))
             m = material_lookup("Ge", "B").spherical()
             runs = [wilson_loop(path, "quadratic", m, steps=n) for n in (steps, compared)]
             assert sorted(run.steps for run in runs) == [999, 1998]
@@ -585,3 +587,126 @@ def test_output_file_written(capsys, tmp_path):
     assert code == 0
     on_disk = json.loads(out.read_text())
     assert on_disk == rec
+
+
+def _write_crlf_json(path, obj):
+    # indented, with CRLF line ends: the echoed raw text must be these bytes,
+    # not a re-serialization or a newline-translated reading of them
+    path.write_bytes(json.dumps(obj, indent=1).replace("\n", "\r\n").encode("utf-8"))
+    return str(path)
+
+
+def _command(tmp_path, name):
+    """argv for one run of each subcommand, and the input files it reads:
+    {record key: file} for path and target files, [file] for tables."""
+    table = _write_crlf_json(tmp_path / "table.json", [GAAS_BE])
+    path = _write_crlf_json(tmp_path / "octant.json", {
+        "kind": "spherical_triangle", "theta": np.pi / 2, "phi": np.pi / 2,
+        "magnitude_V_per_m": 1e6})
+    target = _write_crlf_json(tmp_path / "target.json", {
+        "matrix": [[[v.real, v.imag] for v in row] for row in zee_holonomy(0.9, 1.3)]})
+    return {
+        "materials": (["materials", "list", "--materials", table], {}, [table]),
+        "spectrum": (["spectrum", "--material", "GaAs", "--dopant", "Be", "--materials",
+                      table, "--regime", "linear", "--field", "1e5,2e5,0"], {}, [table]),
+        "holonomy": (["holonomy", "--path", path, "--regime", "quadratic", "--spherical",
+                      "--steps", "400", "--defect-tol", "1.0"], {"path_file": path}, []),
+        "verify-adiabatic": (["verify-adiabatic", "--path", path, "--regime",
+                              "quadratic", "--spherical", "--T", "1e-9", "--time-steps",
+                              "400", "--wl-steps", "200"], {"path_file": path}, []),
+        "synth": (["synth", "--target", target, "--max-loops", "1", "--seed", "7"],
+                  {"target_file": target}, []),
+    }[name]
+
+
+COMMANDS = ["materials", "spectrum", "holonomy", "verify-adiabatic", "synth"]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_every_record_reproducible(capsys, tmp_path, name):
+    argv, _, _ = _command(tmp_path, name)
+    code1, rec1 = run_cli(capsys, *argv)
+    code2, rec2 = run_cli(capsys, *argv)
+    assert code1 == code2 == 0
+    rec1.pop("timestamp")
+    rec2.pop("timestamp")
+    assert rec1 == rec2
+    assert rec1["command"] == ["holostark"] + argv
+    assert rec1["seed"] == (7 if name == "synth" else None)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_record_echoes_the_bytes_read_once(capsys, tmp_path, monkeypatch, name):
+    argv, echoed, tables = _command(tmp_path, name)
+    real_open, opened = builtins.open, []
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    code, rec = run_cli(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 0
+    for f in list(echoed.values()) + tables:
+        assert opened.count(f) == 1
+    assert set(rec["inputs"]) == set(echoed)
+    for key, f in echoed.items():
+        raw = Path(f).read_bytes()
+        assert b"\r\n" in raw
+        assert rec["inputs"][key] == {"sha256": hashlib.sha256(raw).hexdigest(),
+                                      "raw": raw.decode("utf-8")}
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["holonomy", "--regime", "quadratic", "--path", "p.json", "--steps", "abc"],
+     "error: argument --steps: invalid int value: 'abc'"),
+    (["holonomy", "--path", "p.json", "--regime", "cubic"],
+     "error: argument --regime: invalid choice: 'cubic'"),
+    (["holonomy", "--regime", "quadratic"],
+     "error: the following arguments are required: --path"),
+    (["bogus"], "error: argument subcommand: invalid choice: 'bogus'"),
+    (["--bogus", "1"], "error: "),
+], ids=["bad-int", "bad-choice", "missing-flag", "unknown-subcommand", "unknown-flag"])
+def test_malformed_command_line_is_one_line(capsys, argv, says):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(says) and len(err.splitlines()) == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["holonomy", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: holostark holonomy")
+
+
+@pytest.mark.parametrize("regime, magnitude", [
+    ("linear", 1e-148), ("linear", 1e-160), ("quadratic", 1e-73), ("quadratic", 1e-100)])
+@pytest.mark.parametrize("command", ["holonomy", "verify-adiabatic", "spectrum"])
+def test_field_too_weak_for_float64_exits_2(capsys, tmp_path, regime, magnitude, command):
+    # |d|^2 underflows at every point (0.5/|d|^2 overflows, or |d| rounds to
+    # 0): one line naming the weak field, not a NaN matrix, a traceback or a
+    # gap closure.  spectrum never forms 0.5/|d|^2, so it rejects only a |d|
+    # that rounds to 0 and reports the larger of the two fields
+    f = tmp_path / "weak.json"
+    f.write_text(json.dumps({"kind": "spherical_triangle", "theta": 1.0, "phi": 0.7,
+                             "magnitude_V_per_m": magnitude}))
+    argv = {"holonomy": ["holonomy", "--steps", "400", "--path", str(f)],
+            "verify-adiabatic": ["verify-adiabatic", "--T", "1e-9", "--time-steps", "200",
+                                 "--wl-steps", "200", "--path", str(f)],
+            "spectrum": ["spectrum", "--field", f"{magnitude},0,0"]}[command]
+    code = main(argv + ["--regime", regime])
+    out, err = capsys.readouterr()
+    if command == "spectrum" and magnitude in (1e-148, 1e-73):
+        assert code == 0 and json.loads(out)["results"]["gap_meV"] > 0
+    else:
+        assert code == 2
+        assert err == "error: field too weak for float64: |d|^2 underflows\n"
+
+
+def test_zero_field_is_a_gap_closure(capsys):
+    code = main(["spectrum", "--regime", "quadratic", "--field", "0,0,0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: gap closes: |d| vanishes at a field point\n"

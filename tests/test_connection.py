@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from holostark import DegeneratePoint, connection_d, projectors, transport_exponents
+from holostark import (DegeneratePoint, InvalidInput, connection_d,
+                       make_spherical_triangle, projectors, transport_exponents,
+                       wilson_loop)
+from holostark.connection import gap_norms
 from holostark.stark import d_components
 
 
@@ -173,3 +176,35 @@ class TestTransportExponents:
         pts = np.array([[0, 0, 1e6], [0, 0, 1e2], [0, 0, -1e2], [0, 0, 1e6]])
         with pytest.raises(DegeneratePoint):
             transport_exponents(pts, "quadratic", ge_b)
+
+    @pytest.mark.parametrize("regime, magnitude", [
+        ("linear", 1e-147), ("linear", 1e-150), ("linear", 1e-160), ("linear", 1e-300),
+        ("quadratic", 1e-72), ("quadratic", 1e-74), ("quadratic", 1e-80),
+        ("quadratic", 1e-150)])
+    def test_field_too_weak_for_float64(self, ge_b, regime, magnitude):
+        # every d component is a nonzero finite number, but |d|^2 underflows:
+        # at the larger fields 0.5/|d|^2 overflows, at the smaller ones |d|
+        # itself rounds to 0; neither is a gap closure, and the check comes
+        # before any arithmetic that overflows (the suite raises on warnings)
+        path = make_spherical_triangle(1.0, 0.7, magnitude)
+        pts = path.points(400)
+        assert np.all(np.any(d_components(pts, ge_b, regime)[:, 1:] != 0, axis=1))
+        with pytest.raises(InvalidInput, match="field too weak for float64"):
+            transport_exponents(pts, regime, ge_b)
+        with pytest.raises(InvalidInput, match="field too weak for float64"):
+            wilson_loop(path, regime, ge_b, steps=400)
+
+    def test_gap_norms_tell_underflow_from_gap_closure(self, ge_b):
+        # a single |d| that is still a float64 passes (spectrum reports it);
+        # one that rounds to 0 at a nonzero d is too weak; a zero d closes
+        # the gap
+        def row(e, regime):
+            return d_components(np.array(e, dtype=float), ge_b, regime)
+
+        assert gap_norms(row([1e-152, 0, 0], "linear")) > 0
+        assert gap_norms(row([1e-75, 0, 0], "quadratic")) > 0
+        for e, regime in (([1e-160, 0, 0], "linear"), ([1e-100, 0, 0], "quadratic")):
+            with pytest.raises(InvalidInput, match="field too weak for float64"):
+                gap_norms(row(e, regime))
+        with pytest.raises(DegeneratePoint):
+            gap_norms(row([0, 0, 0], "quadratic"))
