@@ -19,10 +19,9 @@ from .errors import (DegeneratePoint, HolostarkError, InvalidAngle, InvalidInput
                      NotUnitary, UnknownMaterial)
 from .holonomy import (FieldPath, Holonomy, basepoint_frames, eigenphase_distance,
                        eigenphases, half_spin_band, holonomy_fidelity,
-                       linear_stark_block_connection, linear_stark_holonomy,
-                       linear_triangle_holonomy, make_latitude_loop,
-                       make_spherical_triangle, path_from_dict, path_to_dict,
-                       sampled_path, wilson_loop, zee_holonomy)
+                       linear_stark_holonomy, linear_triangle_holonomy,
+                       make_latitude_loop, make_spherical_triangle, path_from_dict,
+                       path_to_dict, sampled_path, wilson_loop, zee_holonomy)
 from .stark import (FeasibilityReport, MaterialParams, builtin_materials, d_increment,
                     eigen_split, feasibility_report, hamiltonian, load_material_table,
                     material_lookup)

@@ -19,6 +19,23 @@ def dagger(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def pow2_exponent(a):
+    """k that puts the largest |a_i| in [0.5, 1) as np.ldexp(a, -k), exact
+    unless a value turns subnormal; 0 for a zero, empty or non-finite a."""
+    return int(np.frexp(max(np.max(a, initial=0.0), -np.min(a, initial=0.0)))[1])
+
+
+def scaled_norm(x, axis=None):
+    """np.linalg.norm(x) of a 1-D x, or norm(x, axis=axis), at x 2^-k scaled
+    back (Blue 1978): its bits where its squares stay normal, exact elsewhere."""
+    y = np.array(x, dtype=float)  # contiguous, so the exponent is a fast pass
+    k = pow2_exponent(y)
+    np.ldexp(y, -k, out=y)  # the two forms round differently: dot, add.reduce(y * y)
+    sq = y.dot(y) if axis is None else np.add.reduce(np.multiply(y, y, out=y), axis=axis)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(sq), k)
+
+
 def clifford_exp(x):
     """exp(X) = cos(theta) I + sin(theta)/theta X for stacked anti-Hermitian
     n x n X with X^2 = -theta^2 I, so theta = ||X||_F / sqrt(n) (Hestenes &
@@ -56,8 +73,7 @@ def blocked_product(k, exponents):
 
 def unitarity_defect(u):
     u = np.asarray(u)
-    n = u.shape[-1]
-    return float(np.abs(dagger(u) @ u - np.eye(n)).max())
+    return float(np.abs(dagger(u) @ u - np.eye(u.shape[-1])).max())
 
 
 def require_unitary(u, tol=1e-8, what="matrix"):

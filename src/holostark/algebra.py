@@ -76,8 +76,7 @@ def spin_matrices():
 
 def _generators(gamma):
     gammab = np.einsum("aij,bjk->abik", gamma, gamma)
-    gammab = (gammab - np.swapaxes(gammab, 0, 1)) / 2j
-    return gammab
+    return (gammab - np.swapaxes(gammab, 0, 1)) / 2j
 
 
 def gamma_basis(spin):

@@ -79,9 +79,7 @@ def _material_table(args):
 
 def _material(args):
     m = material_lookup(args.material, args.dopant, table=_material_table(args))
-    if args.spherical:
-        m = m.spherical()
-    return m
+    return m.spherical() if args.spherical else m
 
 
 def _material_dict(m):

@@ -25,6 +25,7 @@ stark.d_increment takes from the same bilinear form as d itself.
 
 import numpy as np
 
+from ._linalg import pow2_exponent, scaled_norm
 from .algebra import _contract, default_basis
 from .errors import DegeneratePoint, InvalidInput
 from .stark import d_components, d_increment
@@ -41,7 +42,7 @@ def projectors(d):
     Each is Hermitian, idempotent, rank 2, and they resolve the identity.
     Raises DegeneratePoint when |d| = 0 (gap closed, no band decomposition).
     """
-    n = float(np.linalg.norm(d[1:]))
+    n = float(scaled_norm(d[1:]))
     if not n > 0:
         raise DegeneratePoint("zero d-vector: Kramers bands are degenerate")
     nd = np.einsum("a,aij->ij", d[1:] / n, default_basis().gamma)
@@ -56,57 +57,41 @@ def connection_d(d):
     Anti-Hermitian, in 1/meV.  Matches the finite-difference commutator
     [dP/d(d_a), P] built from either projector.
     """
-    n = float(np.linalg.norm(d[1:]))
+    n = float(scaled_norm(d[1:]))
     if not n > 0:
         raise DegeneratePoint("zero d-vector: transport generator undefined")
     return (0.5j / (n * n)) * np.einsum("b,abij->aij", d[1:], default_basis().gammab)
 
 
 def gap_norms(comps):
-    """|d| per row of d_components output; DegeneratePoint if the gap closes
-    (|d| not above DEGENERACY_RTOL times the largest |d|), InvalidInput if
-    |d| overflows float64 or underflows at a nonzero d."""
-    return _gap_norms(comps, transport=False)
-
-
-def _too_weak(n):
-    """True when the transport scale 0.5/|d|^2 at |d| = n overflows float64."""
-    with np.errstate(over="ignore", divide="ignore"):
-        return not 0.5 / (n * n) < np.inf
-
-
-def _gap_norms(comps, transport=True):
-    """gap_norms; for the transport also InvalidInput where 0.5/|d|^2 overflows."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(comps[..., 1:], axis=-1)
+    """|d| per row of d_components output, exact to rounding at any scale
+    (_linalg.scaled_norm); DegeneratePoint if the gap closes (|d| not above
+    DEGENERACY_RTOL times the largest |d|), InvalidInput if |d| overflows."""
+    norms = scaled_norm(comps[..., 1:], axis=-1)
     if not np.all(np.isfinite(norms)):
         raise InvalidInput("field too strong for float64: |d| overflows")
-    low, high = norms.min(), norms.max()
-    gap_open = low > DEGENERACY_RTOL * high
-    if gap_open and not (transport and _too_weak(low)):
-        return norms
-    # an open gap failed on 0.5/|d|^2; a closed one is underflow unless d = 0
-    if gap_open or (_too_weak(high) and np.any(comps[..., 1:])):
-        raise InvalidInput("field too weak for float64: |d|^2 underflows")
-    raise DegeneratePoint("gap closes: |d| vanishes at a field point")
+    if not norms.min() > DEGENERACY_RTOL * norms.max():
+        raise DegeneratePoint("gap closes: |d| vanishes at a field point")
+    return norms
 
 
-def transport_exponents(points, regime, m, comps=None):
+def transport_exponents(points, regime, m, d=None):
     """Per-step anti-Hermitian exponents A^i(E_mid) dE_i along a polyline.
 
     Midpoint evaluation makes the ordered product of their exponentials a
     second-order integrator.  jde = J(E_mid) dE is the step's change of d
     (stark.d_increment); scaled by 0.5/|d|^2, its real bivectors with d are
-    contracted with i gammab in one real matmul (algebra._contract).
-    ``comps`` are the midpoints' d_components when the caller already has
-    them.  Raises DegeneratePoint if the gap closes along the way, and
-    InvalidInput if |d| overflows float64 or 0.5/|d|^2 does (see gap_norms).
-    """
+    contracted with i gammab in one real matmul (algebra._contract).  They
+    are homogeneous of degree 0 in E, so the points are first scaled by a
+    power of two (_linalg.pow2_exponent), exactly; a caller passing ``d``,
+    the midpoints' (d_components, gap_norms), has scaled the points itself,
+    as one scale must serve d and jde.  DegeneratePoint if the gap closes."""
     points = np.asarray(points, dtype=float)
+    if d is None:
+        points = np.ldexp(points, -pow2_exponent(points))
     mids = 0.5 * points[1:] + 0.5 * points[:-1]
-    if comps is None:
-        comps = d_components(mids, m, regime)
-    norms = _gap_norms(comps)
+    comps = d_components(mids, m, regime) if d is None else d[0]
+    norms = gap_norms(comps) if d is None else d[1]
     jde = (0.5 / (norms * norms))[:, None] * d_increment(
         mids, points[1:] - points[:-1], m, regime)
     return _contract((jde[:, :, None] * comps[:, None, 1:]).reshape(-1, 25), "gammab", 1j)

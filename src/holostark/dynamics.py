@@ -64,12 +64,11 @@ def _drive_steps(drive, regime, m):
     comps = d_components(mids, m, regime)
     norms = gap_norms(comps)
     dt = drive.total_time / len(mids)
-    scale = dt / HBAR_MEV_S
     # the callers sum level shifts and their phases over the drive, and
     # clifford_exp squares each step's |X|_F = 2 (dt/hbar)|d|
     with np.errstate(over="ignore"):
         peak = (np.abs(comps[:, 0]) + norms).max()
-        shifts, angle_sq = len(mids) * peak, (2.0 * scale * peak) ** 2
+        shifts, angle_sq = len(mids) * peak, (2.0 * (dt / HBAR_MEV_S) * peak) ** 2
     if not np.isfinite(shifts):
         raise InvalidInput("field too strong for float64: summed level shifts overflow")
     if not np.isfinite(angle_sq):
@@ -141,8 +140,7 @@ def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS):
     sign = 1.0 if band == "plus" else -1.0
     psi = psi * np.exp(1j * sign * norms.sum() * dt / HBAR_MEV_S)
     block = dagger(frame) @ psi
-    populations = np.sum(np.abs(block) ** 2, axis=0)
-    leakage = float(1.0 - populations.mean())
+    leakage = float(1.0 - np.sum(np.abs(block) ** 2, axis=0).mean())
     fid = abs(np.trace(dagger(block) @ reference)) / 2.0
     return AdiabaticFidelity(
         fidelity=float(min(1.0, fid)), band_leakage=leakage,

@@ -35,8 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linalg import (PAULI, blocked_product, clifford_exp, dagger, ordered_product,
-                      projector_frame, require_unitary, unitarity_defect)
-from .connection import _gap_norms, projectors, transport_exponents
+                      pow2_exponent, projector_frame, require_unitary, scaled_norm,
+                      unitarity_defect)
+from .connection import gap_norms, projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
                      NotConstantMagnitude, is_finite_number, is_number_tree)
 from .stark import d_components
@@ -97,8 +98,7 @@ def _refined_points(samples, steps):
 
 def _triangle_points(theta, phi, magnitude, steps):
     lengths = np.array([theta, abs(phi) * np.sin(theta), theta])
-    total = lengths.sum()
-    counts = np.maximum(1, np.round(steps * lengths / total).astype(int))
+    counts = np.maximum(1, np.round(steps * lengths / lengths.sum()).astype(int))
     # polar and azimuthal angle of each point: meridian, arc, meridian, pole
     t = np.concatenate([np.linspace(0.0, theta, counts[0] + 1)[:-1],
                         np.full(counts[1], theta),
@@ -264,28 +264,31 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
 
     Midpoint-evaluated exponents (second-order accurate), exactly unitary
     steps, built, exponentiated and multiplied in blocks (see
-    _linalg.blocked_product) after one degeneracy check over the whole
-    path, whose d-components the blocks reuse.  The full unitary commutes with the basepoint projectors
-    up to the integration tolerance, so its band blocks are the loop
-    holonomies.
+    _linalg.blocked_product).  The points are scaled in place by one power
+    of two for the whole path (see transport_exponents), and d and |d| are
+    evaluated once per midpoint, in one degeneracy check the blocks reuse.
+    The full unitary commutes with the basepoint projectors up to the
+    integration tolerance, so its band blocks are the loop holonomies.
     """
     if steps < MIN_STEPS:
         raise InvalidInput(f"steps must be >= {MIN_STEPS}")
     pts = path.points(steps)
-    gap = np.linalg.norm(pts[0] - pts[-1])
+    gap = scaled_norm(pts[0] - pts[-1])
     if gap > CLOSURE_RTOL * path.magnitude:
         raise NotClosed(f"path endpoints differ by {gap:.3e}")
+    basepoint = pts[0].copy()
+    np.ldexp(pts, -pow2_exponent(pts), out=pts)
     comps = d_components(0.5 * pts[1:] + 0.5 * pts[:-1], m, regime)
-    _gap_norms(comps)
+    norms = gap_norms(comps)
     full = blocked_product(len(pts) - 1, lambda lo, hi: transport_exponents(
-        pts[lo:hi + 1], regime, m, comps=comps[lo:hi]))
-    fp, fm = basepoint_frames(pts[0], regime, m)
+        pts[lo:hi + 1], regime, m, d=(comps[lo:hi], norms[lo:hi])))
+    fp, fm = basepoint_frames(pts[0], regime, m)  # the same bits as unscaled
     return Holonomy(
         full=full,
         block_plus=dagger(fp) @ full @ fp,
         block_minus=dagger(fm) @ full @ fm,
         frame_plus=fp, frame_minus=fm,
-        basepoint=pts[0].copy(), steps=len(pts) - 1,
+        basepoint=basepoint, steps=len(pts) - 1,
         unitarity_defect=unitarity_defect(full),
     )
 
@@ -295,17 +298,18 @@ def _su2_generators(v):
     return 1j * np.einsum("...c,cij->...ij", v, PAULI)
 
 
-def linear_stark_block_connection(path, steps=DEFAULT_STEPS):
+def _linear_stark_block_connection(path, steps=DEFAULT_STEPS):
     """Per-step 2x2 anti-Hermitian increments of the linear-regime holonomy.
 
     At constant |E| the band transport reduces to increments
     (i / 2|E|^2) sigma . (dE x E_mid); their ordered product is the
     closed-form oracle (see linear_stark_holonomy).  Material constants
     cancel, so the increments depend on the direction history only.  The
-    points are first scaled by a power of two to |E| in [0.5, 1), which is
-    exact, so no square over- or underflows.
+    points are first scaled by a power of two, exactly, so no square over-
+    or underflows.
     """
-    pts = np.ldexp(path.points(steps), -np.frexp(path.magnitude)[1])
+    pts = path.points(steps)
+    np.ldexp(pts, -pow2_exponent(pts), out=pts)
     norms = np.linalg.norm(pts, axis=1)
     if norms.max() - norms.min() > 1e-9 * norms.mean():
         raise NotConstantMagnitude("path does not keep |E| constant")
@@ -317,7 +321,7 @@ def linear_stark_block_connection(path, steps=DEFAULT_STEPS):
 
 def linear_stark_holonomy(path, steps=DEFAULT_STEPS):
     """Ordered product of the linear-regime increments: the 2x2 oracle."""
-    return ordered_product(clifford_exp(linear_stark_block_connection(path, steps)))
+    return ordered_product(clifford_exp(_linear_stark_block_connection(path, steps)))
 
 
 def _check_loop_angles(theta, phi):
@@ -388,12 +392,10 @@ def holonomy_fidelity(u, v, tol=1e-8):
     1 exactly when u and v agree up to a global phase; insensitive to the
     global phase of either argument.
     """
-    u = np.asarray(u)
-    v = np.asarray(v)
+    u, v = np.asarray(u), np.asarray(v)
     require_unitary(u, tol, "first argument")
     require_unitary(v, tol, "second argument")
-    n = u.shape[-1]
-    return float(abs(np.trace(dagger(u) @ v)) / n)
+    return float(abs(np.trace(dagger(u) @ v)) / u.shape[-1])
 
 
 def eigenphases(u, tol=1e-8):
@@ -411,13 +413,8 @@ def eigenphase_distance(u, v, tol=1e-8):
     """Circle-aware distance between the eigenphase multisets of two
     unitaries: the best matching's largest phase difference mod 2*pi."""
     pu = eigenphases(u, tol)
-    pv = eigenphases(v, tol)
-
-    def circ(a, b):
-        d = abs(a - b) % (2 * np.pi)
-        return min(d, 2 * np.pi - d)
-
     best = np.inf
-    for perm in itertools.permutations(range(len(pv))):
-        best = min(best, max(circ(pu[i], pv[j]) for i, j in enumerate(perm)))
+    for pv in itertools.permutations(eigenphases(v, tol)):
+        d = np.abs(pu - pv) % (2 * np.pi)
+        best = min(best, np.minimum(d, 2 * np.pi - d).max())
     return float(best)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._linalg import pow2_exponent, scaled_norm
 from .algebra import default_basis
 from .errors import (InvalidInput, UnknownMaterial, _ArgumentError, is_finite_number,
                      load_json)
@@ -162,22 +163,30 @@ def d_components(e, m, regime):
     """The d-vector (d0, d1..d5) in meV: e of shape (..., 3) -> (..., 6).
 
     d_{1..3} = p * chi * E in the linear regime (d0 = d4 = d5 = 0), B(E, E)
-    in the quadratic one.  One field point gives the row that hamiltonian,
-    eigen_split, connection.projectors and connection.connection_d take.
-    InvalidInput if d overflows float64 (field too strong).
-    """
+    in the quadratic one (below 0.5 V/m as B(E', E') 2^2k at E' = E 2^-k, so
+    no E_i E_j underflows).  One field point gives the row that hamiltonian,
+    eigen_split, projectors and connection_d take.  InvalidInput if d
+    overflows (too strong) or a nonzero field's d1..d5 round to 0 (too weak)."""
     if regime not in REGIMES:
         raise InvalidInput(f"regime must be one of {REGIMES}, got {regime!r}")
     e = np.asarray(e, dtype=float)
+    k = pow2_exponent(e)
     with np.errstate(over="ignore", invalid="ignore"):
         if regime == "linear":
             out = np.zeros(e.shape[:-1] + (6,))
             out[..., 1:4] = m.dipole_mev_per_field * m.chi * e
+        elif k < 0:  # scaled up only: scaling down rounds off small components
+            scaled = np.ldexp(e, -k)
+            out = _quadratic_form(scaled, scaled, m)
+            np.ldexp(out, 2 * k, out=out)
         else:
             out = _quadratic_form(e, e, m)
     if not np.all(np.isfinite(out)):
         raise InvalidInput("field too strong for float64: the d-vector overflows"
                            if np.all(np.isfinite(e)) else "field must be finite")
+    if k < 0 and not np.any(out[..., 1:]) and np.any(
+            d_components(np.ldexp(e, -k), m, regime)[..., 1:]):
+        raise InvalidInput("field too weak for float64: the d-vector underflows")
     return out
 
 
@@ -193,15 +202,14 @@ def d_increment(e, de, m, regime):
 def hamiltonian(d):
     """4x4 Hermitian Stark Hamiltonian d0*I + d_a gamma_a, in meV, for the
     d_components row d = (d0, d1..d5) of one field point."""
-    h = d[0] * np.eye(4, dtype=complex)
-    h = h + np.einsum("a,aij->ij", d[1:], default_basis().gamma)
-    return h
+    return (d[0] * np.eye(4, dtype=complex)
+            + np.einsum("a,aij->ij", d[1:], default_basis().gamma))
 
 
 def eigen_split(d):
     """(eps_minus, eps_plus, gap) of the Kramers doublets of the row d:
     d0 -/+ |d|, 2|d|."""
-    d0, n = float(d[0]), float(np.linalg.norm(d[1:]))
+    d0, n = float(d[0]), float(scaled_norm(d[1:]))
     return (d0 - n, d0 + n, 2 * n)
 
 
@@ -254,7 +262,7 @@ def feasibility_report(e_mag, m, rotation_freq, regime="quadratic"):
     if not np.isfinite(e_mag):
         raise InvalidInput("field too strong for float64: |E| overflows")
     comps = d_components(_CUBIC_DIRECTIONS * e_mag, m, regime)
-    norms = np.linalg.norm(comps[:, 1:], axis=1)
+    norms = scaled_norm(comps[:, 1:], axis=1)
     worst_shift = (np.abs(comps[:, 0]) + norms).max()  # max |d0 -/+ |d||
     drive_quantum = PLANCK_MEV_S * float(rotation_freq)
     gap_min = float(2.0 * norms.min())

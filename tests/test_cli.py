@@ -36,6 +36,29 @@ def write_octant(tmp_path, magnitude=1e6):
     return str(p)
 
 
+def assert_scale_free_record(results, reference):
+    """A holonomy record at another field strength is the reference record:
+    the transport is homogeneous of degree 0 in E, so only the rounding of
+    the path points differs (the convergence figures are differences of two
+    runs, so relative), and the path echoes its own magnitude."""
+    def leaves(r, key=""):
+        if isinstance(r, dict):
+            return [x for k, v in r.items() for x in leaves(v, f"{key}/{k}")]
+        if isinstance(r, list):
+            return [x for v in r for x in leaves(v, key)]
+        return [(key, r)]
+
+    got, want = leaves(results), leaves(reference)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (key, a), (_, b) in zip(got, want):
+        if key == "/path/magnitude_V_per_m" or not isinstance(b, float):
+            assert key == "/path/magnitude_V_per_m" or a == b, key
+        elif key.startswith("/convergence"):
+            assert abs(a - b) <= 1e-9 * abs(b), key
+        else:
+            assert abs(a - b) <= 4e-15, key
+
+
 GAAS_BE = dict(material="GaAs", dopant="Be", alpha=1.0, beta=-0.25,
                delta=-0.4, chi=2e-3, rbar_angstrom=50.0, ionization_meV=28.0)
 
@@ -108,6 +131,16 @@ class TestSpectrum:
             assert res["d0_meV"] == d[0] and res["d_meV"] == d[1:].tolist()
             levels = (res["eps_minus_meV"], res["eps_plus_meV"], res["gap_meV"])
             assert levels == eigen_split(d)
+
+    def test_subnormal_squares_keep_the_gap_exact(self, capsys):
+        # d = (3.8e-161, 0, 5.1e-161) meV: its squares are subnormal, so |d|
+        # comes from the power-of-two-scaled row
+        code, rec = run_cli(capsys, "spectrum", "--regime", "linear",
+                            "--field", "6e-153,0,8e-153")
+        d = np.array(rec["results"]["d_meV"])
+        assert code == 0
+        assert rec["results"]["gap_meV"] == 2 * np.ldexp(np.linalg.norm(np.ldexp(d, 600)),
+                                                         -600)
 
     def test_zero_field_exits_2(self, capsys):
         code, _ = run_cli(capsys, "spectrum", "--material", "Ge", "--dopant", "B",
@@ -482,7 +515,10 @@ def test_step_count_too_large_to_allocate_exits_2(capsys, tmp_path, flag):
         "holonomy-sampled"])
 def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
     # d, |d| or |E| overflows: reported as such, not as a gap closure, and
-    # without numpy warnings (the suite turns those into errors)
+    # without numpy warnings (the suite turns those into errors).  The
+    # transport is scale-free, so a 1e300 V/m loop is no overflow: holonomy
+    # gives the 1e6 V/m record (exit 3 from its defect at 200 steps), and the
+    # linear drive fails only on its step phases, a fact of --T
     sampled = argv[-1] == "sampled"
     if sampled:
         # finite samples whose norms overflow: |E| itself is out of range
@@ -492,11 +528,20 @@ def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
         argv = argv[:-1] + [str(f)]
     elif argv[0] != "spectrum":
         argv = argv + ["--path", write_octant(tmp_path, magnitude=1e300)]
+    if argv[0] == "holonomy" and not sampled:
+        code, record = run_cli(capsys, *argv)
+        ref_code, ref = run_cli(capsys, *argv[:-1], write_octant(tmp_path))
+        assert code == ref_code == 3
+        assert_scale_free_record(record["results"], ref["results"])
+        return
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: field too strong for float64")
     assert len(err.splitlines()) == 1
+    if argv[:3] == ["verify-adiabatic", "--regime", "linear"]:
+        assert err == "error: --T: a 1e-09 s drive overflows the step phases in float64\n"
+    else:
+        assert err.startswith("error: field too strong for float64")
     if sampled:
         assert err == "error: field too strong for float64: |E| overflows\n"
 
@@ -513,10 +558,15 @@ def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
 def test_chord_midpoints_near_float64_limit(capsys, tmp_path, argv):
     # every corner of a 1e308 V/m loop is finite, but the sum of two of them
     # is not: the chord midpoints must not overflow (the suite turns numpy
-    # warnings into errors) nor be reported as a non-finite field
+    # warnings into errors) nor be reported as a non-finite field.  The
+    # transport is scale-free, so holonomy transports the loop (exit 3 from
+    # its defect at 400 steps)
     code = main(argv + ["--path", write_octant(tmp_path, magnitude=1e308)])
     err = capsys.readouterr().err
-    assert code in (0, 2)
+    if argv[0] == "holonomy":
+        assert code == 3
+    else:
+        assert code in (0, 2)
     if code == 2:
         assert len(err.splitlines()) == 1 and "must be finite" not in err
 
@@ -686,24 +736,34 @@ def test_help_exits_0(capsys):
     ("linear", 1e-148), ("linear", 1e-160), ("quadratic", 1e-73), ("quadratic", 1e-100)])
 @pytest.mark.parametrize("command", ["holonomy", "verify-adiabatic", "spectrum"])
 def test_field_too_weak_for_float64_exits_2(capsys, tmp_path, regime, magnitude, command):
-    # |d|^2 underflows at every point (0.5/|d|^2 overflows, or |d| rounds to
-    # 0): one line naming the weak field, not a NaN matrix, a traceback or a
-    # gap closure.  spectrum never forms 0.5/|d|^2, so it rejects only a |d|
-    # that rounds to 0 and reports the larger of the two fields
-    f = tmp_path / "weak.json"
-    f.write_text(json.dumps({"kind": "spherical_triangle", "theta": 1.0, "phi": 0.7,
-                             "magnitude_V_per_m": magnitude}))
-    argv = {"holonomy": ["holonomy", "--steps", "400", "--path", str(f)],
+    # every d component is a nonzero float64, though |d|^2 underflows (and
+    # 0.5/|d|^2 overflows): the transport is scale-free, so holonomy gives
+    # the 1e6 V/m record; spectrum reports |d| from the power-of-two-scaled
+    # row, exact to rounding; verify-adiabatic runs its (far from adiabatic)
+    # drive.  No NaN matrix, traceback or numpy warning
+    def triangle(mag):
+        f = tmp_path / f"weak{mag}.json"
+        f.write_text(json.dumps({"kind": "spherical_triangle", "theta": 1.0, "phi": 0.7,
+                                 "magnitude_V_per_m": mag}))
+        return str(f)
+
+    argv = {"holonomy": ["holonomy", "--steps", "400", "--path"],
             "verify-adiabatic": ["verify-adiabatic", "--T", "1e-9", "--time-steps", "200",
-                                 "--wl-steps", "200", "--path", str(f)],
-            "spectrum": ["spectrum", "--field", f"{magnitude},0,0"]}[command]
-    code = main(argv + ["--regime", regime])
-    out, err = capsys.readouterr()
-    if command == "spectrum" and magnitude in (1e-148, 1e-73):
-        assert code == 0 and json.loads(out)["results"]["gap_meV"] > 0
+                                 "--wl-steps", "200", "--path"],
+            "spectrum": ["spectrum", "--field"]}[command]
+    arg = f"{magnitude},0,0" if command == "spectrum" else triangle(magnitude)
+    code, record = run_cli(capsys, *argv, arg, "--regime", regime)
+    if command == "holonomy":
+        ref_code, ref = run_cli(capsys, *argv, triangle(1e6), "--regime", regime)
+        assert code == ref_code
+        assert_scale_free_record(record["results"], ref["results"])
+    elif command == "spectrum":
+        d = np.array(record["results"]["d_meV"])
+        k = -int(np.floor(np.log2(np.abs(d).max())))
+        scaled = np.ldexp(np.linalg.norm(np.ldexp(d, k)), -k)
+        assert code == 0 and record["results"]["gap_meV"] == 2 * scaled
     else:
-        assert code == 2
-        assert err == "error: field too weak for float64: |d|^2 underflows\n"
+        assert code == 0 and 0 <= record["results"]["fidelity"] <= 1
 
 
 def test_zero_field_is_a_gap_closure(capsys):

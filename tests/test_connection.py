@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holostark import (DegeneratePoint, InvalidInput, connection_d,
-                       make_spherical_triangle, projectors, transport_exponents,
-                       wilson_loop)
+from holostark import (DegeneratePoint, connection_d, eigenphases,
+                       make_spherical_triangle, projectors, sampled_path,
+                       transport_exponents, wilson_loop)
+from holostark._linalg import BLOCK, clifford_exp, ordered_product
 from holostark.connection import gap_norms
 from holostark.stark import d_components
 
@@ -182,29 +185,103 @@ class TestTransportExponents:
         ("quadratic", 1e-72), ("quadratic", 1e-74), ("quadratic", 1e-80),
         ("quadratic", 1e-150)])
     def test_field_too_weak_for_float64(self, ge_b, regime, magnitude):
-        # every d component is a nonzero finite number, but |d|^2 underflows:
-        # at the larger fields 0.5/|d|^2 overflows, at the smaller ones |d|
-        # itself rounds to 0; neither is a gap closure, and the check comes
-        # before any arithmetic that overflows (the suite raises on warnings)
+        # every d component is a nonzero finite number, though |d|^2
+        # underflows (and 0.5/|d|^2 overflows): the exponents are homogeneous
+        # of degree 0 in E, so they, and the loop, have the bits of the same
+        # path scaled by a power of two to about 1e6 V/m
         path = make_spherical_triangle(1.0, 0.7, magnitude)
         pts = path.points(400)
         assert np.all(np.any(d_components(pts, ge_b, regime)[:, 1:] != 0, axis=1))
-        with pytest.raises(InvalidInput, match="field too weak for float64"):
-            transport_exponents(pts, regime, ge_b)
-        with pytest.raises(InvalidInput, match="field too weak for float64"):
-            wilson_loop(path, regime, ge_b, steps=400)
+        k = int(np.round(np.log2(1e6 / magnitude)))
+        assert np.array_equal(transport_exponents(pts, regime, ge_b),
+                              transport_exponents(np.ldexp(pts, k), regime, ge_b))
+        scaled = make_spherical_triangle(1.0, 0.7, np.ldexp(magnitude, k))
+        assert np.array_equal(wilson_loop(path, regime, ge_b, steps=400).full,
+                              wilson_loop(scaled, regime, ge_b, steps=400).full)
 
     def test_gap_norms_tell_underflow_from_gap_closure(self, ge_b):
-        # a single |d| that is still a float64 passes (spectrum reports it);
-        # one that rounds to 0 at a nonzero d is too weak; a zero d closes
-        # the gap
+        # a |d| whose square underflows is returned exactly, from the
+        # power-of-two-scaled row; a zero d closes the gap
         def row(e, regime):
             return d_components(np.array(e, dtype=float), ge_b, regime)
 
         assert gap_norms(row([1e-152, 0, 0], "linear")) > 0
         assert gap_norms(row([1e-75, 0, 0], "quadratic")) > 0
-        for e, regime in (([1e-160, 0, 0], "linear"), ([1e-100, 0, 0], "quadratic")):
-            with pytest.raises(InvalidInput, match="field too weak for float64"):
-                gap_norms(row(e, regime))
+        d = row([1e-160, 0, 0], "linear")
+        assert gap_norms(d) == abs(d[1]) > 0
+        d = row([1e-100, 0, 0], "quadratic")
+        assert gap_norms(d) == np.ldexp(np.linalg.norm(np.ldexp(d[1:], 700)), -700) > 0
         with pytest.raises(DegeneratePoint):
             gap_norms(row([0, 0, 0], "quadratic"))
+
+
+@pytest.fixture(scope="module")
+def reference(ge_b):
+    return {regime: wilson_loop(make_spherical_triangle(1.0, 0.7, 1e6), regime, ge_b, 400)
+            for regime in ("linear", "quadratic")}
+
+
+class TestScaleFree:
+    """The transport exponent 0.5/|d|^2 (J dE) ^ d is homogeneous of degree 0
+    in E: a loop's holonomy depends on its direction history only, at any
+    field strength float64 holds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(regime=st.sampled_from(["linear", "quadratic"]), k=st.integers(-1016, 976))
+    def test_power_of_two_multiples_of_1e6_keep_the_bits(self, ge_b, reference, regime,
+                                                          k):
+        hol = wilson_loop(make_spherical_triangle(1.0, 0.7, np.ldexp(1e6, k)),
+                          regime, ge_b, 400)
+        assert np.array_equal(hol.full, reference[regime].full)
+        assert np.array_equal(hol.block_plus, reference[regime].block_plus)
+
+    @settings(max_examples=40, deadline=None)
+    @given(regime=st.sampled_from(["linear", "quadratic"]),
+           decade=st.floats(-300.0, 300.0))
+    def test_any_magnitude_keeps_the_eigenphases(self, ge_b, reference, regime, decade):
+        hol = wilson_loop(make_spherical_triangle(1.0, 0.7, 10.0 ** decade),
+                          regime, ge_b, 400)
+        want = eigenphases(reference[regime].full, tol=1e-3)
+        assert np.abs(eigenphases(hol.full, tol=1e-3) - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("regime", ["linear", "quadratic"])
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 900])
+    def test_transport_exponents_ignore_a_power_of_two(self, ge_b, regime, k):
+        pts = make_spherical_triangle(1.0, 0.7, 1e6).points(300)
+        assert np.array_equal(transport_exponents(np.ldexp(pts, k), regime, ge_b),
+                              transport_exponents(pts, regime, ge_b))
+
+    @pytest.mark.parametrize("regime", ["linear", "quadratic"])
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_blocks_share_the_whole_path_scale(self, ge_b, regime, scale):
+        # |E| varies 10x along the loop, so a block of the Wilson loop must
+        # not take its own power of two while it reuses the path's d and |d|
+        path = sampled_path(scale * np.array([[0, 0, 1e0], [1e1, 0, 1e0], [0, 3e0, 2e0],
+                                              [0, 0, 1e0]]))
+        pts = path.points(3 * BLOCK)
+        single = ordered_product(clifford_exp(transport_exponents(pts, regime, ge_b)))
+        hol = wilson_loop(path, regime, ge_b, 3 * BLOCK)
+        assert len(pts) - 1 > 2 * BLOCK
+        assert np.array_equal(hol.full, single)
+
+    def test_one_d_row_and_one_norm_per_midpoint(self, ge_b, monkeypatch):
+        # the blocks reuse the whole path's d and |d|; the one more row of
+        # each is the basepoint of the band frames
+        from holostark import connection, holonomy, stark
+        rows = {"d": 0, "norm": 0}
+
+        def spy(module, name, what):
+            original = getattr(module, name)
+
+            def counted(x, *args, **kwargs):
+                rows[what] += np.size(x) // np.shape(x)[-1]
+                return original(x, *args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (connection, holonomy):
+            spy(module, "d_components", "d")
+        for module in (connection, stark):
+            spy(module, "scaled_norm", "norm")
+        hol = wilson_loop(make_spherical_triangle(0.7, 1.1, 1e6), "quadratic", ge_b,
+                          3 * BLOCK)
+        assert rows == {"d": hol.steps + 1, "norm": hol.steps + 1}

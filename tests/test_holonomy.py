@@ -4,11 +4,11 @@ import pytest
 from holostark import (DegeneratePoint, InvalidAngle, InvalidInput,
                        NonPositiveMagnitude, NotClosed, NotConstantMagnitude,
                        NotUnitary, eigenphase_distance, eigenphases,
-                       half_spin_band, holonomy_fidelity,
-                       linear_stark_block_connection, linear_stark_holonomy,
+                       half_spin_band, holonomy_fidelity, linear_stark_holonomy,
                        linear_triangle_holonomy, make_latitude_loop,
                        make_spherical_triangle, path_from_dict, path_to_dict,
                        projectors, sampled_path, wilson_loop, zee_holonomy)
+from holostark.holonomy import _linear_stark_block_connection
 from holostark.stark import d_components
 
 OCTANT = (np.pi / 2, np.pi / 2)
@@ -227,7 +227,7 @@ class TestLinearOracle:
         assert np.abs(u - np.eye(2)).max() <= 1e-10
 
     def test_increments_are_antihermitian(self):
-        inc = linear_stark_block_connection(octant_path(), steps=500)
+        inc = _linear_stark_block_connection(octant_path(), steps=500)
         assert inc.shape[1:] == (2, 2)
         assert abs(inc.shape[0] - 500) <= 2  # arc-length allocation rounds
         assert np.abs(inc + np.conj(np.swapaxes(inc, 1, 2))).max() <= 1e-15
@@ -243,7 +243,7 @@ class TestLinearOracle:
         samples = np.array([[0, 0, 1e6], [1.5e6, 0, 0], [0, 0, 1e6]])
         path = sampled_path(samples)
         with pytest.raises(NotConstantMagnitude):
-            linear_stark_block_connection(path, steps=500)
+            _linear_stark_block_connection(path, steps=500)
 
     def test_octant_matches_wilson_block(self, ge_b):
         u = linear_stark_holonomy(octant_path(), steps=20000)

@@ -104,6 +104,23 @@ class TestDQuadratic:
         d = d_components([0.0, 0.0, 0.0], ge_b, "quadratic")
         assert np.linalg.norm(d[1:]) == 0.0 and d[0] == 0.0
 
+    @pytest.mark.parametrize("k", [300, 530])
+    def test_weak_field_is_the_scaled_bilinear_form(self, ge_b, k):
+        # B(E 2^-k, E 2^-k) = B(E, E) 2^-2k, rounded once: no product E_i E_j
+        # underflows before the coefficients scale it (d subnormal at k = 530)
+        e = np.array([0.3e6, -0.5e6, 0.8e6])
+        d = d_components(np.ldexp(e, -k), ge_b, "quadratic")
+        assert np.array_equal(d, np.ldexp(d_components(e, ge_b, "quadratic"), -2 * k))
+        assert np.all(d != 0)
+
+    @pytest.mark.parametrize("regime, magnitude", [("quadratic", 1e-170),
+                                                   ("linear", 1e-320)])
+    def test_d_vector_underflow_is_too_weak_not_a_gap_closure(self, ge_b, regime,
+                                                              magnitude):
+        with pytest.raises(InvalidInput, match="field too weak for float64: the "
+                           "d-vector underflows"):
+            d_components([0.0, magnitude, magnitude], ge_b, regime)
+
     def test_equal_component_symmetry(self, ge_b):
         d = d_components(np.array([1.0, 1.0, 0.0]) * 1e6 / np.sqrt(2), ge_b, "quadratic")
         assert d[4] == 0.0  # Ex^2 = Ey^2
