@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from ._linalg import scaled_norm
 from .dynamics import Drive, adiabatic_fidelity
 from .connection import gap_norms
 from .errors import HolostarkError, InvalidInput, _parse_json, is_number_tree
@@ -104,9 +105,8 @@ def cmd_spectrum(args):
     d = d_components(e, m, args.regime)
     gap_norms(d)  # zero gap or overflow: exit 2
     eps_minus, eps_plus, gap = eigen_split(d)
-    with np.errstate(over="ignore"):  # feasibility_report rejects an infinite |E|
-        e_mag = np.linalg.norm(e)
-    rep = feasibility_report(e_mag, m, args.rotation_freq, regime=args.regime)
+    # feasibility_report rejects an |E| that overflows
+    rep = feasibility_report(scaled_norm(e), m, args.rotation_freq, regime=args.regime)
     results = {
         "material": _material_dict(m),
         "regime": args.regime,
@@ -147,34 +147,32 @@ def _max_difference(a, b):
 
 
 def cmd_holonomy(args):
-    """Wilson loop at --steps, with step-doubling convergence diagnostics.
+    """Wilson loop with step-doubling convergence diagnostics.
 
-    The refinement ladder ends at n = --steps: runs at n/4 and n/2 give the
-    defect max|U_{n/2} - U_n|, about 3x the error of the reported U_n for a
-    second-order scheme, and the coarse defect max|U_{n/4} - U_{n/2}|.  When
-    n/4 would fall below MIN_STEPS, or the n/2 run takes as many steps as
-    the n run (a sampled path of at least n segments), the ladder is
-    max(n/2, MIN_STEPS), n, 2n instead.  The run converges when the defect
-    is within --defect-tol and its two runs differ in step count.  The
-    coarse defect is null when its two runs take the same step count, and
-    the ratio defect_coarse / defect when either is null or the defect is 0.
+    One refinement ladder: runs at n/4, n/2 and n, where n is --steps raised
+    to 4 MIN_STEPS and to 4 steps per segment of a sampled path, so the
+    three runs always take strictly more steps in turn.  The defect
+    max|U_{n/2} - U_n| is about 3x the error of the reported U_n for a
+    second-order scheme, and the run converges when it is within
+    --defect-tol.  The coarse defect is max|U_{n/4} - U_{n/2}|, and the
+    ratio defect_coarse / defect is null only when the defect is 0.
     """
     _check_tolerance("--defect-tol", args.defect_tol)
     m = _material(args)
     desc, path_file = _read_input(args.path)
     path = path_from_dict(desc)
-    n = args.steps
+    if args.steps < MIN_STEPS:
+        raise InvalidInput(f"steps must be >= {MIN_STEPS}")
+    segments = 0 if path.samples is None else len(path.samples) - 1
+    n = max(args.steps, 4 * MIN_STEPS, 4 * segments)
+    # the n run first, so that a step count too large to allocate fails at once
     hol = wilson_loop(path, args.regime, m, steps=n)
-    half = wilson_loop(path, args.regime, m, steps=max(n // 2, MIN_STEPS))
-    if n // 4 >= MIN_STEPS and half.steps != hol.steps:
-        coarse, mid, fine = wilson_loop(path, args.regime, m, steps=n // 4), half, hol
-    else:
-        coarse, mid, fine = half, hol, wilson_loop(path, args.regime, m, steps=2 * n)
-    defect = _max_difference(mid, fine)
-    # a coarse run of the mid run's step count would compare it with itself
-    defect_coarse = _max_difference(coarse, mid) if coarse.steps != mid.steps else None
-    ratio = defect_coarse / defect if defect_coarse is not None and defect > 0 else None
-    converged = defect <= args.defect_tol and mid.steps != fine.steps
+    mid = wilson_loop(path, args.regime, m, steps=n // 2)
+    coarse = wilson_loop(path, args.regime, m, steps=n // 4)
+    defect = _max_difference(mid, hol)
+    defect_coarse = _max_difference(coarse, mid)
+    ratio = defect_coarse / defect if defect > 0 else None
+    converged = defect <= args.defect_tol
     results = _holonomy_results(hol)
     results.update({
         "selected_band": args.band,
@@ -282,10 +280,9 @@ def build_parser():
     p.add_argument("--band", choices=["plus", "minus"], default="plus")
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--defect-tol", type=float, default=1e-6,
-                   help="exit 3 when the step-doubling defect stays above "
-                   "this: max|U(steps/2) - U(steps)|, or max|U(steps) - "
-                   f"U(2 steps)| below {4 * MIN_STEPS} steps, or on a "
-                   "sampled path of at least --steps segments")
+                   help="exit 3 when the step-doubling defect max|U(n/2) - "
+                   "U(n)| stays above this, where n is --steps raised to "
+                   f"{4 * MIN_STEPS} and to 4 steps per sampled segment")
     p.add_argument("--out")
     p.set_defaults(func=cmd_holonomy)
 

@@ -157,10 +157,12 @@ def sampled_path(samples):
         raise InvalidInput("samples must be an (n, 3) array with n >= 2")
     if not np.all(np.isfinite(samples)):
         raise InvalidInput("samples must be finite")
+    k = pow2_exponent(samples)  # |E| and the gap at E 2^-k, so no |E|^2 leaves float64
+    scaled = np.ldexp(samples, -k)
+    norms = np.linalg.norm(scaled, axis=1)
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(samples, axis=1)
-        magnitude = float(norms.mean())
-        gap = np.linalg.norm(samples[0] - samples[-1])
+        magnitude = float(np.ldexp(norms.mean(), k))
+        gap = np.ldexp(np.linalg.norm(scaled[0] - scaled[-1]), k)
     if not np.isfinite(magnitude):
         raise InvalidInput("field too strong for float64: |E| overflows")
     _check_magnitude(magnitude)

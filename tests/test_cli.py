@@ -1,16 +1,21 @@
 import builtins
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holostark import (eigen_split, eigenphases, make_spherical_triangle,
-                       material_lookup, wilson_loop, zee_holonomy)
+from holostark import (LoopModel, eigen_split, eigenphases, holonomy_fidelity,
+                       loop_product, make_spherical_triangle, material_lookup,
+                       wilson_loop, zee_holonomy)
 from holostark import cli
 from holostark.cli import main
 from holostark.stark import d_components
@@ -87,6 +92,7 @@ class TestMaterials:
         [dict(GAAS_BE, material=7)],
         [dict(GAAS_BE, chi=True)],
         [{k: v for k, v in GAAS_BE.items() if k != "delta"}],
+        GAAS_BE,  # an object, not a list of records
     ])
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_malformed_table_exits_2(self, capsys, tmp_path, monkeypatch, table, via):
@@ -308,10 +314,11 @@ class TestHolonomy:
                                                                 runs[steps // 2])
 
     def test_short_ladder_below_four_min_steps(self, capsys, tmp_path):
-        # n / 4 < 100: the ladder stays 100, 200, 400 and reports the 200 run
+        # --steps / 4 < 100: n is raised to 400, so the ladder is 100, 200,
+        # 400 and reports the 400 run
         code, res, runs = self._octant_record(capsys, tmp_path, 200, tol="1.0")
         assert code == 0
-        assert res["full"] == cli._complex_matrix(runs[200].full)
+        assert res["full"] == cli._complex_matrix(runs[400].full)
         assert res["convergence_defect"] == self._defect(runs[200], runs[400])
         assert res["convergence_defect_coarse"] == self._defect(runs[100], runs[200])
         assert res["convergence_ratio"] == (res["convergence_defect_coarse"]
@@ -330,16 +337,17 @@ class TestHolonomy:
         assert code == 0
         assert sorted(calls) == [5000, 10000, 20000]
 
-    @pytest.mark.parametrize("steps, tol, code, compared", [
-        (200, "1e-12", 3, None), (400, "1e-12", 3, None), (600, "1.0", 0, 1200),
-        (1200, "1e-5", 0, 600)])
+    # stable ids: their last field once named the run the defect compared
+    @pytest.mark.parametrize("steps, tol, code", [
+        pytest.param(200, "1e-12", 3, id="200-1e-12-3-None"),
+        pytest.param(400, "1e-12", 3, id="400-1e-12-3-None"),
+        pytest.param(600, "1.0", 0, id="600-1.0-0-1200"),
+        pytest.param(1200, "1e-5", 0, id="1200-1e-5-0-600")])
     def test_defect_never_compares_a_run_with_itself(self, capsys, tmp_path,
-                                                     steps, tol, code, compared):
-        # 999 segments: every level below 999 steps reuses the raw samples, so
-        # the ladder falls back to n, 2n, and a defect between two runs of
-        # equal step count never counts as converged; at 1200 the ladder
-        # ends at n.  The coarse and mid runs are the raw samples at every
-        # level, so the coarse defect and the ratio are null
+                                                     steps, tol, code):
+        # 999 segments: n is raised to 4 * 999 at every --steps here, so the
+        # runs split each segment into 1, 2 and 4 substeps, and both defects
+        # compare runs of different step counts
         samples = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6).points(999)
         assert len(samples) == 1000
         f = tmp_path / "sampled.json"
@@ -350,17 +358,65 @@ class TestHolonomy:
         res = rec["results"]
         assert got == code
         assert res["converged"] is (code == 0)
-        assert res["steps"] == (999 if steps < 999 else 1998)
-        if compared is None:
-            assert res["convergence_defect"] == 0.0
+        path = cli.path_from_dict(json.loads(f.read_text()))
+        m = material_lookup("Ge", "B").spherical()
+        coarse, mid, fine = (wilson_loop(path, "quadratic", m, steps=n)
+                             for n in (999, 1998, 3996))
+        assert (coarse.steps, mid.steps, fine.steps) == (999, 1998, 3996)
+        assert res["steps"] == 3996
+        assert res["full"] == cli._complex_matrix(fine.full)
+        assert res["convergence_defect"] == self._defect(mid, fine) > 0
+        assert res["convergence_defect_coarse"] == self._defect(coarse, mid) > 0
+        assert res["convergence_ratio"] == (res["convergence_defect_coarse"]
+                                            / res["convergence_defect"])
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(kind=st.sampled_from(["spherical_triangle", "latitude_loop", "sampled"]),
+           theta=st.floats(0.05, 3.09), phi=st.floats(-6.3, 6.3),
+           segments=st.integers(2, 1000), steps=st.integers(100, 5000))
+    def test_ladder_step_counts_strictly_increase(self, tmp_path_factory, kind, theta,
+                                                  phi, segments, steps):
+        # n = max(--steps, 400, 4 * segments): the n/4 run asks for at least
+        # 100 steps and one substep per sampled segment, and every run takes
+        # more steps than the one below it
+        if kind == "sampled":  # a circle at polar angle 1 in `segments` chords
+            ph = np.linspace(0.0, 2 * np.pi, segments + 1)
+            samples = np.stack([np.sin(1.0) * np.cos(ph), np.sin(1.0) * np.sin(ph),
+                                np.full_like(ph, np.cos(1.0))], axis=1)
+            samples[-1] = samples[0]
+            desc = {"kind": kind, "samples": (1e6 * samples).tolist()}
         else:
-            path = cli.path_from_dict(json.loads(f.read_text()))
-            m = material_lookup("Ge", "B").spherical()
-            runs = [wilson_loop(path, "quadratic", m, steps=n) for n in (steps, compared)]
-            assert sorted(run.steps for run in runs) == [999, 1998]
-            assert res["convergence_defect"] == self._defect(*runs) > 0
-        assert res["convergence_defect_coarse"] is None
-        assert res["convergence_ratio"] is None
+            desc = {"kind": kind, "theta": theta, "phi": phi, "magnitude_V_per_m": 1e6}
+            segments = 0
+        f = tmp_path_factory.mktemp("ladder") / "path.json"
+        f.write_text(json.dumps(desc))
+        asked, runs = [], []
+
+        def spy(path, regime, m, steps):
+            asked.append(steps)
+            runs.append(wilson_loop(path, regime, m, steps=steps))
+            return runs[-1]
+
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()) as out:
+            mp.setattr(cli, "wilson_loop", spy)
+            code = main(["holonomy", "--path", str(f), "--regime", "linear",
+                         "--steps", str(steps), "--defect-tol", "1.0"])
+        res = json.loads(out.getvalue())["results"]
+        n = max(steps, 400, 4 * segments)
+        assert code == 0 and asked == [n, n // 2, n // 4]
+        fine, mid, coarse = (run.steps for run in runs)
+        assert coarse < mid < fine == res["steps"]
+        assert coarse >= segments
+        assert isinstance(res["convergence_defect_coarse"], float)
+        assert isinstance(res["convergence_ratio"], float) or res["convergence_defect"] == 0
+
+    @pytest.mark.parametrize("steps", ["50", "-1"])
+    def test_steps_below_min_steps_exit_2(self, capsys, tmp_path, steps):
+        code = main(["holonomy", "--path", write_octant(tmp_path), "--regime",
+                     "quadratic", "--steps", steps])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: steps must be >= 100\n"
 
 
 class TestVerifyAdiabatic:
@@ -427,6 +483,19 @@ class TestSynth:
         assert code == 0
         assert rec["results"]["converged"] is True
         assert rec["results"]["fidelity"] >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("model", ["linear", "numeric_quadratic"])
+    def test_identity_target_other_models(self, capsys, tmp_path, model):
+        f = tmp_path / "identity.json"
+        f.write_text(json.dumps({"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+        code, rec = run_cli(capsys, "synth", "--target", str(f), "--model", model,
+                            "--max-loops", "1", "--tol", "1e-6", "--seed", "0")
+        res = rec["results"]
+        assert code == 0 and res["converged"] is True and res["model"] == model
+        loop_model = (LoopModel.linear() if model == "linear" else
+                      LoopModel.numeric_quadratic(material_lookup("Ge", "B"), 1e6))
+        achieved = loop_product(res["loops"], loop_model)
+        assert holonomy_fidelity(achieved, np.eye(2)) >= 1.0 - 1e-6
 
     def test_round_trip_and_determinism(self, capsys, tmp_path):
         u = zee_holonomy(0.9, 1.3)
@@ -514,26 +583,40 @@ def test_step_count_too_large_to_allocate_exits_2(capsys, tmp_path, flag):
         "holonomy-quadratic", "adiabatic-linear", "adiabatic-quadratic",
         "holonomy-sampled"])
 def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
-    # d, |d| or |E| overflows: reported as such, not as a gap closure, and
+    # d or |d| overflows: reported as such, not as a gap closure, and
     # without numpy warnings (the suite turns those into errors).  The
     # transport is scale-free, so a 1e300 V/m loop is no overflow: holonomy
-    # gives the 1e6 V/m record (exit 3 from its defect at 200 steps), and the
-    # linear drive fails only on its step phases, a fact of --T
-    sampled = argv[-1] == "sampled"
-    if sampled:
-        # finite samples whose norms overflow: |E| itself is out of range
-        f = tmp_path / "sampled.json"
+    # gives the 1e6 V/m record (the octant exits 3 from its defect at 200
+    # steps, the 3-segment sampled loop converges), and the linear drive
+    # fails only on its step phases, a fact of --T.  |E| is the norm of the
+    # power-of-two-scaled field, so sampled norms beyond float64 and the
+    # linear spectrum at 1e160 V/m are no overflow either
+    def path(magnitude):
+        if argv[-1] != "sampled":
+            return write_octant(tmp_path, magnitude)
+        f = tmp_path / f"sampled{magnitude}.json"
         f.write_text(json.dumps({"kind": "sampled", "samples": [
-            [0, 0, 1e300], [1e299, 0, 1e300], [0, 1e299, 1e300], [0, 0, 1e300]]}))
-        argv = argv[:-1] + [str(f)]
-    elif argv[0] != "spectrum":
-        argv = argv + ["--path", write_octant(tmp_path, magnitude=1e300)]
-    if argv[0] == "holonomy" and not sampled:
-        code, record = run_cli(capsys, *argv)
-        ref_code, ref = run_cli(capsys, *argv[:-1], write_octant(tmp_path))
-        assert code == ref_code == 3
+            [0, 0, magnitude], [magnitude / 10, 0, magnitude],
+            [0, magnitude / 10, magnitude], [0, 0, magnitude]]}))
+        return str(f)
+
+    if argv[0] == "holonomy":
+        code, record = run_cli(capsys, *argv[:5], "--path", path(1e300))
+        ref_code, ref = run_cli(capsys, *argv[:5], "--path", path(1e6))
+        assert code == ref_code == (0 if argv[-1] == "sampled" else 3)
+        assert record["results"].pop("path") == json.loads(Path(path(1e300)).read_text())
+        ref["results"].pop("path")
         assert_scale_free_record(record["results"], ref["results"])
         return
+    if argv[:3] == ["spectrum", "--regime", "linear"]:
+        code, record = run_cli(capsys, *argv)
+        d = np.array(record["results"]["d_meV"])
+        k = -int(np.floor(np.log2(np.abs(d).max())))
+        scaled = np.ldexp(np.linalg.norm(np.ldexp(d, k)), -k)
+        assert code == 0 and record["results"]["gap_meV"] == 2 * scaled
+        return
+    if argv[0] != "spectrum":
+        argv = argv + ["--path", write_octant(tmp_path, magnitude=1e300)]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
@@ -542,8 +625,6 @@ def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
         assert err == "error: --T: a 1e-09 s drive overflows the step phases in float64\n"
     else:
         assert err.startswith("error: field too strong for float64")
-    if sampled:
-        assert err == "error: field too strong for float64: |E| overflows\n"
 
 
 @pytest.mark.parametrize("argv", [

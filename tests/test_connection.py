@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holostark import (DegeneratePoint, connection_d, eigenphases,
+from holostark import (DegeneratePoint, InvalidInput, connection_d, eigenphases,
                        make_spherical_triangle, projectors, sampled_path,
                        transport_exponents, wilson_loop)
 from holostark._linalg import BLOCK, clifford_exp, ordered_product
@@ -213,6 +215,17 @@ class TestTransportExponents:
         assert gap_norms(d) == np.ldexp(np.linalg.norm(np.ldexp(d[1:], 700)), -700) > 0
         with pytest.raises(DegeneratePoint):
             gap_norms(row([0, 0, 0], "quadratic"))
+
+    def test_gap_norms_report_a_norm_beyond_float64(self, ge_b):
+        # a user material with a huge chi: every linear d component is a
+        # finite float64 near its largest, but |d| = sqrt(3) |d_1| is not
+        m = replace(ge_b, chi=1e12)
+        e = np.full(3, 1.5e308 / (m.dipole_mev_per_field * m.chi))
+        d = d_components(e, m, "linear")
+        assert np.all(np.isfinite(d))
+        with pytest.raises(InvalidInput,
+                           match=r"field too strong for float64: \|d\| overflows$"):
+            gap_norms(d)
 
 
 @pytest.fixture(scope="module")

@@ -58,6 +58,11 @@ class TestEvolve:
         with pytest.raises(InvalidInput):
             evolve(drive, "quadratic", ge_b, np.array([1.0, 1.0, 0, 0]))
 
+    def test_requires_a_four_vector(self, ge_b):
+        drive = Drive(path=static_path(), total_time=1e-10, time_steps=100)
+        with pytest.raises(InvalidInput, match="psi0 must be a 4-vector"):
+            evolve(drive, "quadratic", ge_b, np.array([1.0, 0, 0]))
+
     def test_eigenstate_stays_in_band_when_slow(self, ge_spherical):
         h = hamiltonian(d_components([0, 0, 1e6], ge_spherical, "quadratic"))
         w, v = np.linalg.eigh(h)

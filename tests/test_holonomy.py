@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from holostark import (DegeneratePoint, InvalidAngle, InvalidInput,
+from holostark import (DegeneratePoint, FieldPath, InvalidAngle, InvalidInput,
                        NonPositiveMagnitude, NotClosed, NotConstantMagnitude,
                        NotUnitary, eigenphase_distance, eigenphases,
                        half_spin_band, holonomy_fidelity, linear_stark_holonomy,
@@ -54,6 +56,41 @@ class TestPaths:
         samples = np.array([[0, 0, 1e6], [0, 0, 0], [0, 0, 1e6]])
         with pytest.raises(NonPositiveMagnitude):
             sampled_path(samples)
+
+    @pytest.mark.parametrize("build, error, says", [
+        (lambda: FieldPath(kind="bogus", magnitude=1e6).points(100), InvalidInput,
+         "unknown path kind 'bogus'"),
+        (lambda: make_spherical_triangle(1.0, np.inf, 1e6), InvalidAngle,
+         "phi must be finite, got inf"),
+        (lambda: make_latitude_loop(0.0, 1e6), InvalidAngle,
+         r"theta must lie in \(0, pi\), got 0.0"),
+        (lambda: make_latitude_loop(np.pi, 1e6), InvalidAngle,
+         r"theta must lie in \(0, pi\), got 3.14"),
+        (lambda: sampled_path(np.ones((3, 2))), InvalidInput,
+         r"samples must be an \(n, 3\) array with n >= 2"),
+        (lambda: sampled_path([[0, 0, 1e6], [np.nan, 0, 1e6], [0, 0, 1e6]]), InvalidInput,
+         "samples must be finite"),
+    ], ids=["unknown-kind", "infinite-phi", "latitude-pole", "latitude-south-pole",
+            "two-columns", "nan-sample"])
+    def test_malformed_path_raises(self, build, error, says):
+        with pytest.raises(error, match=says):
+            build()
+
+    @pytest.mark.parametrize("magnitude", [1e-200, 1e-160, 1e160, 1e300])
+    def test_sampled_path_beyond_float64_norms(self, ge_b, magnitude):
+        # |E| and the endpoint gap come from the power-of-two-scaled samples:
+        # the 1e6 V/m bits in the normal range, and a loop whose squared
+        # norms leave float64 is transported like the 1e6 V/m one
+        samples = octant_path().points(40)
+        path = sampled_path(samples)
+        assert path.magnitude == np.linalg.norm(samples, axis=1).mean()
+        k = int(np.round(np.log2(magnitude / 1e6)))
+        assert sampled_path(np.ldexp(samples, k)).magnitude == np.ldexp(path.magnitude, k)
+        scaled = sampled_path(samples * (magnitude / 1e6))
+        assert scaled.magnitude == pytest.approx(magnitude, rel=1e-3)
+        ref = eigenphases(wilson_loop(path, "quadratic", ge_b, steps=400).full)
+        got = eigenphases(wilson_loop(scaled, "quadratic", ge_b, steps=400).full)
+        assert np.abs(got - ref).max() <= 4e-15
 
     @pytest.mark.parametrize("steps", [1, 20, 39])
     def test_sampled_points_unchanged_up_to_segment_count(self, steps):
@@ -296,6 +333,10 @@ class TestZeeHolonomy:
     def test_half_spin_band_for_tabulated_materials(self, ge_b, si_b):
         assert half_spin_band(ge_b.spherical()) == "minus"
         assert half_spin_band(si_b) == "minus"
+
+    def test_half_spin_band_needs_a_quadratic_splitting(self, ge_b):
+        with pytest.raises(InvalidInput, match="beta = 0 leaves no quadratic splitting"):
+            half_spin_band(replace(ge_b, beta=0.0))
 
     def test_octant_matches_wilson_half_spin_block(self, ge_spherical):
         hol = wilson_loop(octant_path(), "quadratic", ge_spherical, steps=20000)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holostark import (InvalidAngle, LoopModel, NotUnitary, half_spin_band,
+from holostark import (InvalidAngle, InvalidInput, LoopModel, NotUnitary, half_spin_band,
                        holonomy_fidelity, linear_triangle_holonomy, loop_holonomy,
                        loop_product, synthesize, zee_holonomy)
 from holostark import synth
@@ -75,6 +75,10 @@ class TestLoopProduct:
         assert np.array_equal(units[2], np.broadcast_to(np.eye(2), (3, 2, 2)))
         assert np.array_equal(loop_holonomy(0.0, 1.3, model), np.eye(2))
 
+    def test_unknown_model_rejected(self):
+        with pytest.raises(InvalidInput, match="unknown loop model 'bogus'"):
+            loop_holonomy(1.0, 0.5, LoopModel(kind="bogus"))
+
     def test_numeric_model_agrees_with_analytic(self, ge_spherical):
         model = LoopModel.numeric_quadratic(ge_spherical, 1e6, steps=4000)
         assert half_spin_band(ge_spherical) == "minus"
@@ -134,6 +138,14 @@ class TestSynthesize:
     def test_rejects_nonunitary_target(self):
         with pytest.raises(NotUnitary):
             synthesize(np.array([[1.0, 0.1], [0, 1.0]]), model=SPH, seed=0)
+
+    @pytest.mark.parametrize("target, max_loops, says", [
+        (np.eye(3), 1, "target must be a 2x2 unitary"),
+        (np.eye(2), 0, "max_loops must be >= 1"),
+    ], ids=["3x3-target", "no-loops"])
+    def test_rejects_malformed_request(self, target, max_loops, says):
+        with pytest.raises(InvalidInput, match=says):
+            synthesize(target, model=SPH, max_loops=max_loops, seed=0)
 
     def test_unreachable_reports_not_converged(self):
         # a generic SU(2) element is off the 2-parameter single-loop surface
@@ -262,6 +274,14 @@ class TestNelderMead:
         res = self.assert_same_as_scipy(_rosenbrock, np.array([-1.2, 1.0, 0.0]),
                                         dict(OPTIONS, maxiter=50))
         assert res.nit == 50
+
+    @pytest.mark.parametrize("maxfev", [0, 2, 4])
+    def test_stops_at_maxfev_inside_the_initial_simplex(self, maxfev):
+        # fewer evaluations than the n + 1 vertices: the unevaluated ones
+        # keep the value inf, and no iteration runs
+        res = self.assert_same_as_scipy(_rosenbrock, np.array([0.0, 1.2, -0.7, 0.0]),
+                                        dict(OPTIONS, maxfev=maxfev))
+        assert (res.nfev, res.nit) == (maxfev, 1)
 
     def test_stops_at_maxfev_inside_a_shrink(self):
         # scipy's per-iteration evaluation counts locate the first shrink:
