@@ -55,9 +55,10 @@ def _drive_steps(drive, regime, m):
     level shifts and the step phases.
 
     Each time step freezes the field at the midpoint of one segment of
-    ``drive.path.points(drive.time_steps)``.  The discretization may round
-    the segment count, so the true step count is the number of midpoints,
-    and dt is total_time divided by it; phases must use the same grid.
+    ``drive.path.points(drive.time_steps)``: exactly time_steps of them on a
+    triangle or latitude loop, and on a sampled path time_steps rounded up
+    to whole substeps per segment.  dt is total_time divided by the number
+    of midpoints; phases must use the same grid.
     """
     pts = drive.path.points(drive.time_steps)
     mids = 0.5 * pts[1:] + 0.5 * pts[:-1]

@@ -30,7 +30,7 @@ Two analytic oracles cover special cases:
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,9 @@ class FieldPath:
     """A closed, piecewise-smooth curve in electric-field space.
 
     Built-in kinds (spherical_triangle, latitude_loop) keep |E| constant and
-    are discretized by arc length at a caller-chosen step count; sampled
-    paths split each segment into ceil(steps / segments) equal substeps, so
-    at steps <= segments the samples come back unchanged.
+    take exactly max(steps, 3) steps, shared among their smooth segments by
+    length; sampled paths split each segment into ceil(steps / segments)
+    equal substeps, so at steps <= segments the samples come back unchanged.
     """
 
     kind: str
@@ -62,7 +62,6 @@ class FieldPath:
     theta: float = 0.0
     phi: float = 0.0
     samples: np.ndarray = None
-    backwards: bool = False
 
     def __post_init__(self):
         if self.samples is not None:
@@ -73,18 +72,18 @@ class FieldPath:
     def points(self, steps=DEFAULT_STEPS):
         """Closed polyline (n+1, 3) with first and last points identical."""
         if self.kind == "sampled":
-            pts = _refined_points(self.samples, steps)
-        elif self.kind == "spherical_triangle":
-            pts = _triangle_points(self.theta, self.phi, self.magnitude, steps)
-        elif self.kind == "latitude_loop":
-            pts = _latitude_points(self.theta, self.magnitude, steps)
-        else:
-            raise InvalidInput(f"unknown path kind {self.kind!r}")
-        return pts[::-1].copy() if self.backwards else pts
-
-    def reverse(self):
-        """The same geometric loop traversed in the opposite direction."""
-        return replace(self, backwards=not self.backwards)
+            return _refined_points(self.samples, steps)
+        steps, t, p = max(steps, 3), self.theta, self.phi
+        if self.kind == "latitude_loop":
+            return _sphere_points([(t, 0.0), (t, 2 * np.pi)], [steps], self.magnitude)
+        if self.kind == "spherical_triangle":
+            # each meridian its share of the length t + |p| sin t + t, the arc
+            # the rest; every segment at least one step
+            leg = min(max(1, round(steps * t / (t + abs(p) * np.sin(t) + t))),
+                      (steps - 1) // 2)
+            return _sphere_points([(0.0, 0.0), (t, 0.0), (t, p), (0.0, p)],
+                                  [leg, steps - 2 * leg, leg], self.magnitude)
+        raise InvalidInput(f"unknown path kind {self.kind!r}")
 
 
 def _refined_points(samples, steps):
@@ -96,25 +95,17 @@ def _refined_points(samples, steps):
     return np.vstack([pts.reshape(-1, 3), samples[-1:]])
 
 
-def _triangle_points(theta, phi, magnitude, steps):
-    lengths = np.array([theta, abs(phi) * np.sin(theta), theta])
-    counts = np.maximum(1, np.round(steps * lengths / lengths.sum()).astype(int))
-    # polar and azimuthal angle of each point: meridian, arc, meridian, pole
-    t = np.concatenate([np.linspace(0.0, theta, counts[0] + 1)[:-1],
-                        np.full(counts[1], theta),
-                        np.linspace(theta, 0.0, counts[2] + 1)[:-1], [0.0]])
-    p = np.concatenate([np.zeros(counts[0]), np.linspace(0.0, phi, counts[1] + 1)[:-1],
-                        np.full(counts[2], phi), [0.0]])
+def _sphere_points(knots, counts, magnitude):
+    """Loop on the |E| sphere through (polar, azimuthal) angle knots: counts[k]
+    steps from knot k to knot k + 1, both angles linear in the step, closing
+    on the first knot."""
+    # one linspace per angle with scalar ends: array ends with one zero step
+    # would evaluate every angle as (i / c) * delta, which rounds differently
+    t, p = (np.concatenate([np.linspace(a[i], b[i], c, endpoint=False)
+                            for a, b, c in zip(knots, knots[1:], counts)] + [[knots[0][i]]])
+            for i in (0, 1))
     return magnitude * np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p),
                                  np.cos(t)], axis=1)
-
-
-def _latitude_points(theta, magnitude, steps):
-    ph = np.linspace(0.0, 2 * np.pi, max(steps, 3) + 1)
-    pts = np.stack([np.sin(theta) * np.cos(ph), np.sin(theta) * np.sin(ph),
-                    np.cos(theta) * np.ones_like(ph)], axis=1)
-    pts[-1] = pts[0]
-    return magnitude * pts
 
 
 def _check_magnitude(magnitude):
@@ -175,12 +166,7 @@ def sampled_path(samples):
 
 
 def path_to_dict(path):
-    """JSON-ready description of a path (inverse of path_from_dict).
-
-    InvalidInput for a reversed path, which no description kind carries.
-    """
-    if path.backwards:
-        raise InvalidInput("a reversed path has no JSON description")
+    """JSON-ready description of a path (inverse of path_from_dict)."""
     if path.kind == "sampled":
         return {"kind": "sampled", "samples": path.samples.tolist()}
     out = {"kind": path.kind, "theta": path.theta,
@@ -391,13 +377,13 @@ def half_spin_band(m):
 def holonomy_fidelity(u, v, tol=1e-8):
     """Phase-blind overlap |tr(u^dag v)| / n of two unitaries.
 
-    1 exactly when u and v agree up to a global phase; insensitive to the
-    global phase of either argument.
+    1 when u and v agree up to a global phase; insensitive to the global
+    phase of either argument.  Clipped at 1, which roundoff can exceed.
     """
     u, v = np.asarray(u), np.asarray(v)
     require_unitary(u, tol, "first argument")
     require_unitary(v, tol, "second argument")
-    return float(abs(np.trace(dagger(u) @ v)) / u.shape[-1])
+    return min(1.0, float(abs(np.trace(dagger(u) @ v)) / u.shape[-1]))
 
 
 def eigenphases(u, tol=1e-8):

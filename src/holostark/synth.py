@@ -28,6 +28,9 @@ from .stark import MaterialParams
 GRID_POINTS = 16
 MAX_GRID_COMBINATIONS = 4096
 RESTARTS = 8
+# Wilson-loop steps per numeric-model holonomy: the refinement defect falls
+# off as 1/steps^2, and 1000 steps reach about 1e-6
+NUMERIC_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,6 @@ class LoopModel:
     kind: str  # spherical_quadratic | linear | numeric_quadratic
     material: MaterialParams = None
     magnitude: float = None
-    steps: int = None
 
     @classmethod
     def spherical_quadratic(cls):
@@ -50,15 +52,10 @@ class LoopModel:
         return cls(kind="linear")
 
     @classmethod
-    def numeric_quadratic(cls, material, magnitude, steps=1000):
-        """Anisotropic quadratic material, evaluated by the Wilson loop on
-        its spin-projection +-1/2 band (half_spin_band).
-
-        steps trades per-evaluation cost against holonomy accuracy (the
-        refinement defect falls off as 1/steps^2; 1000 steps reaches ~1e-6).
-        """
-        return cls(kind="numeric_quadratic", material=material,
-                   magnitude=magnitude, steps=steps)
+    def numeric_quadratic(cls, material, magnitude):
+        """Anisotropic quadratic material, evaluated by the NUMERIC_STEPS
+        Wilson loop on its spin-projection +-1/2 band (half_spin_band)."""
+        return cls(kind="numeric_quadratic", material=material, magnitude=magnitude)
 
     @property
     def analytic(self):
@@ -81,7 +78,7 @@ def loop_holonomy(theta, phi, model):
         units = np.empty(trivial.shape + (2, 2), dtype=complex)
         for i in map(tuple, np.argwhere(~trivial)):
             path = make_spherical_triangle(theta[i], phi[i], model.magnitude)
-            result = wilson_loop(path, "quadratic", model.material, steps=model.steps)
+            result = wilson_loop(path, "quadratic", model.material, steps=NUMERIC_STEPS)
             units[i] = result.block(band)
     else:
         raise InvalidInput(f"unknown loop model {model.kind!r}")

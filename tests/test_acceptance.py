@@ -172,7 +172,8 @@ def test_criterion_09_integrator_properties(ge_spherical):
     order_ok = 3.0 <= ratio <= 5.0
 
     fwd = wilson_loop(path, "quadratic", ge_spherical, steps=4000)
-    bwd = wilson_loop(path.reverse(), "quadratic", ge_spherical, steps=4000)
+    bwd = wilson_loop(sampled_path(path.points(4000)[::-1]), "quadratic", ge_spherical,
+                      steps=4000)
     reversal = np.abs(bwd.full - fwd.full.conj().T).max()
 
     p1 = make_spherical_triangle(0.7, 0.9, 1e6).points(3000)

@@ -257,7 +257,7 @@ class TestHolonomy:
     @pytest.mark.parametrize("steps, code", [(200, 3), (20000, 0)])
     def test_sampled_octant_refines_with_steps(self, capsys, tmp_path, steps, code):
         # 40 samples: step doubling must refine the polyline, not rerun it
-        samples = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6).points(40)
+        samples = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6).points(39)
         f = tmp_path / "sampled.json"
         f.write_text(json.dumps({"kind": "sampled", "samples": samples.tolist()}))
         got, rec = run_cli(capsys, "holonomy", "--path", str(f), "--regime",
@@ -432,14 +432,14 @@ class TestVerifyAdiabatic:
         assert rec["results"]["fidelity"] >= 1.0 - 1e-9
         assert rec["results"]["band_leakage"] <= 1e-9
 
-    @pytest.mark.parametrize("samples, propagated", [(None, 999), (40, 1014)])
+    @pytest.mark.parametrize("samples, propagated", [(None, 1000), (40, 1014)])
     def test_record_reports_propagated_steps(self, capsys, tmp_path, samples, propagated):
-        # the triangle's arc-length allocation rounds 1000 to 999 segments;
-        # 39 sampled segments split into ceil(1000/39) = 26 substeps each
+        # a triangle takes exactly the 1000 steps asked; 40 samples make 39
+        # segments, each split into ceil(1000/39) = 26 substeps
         if samples is None:
             path = write_octant(tmp_path)
         else:
-            pts = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6).points(samples)
+            pts = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6).points(samples - 1)
             path = str(tmp_path / "sampled.json")
             with open(path, "w") as fh:
                 json.dump({"kind": "sampled", "samples": pts.tolist()}, fh)

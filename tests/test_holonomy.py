@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holostark import (DegeneratePoint, FieldPath, InvalidAngle, InvalidInput,
                        NonPositiveMagnitude, NotClosed, NotConstantMagnitude,
@@ -94,12 +96,51 @@ class TestPaths:
 
     @pytest.mark.parametrize("steps", [1, 20, 39])
     def test_sampled_points_unchanged_up_to_segment_count(self, steps):
-        samples = octant_path().points(40)  # 39 segments
+        samples = octant_path().points(39)  # 39 segments
         assert np.array_equal(sampled_path(samples).points(steps), samples)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(theta=st.floats(0.0, np.pi, exclude_min=True),
+           phi=st.one_of(st.sampled_from([0.0, -0.0, 2 * np.pi, -2 * np.pi,
+                                          np.nextafter(2 * np.pi, 0.0),
+                                          np.nextafter(-2 * np.pi, -7.0)]),
+                         st.floats(-7.0, 7.0)),
+           steps=st.integers(3, 50_000))
+    def test_triangle_takes_exactly_the_steps_asked(self, theta, phi, steps):
+        pts = make_spherical_triangle(theta, phi, 1e6).points(steps)
+        assert len(pts) - 1 == steps
+        assert np.array_equal(pts[0], [0.0, 0.0, 1e6])
+        assert np.array_equal(pts[-1], pts[0])
+        # each meridian takes its share of the loop length, at least one step,
+        # and leaves the arc at least one
+        length = theta + abs(phi) * np.sin(theta) + theta
+        leg = min(max(1, round(steps * theta / length)), (steps - 1) // 2)
+        assert np.array_equal(pts[leg], 1e6 * np.array([np.sin(theta), 0.0, np.cos(theta)]))
+        assert np.array_equal(pts[steps - leg], 1e6 * np.array(
+            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]))
+        # the two meridians pass the same polar angles, one down and one up
+        assert np.allclose(pts[:leg + 1, 2], pts[steps - leg:, 2][::-1], rtol=0, atol=1e-3)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(theta=st.floats(0.0, np.pi, exclude_min=True, exclude_max=True),
+           steps=st.integers(3, 50_000))
+    def test_latitude_loop_takes_exactly_the_steps_asked(self, theta, steps):
+        pts = make_latitude_loop(theta, 1e6).points(steps)
+        assert len(pts) - 1 == steps
+        assert np.array_equal(pts[0], 1e6 * np.array([np.sin(theta), 0.0, np.cos(theta)]))
+        assert np.array_equal(pts[-1], pts[0])
+        assert np.all(pts[:, 2] == 1e6 * np.cos(theta))
+        chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        assert np.allclose(chords, chords[0], rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("make", [octant_path, lambda: make_latitude_loop(1.0, 1e6)])
+    def test_built_in_loops_take_at_least_three_steps(self, make):
+        for steps in (-1, 0, 1, 2, 3):
+            assert len(make().points(steps)) - 1 == 3
 
     @pytest.mark.parametrize("steps", [40, 100, 1000])
     def test_sampled_points_split_each_segment(self, steps):
-        samples = octant_path().points(40)
+        samples = octant_path().points(39)
         sub = int(np.ceil(steps / 39))
         pts = sampled_path(samples).points(steps)
         assert len(pts) - 1 == 39 * sub
@@ -120,18 +161,6 @@ class TestPaths:
         again = path_from_dict(spec)
         assert np.allclose(again.points(500), path.points(500))
 
-    def test_reverse_reverses_points(self):
-        path = octant_path()
-        assert np.allclose(path.reverse().points(500), path.points(500)[::-1])
-
-    def test_reversed_path_has_no_dict(self):
-        # no description kind carries a direction: a dict would be the
-        # forward loop, which path_from_dict cannot tell apart
-        path = make_spherical_triangle(1.0, 0.7, 1e6)
-        with pytest.raises(InvalidInput):
-            path_to_dict(path.reverse())
-        assert path_to_dict(path.reverse().reverse()) == path_to_dict(path)
-
 
 class TestWilsonLoop:
     def test_constant_path_is_identity(self, ge_b):
@@ -147,8 +176,7 @@ class TestWilsonLoop:
     def test_unitarity_and_block_structure(self, ge_spherical):
         coarse = wilson_loop(octant_path(), "quadratic", ge_spherical, steps=2000)
         hol = wilson_loop(octant_path(), "quadratic", ge_spherical, steps=4000)
-        # three equal sides round 2000 and 4000 steps to 3 x 667 and 3 x 1333
-        assert (coarse.steps, hol.steps) == (2001, 3999)
+        assert (coarse.steps, hol.steps) == (2000, 4000)
         assert hol.unitarity_defect <= 1e-9
         assert abs(abs(np.linalg.det(hol.block_plus)) - 1) <= 1e-9
         assert abs(abs(np.linalg.det(hol.block_minus)) - 1) <= 1e-9
@@ -166,6 +194,9 @@ class TestWilsonLoop:
         for pick in (hol.block, hol.frame):
             with pytest.raises(InvalidInput):
                 pick("bogus")
+
+    def test_transports_the_steps_asked(self, ge_b):
+        assert wilson_loop(octant_path(), "quadratic", ge_b, steps=100).steps == 100
 
     def test_min_steps_enforced(self, ge_b):
         with pytest.raises(InvalidInput):
@@ -197,7 +228,9 @@ class TestWilsonLoop:
     def test_path_reversal_inverts(self, ge_spherical):
         path = make_spherical_triangle(0.8, 1.2, 1e6)
         fwd = wilson_loop(path, "quadratic", ge_spherical, steps=2000)
-        bwd = wilson_loop(path.reverse(), "quadratic", ge_spherical, steps=2000)
+        # at steps = segments a sampled path transports its own points
+        backwards = sampled_path(path.points(2000)[::-1])
+        bwd = wilson_loop(backwards, "quadratic", ge_spherical, steps=2000)
         assert np.abs(bwd.full - fwd.full.conj().T).max() <= 1e-8
 
     def test_composition_multiplicativity(self, ge_spherical):
@@ -419,6 +452,12 @@ class TestComparisons:
         for alpha in (0.3, -1.2, np.pi):
             assert holonomy_fidelity(u, np.exp(1j * alpha) * u) == pytest.approx(
                 1.0, abs=1e-12)
+
+    def test_fidelity_never_exceeds_one(self, rng):
+        from util import random_su2
+        for alpha in rng.uniform(-np.pi, np.pi, size=200):
+            u = random_su2(rng)
+            assert 1.0 - 1e-12 <= holonomy_fidelity(u, np.exp(1j * alpha) * u) <= 1.0
 
     def test_fidelity_orthogonal_case(self):
         v = np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])

@@ -80,7 +80,7 @@ class TestLoopProduct:
             loop_holonomy(1.0, 0.5, LoopModel(kind="bogus"))
 
     def test_numeric_model_agrees_with_analytic(self, ge_spherical):
-        model = LoopModel.numeric_quadratic(ge_spherical, 1e6, steps=4000)
+        model = LoopModel.numeric_quadratic(ge_spherical, 1e6)
         assert half_spin_band(ge_spherical) == "minus"
         u_num = loop_holonomy(0.9, 1.2, model)
         u_ana = zee_holonomy(0.9, 1.2)
