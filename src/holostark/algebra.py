@@ -104,10 +104,20 @@ def default_basis():
     return gamma_basis(spin_matrices())
 
 
-def _contract(coeffs, name, factor):
-    """The stack (k, 4, 4) of factor * sum_a coeffs[:, a] X_a over the n
-    matrices X_a of default_basis().<name> (5 of gamma, 25 of gammab), for
-    real coeffs (k, n): one real (k, n) @ (n, 32) matmul with the X_a as
-    interleaved (re, im) pairs, viewed as complex."""
-    table = (factor * getattr(default_basis(), name)).reshape(-1, 16).view(float)
-    return (coeffs @ table).view(complex).reshape(-1, 4, 4)
+def wedge(u, v):
+    """The rows (k, 10) u_a v_b - u_b v_a, a < b, of the bivectors u ^ v of
+    real rows u, v (k, 5): the coefficients of step_table("transport")."""
+    a, b = np.triu_indices(5, 1)
+    return u[:, a] * v[:, b] - u[:, b] * v[:, a]
+
+
+@lru_cache(maxsize=2)
+def step_table(kind):
+    """The _linalg.clifford_steps table of the "transport" steps, on the ten
+    i gamma_ab = gamma_a gamma_b (a < b, as in wedge), or of the "schrodinger"
+    steps, on the five -i gamma_a: the real forms [[Re, -Im], [Im, Re]] of I
+    and those, flattened (the real form of a product is the product's)."""
+    g = default_basis()
+    xs = 1j * g.gammab[np.triu_indices(5, 1)] if kind == "transport" else -1j * g.gamma
+    x = np.concatenate([np.eye(4)[None], xs])
+    return _frozen(np.block([[x.real, -x.imag], [x.imag, x.real]]).reshape(-1, 64))

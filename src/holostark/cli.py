@@ -39,7 +39,7 @@ EXIT_NOT_CONVERGED = 3
 MATERIALS_ENV = "STARK_MATERIALS_PATH"
 
 # the flag that sets each library argument an error can blame (_ArgumentError)
-_FLAGS = {"rotation_freq": "--rotation-freq", "total_time": "--T"}
+_FLAGS = {"rotation_freq": "--rotation-freq", "total_time": "--T", "wl_steps": "--wl-steps"}
 
 
 def _complex_matrix(m):

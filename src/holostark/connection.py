@@ -26,7 +26,7 @@ stark.d_increment takes from the same bilinear form as d itself.
 import numpy as np
 
 from ._linalg import pow2_exponent, scaled_norm
-from .algebra import _contract, default_basis
+from .algebra import default_basis, wedge
 from .errors import DegeneratePoint, InvalidInput
 from .stark import d_components, d_increment
 
@@ -76,16 +76,17 @@ def gap_norms(comps):
 
 
 def transport_exponents(points, regime, m, d=None):
-    """Per-step anti-Hermitian exponents A^i(E_mid) dE_i along a polyline.
+    """Per-step exponents X = A^i(E_mid) dE_i along a polyline, as real rows
+    B (k, 10) of X = sum_{a<b} B_ab i gamma_ab (algebra.step_table).
 
     Midpoint evaluation makes the ordered product of their exponentials a
-    second-order integrator.  jde = J(E_mid) dE is the step's change of d
-    (stark.d_increment); scaled by 0.5/|d|^2, its real bivectors with d are
-    contracted with i gammab in one real matmul (algebra._contract).  They
-    are homogeneous of degree 0 in E, so the points are first scaled by a
-    power of two (_linalg.pow2_exponent), exactly; a caller passing ``d``,
-    the midpoints' (d_components, gap_norms), has scaled the points itself,
-    as one scale must serve d and jde.  DegeneratePoint if the gap closes."""
+    second-order integrator.  With jde = J(E_mid) dE, the step's change of d
+    (stark.d_increment), B = (0.5/|d|^2) jde ^ d (algebra.wedge): a simple
+    bivector, so X^2 = -|B|^2 I.  B is homogeneous of degree 0 in E, so the
+    points are first scaled by a power of two (_linalg.pow2_exponent),
+    exactly; a caller passing ``d``, the midpoints' (d_components,
+    gap_norms), has scaled them itself, as one scale must serve d and jde.
+    DegeneratePoint if the gap closes."""
     points = np.asarray(points, dtype=float)
     if d is None:
         points = np.ldexp(points, -pow2_exponent(points))
@@ -94,4 +95,4 @@ def transport_exponents(points, regime, m, d=None):
     norms = gap_norms(comps) if d is None else d[1]
     jde = (0.5 / (norms * norms))[:, None] * d_increment(
         mids, points[1:] - points[:-1], m, regime)
-    return _contract((jde[:, :, None] * comps[:, None, 1:]).reshape(-1, 25), "gammab", 1j)
+    return wedge(jde, comps[:, 1:])

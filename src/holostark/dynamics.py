@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import blocked_product, dagger
-from .algebra import _contract
+from .algebra import step_table
 from .connection import gap_norms
 from .errors import InvalidInput, _ArgumentError
-from .holonomy import DEFAULT_STEPS, FieldPath, wilson_loop
+from .holonomy import DEFAULT_STEPS, MIN_STEPS, FieldPath, wilson_loop
 from .stark import d_components
 from .units import HBAR_MEV_S
 
@@ -65,8 +65,8 @@ def _drive_steps(drive, regime, m):
     comps = d_components(mids, m, regime)
     norms = gap_norms(comps)
     dt = drive.total_time / len(mids)
-    # the callers sum level shifts and their phases over the drive, and
-    # clifford_exp squares each step's |X|_F = 2 (dt/hbar)|d|
+    # the callers sum level shifts and their phases over the drive; a step
+    # angle (dt/hbar)|d| whose square overflows keeps no phase at all
     with np.errstate(over="ignore"):
         peak = (np.abs(comps[:, 0]) + norms).max()
         shifts, angle_sq = len(mids) * peak, (2.0 * (dt / HBAR_MEV_S) * peak) ** 2
@@ -78,17 +78,14 @@ def _drive_steps(drive, regime, m):
     return comps, norms, dt
 
 
-def _propagate(comps, dt, block):
+def _propagate(comps, norms, dt, block):
     """Propagate the column(s) of ``block`` through the traceless steps
-    exp(-i (dt/hbar) d . gamma) of a checked drive (_drive_steps); the d0
-    phase is left to the caller.  The real coefficients (dt/hbar) d are
-    contracted with -i gamma in one real matmul per block
-    (algebra._contract), and blocked_product exponentiates and multiplies
-    the blocks.
-    """
+    exp(-i (dt/hbar) d . gamma) of a checked drive (_drive_steps), built and
+    multiplied in real form (blocked_product); the d0 phase is left to the
+    caller.  A step squares to -((dt/hbar)|d|)^2 I, so its angle is a norm."""
     scale = dt / HBAR_MEV_S
-    return blocked_product(len(comps), lambda lo, hi: _contract(
-        scale * comps[lo:hi, 1:], "gamma", -1j)) @ block
+    return blocked_product(len(comps), step_table("schrodinger"),
+                           lambda lo, hi: scale * comps[lo:hi, 1:], scale * norms) @ block
 
 
 def evolve(drive, regime, m, psi0):
@@ -103,8 +100,8 @@ def evolve(drive, regime, m, psi0):
         raise InvalidInput("psi0 must be a 4-vector")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise InvalidInput("psi0 must be normalized")
-    comps, _, dt = _drive_steps(drive, regime, m)
-    psi = _propagate(comps, dt, psi0[:, None])
+    comps, norms, dt = _drive_steps(drive, regime, m)
+    psi = _propagate(comps, norms, dt, psi0[:, None])
     return np.exp(-1j * comps[:, 0].sum() * dt / HBAR_MEV_S) * psi[:, 0]
 
 
@@ -130,14 +127,16 @@ def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS):
     propagator block and B the Wilson-loop block in the same frame; leakage
     out of the band degrades it gracefully, and the adiabatic theorem
     drives it to 1 as total_time grows.  band_leakage is one minus
-    the mean returned band population.  The drive is checked before the
-    reference Wilson loop runs, so a rejected drive costs no transport.
+    the mean returned band population.  wl_steps, then the drive, are checked
+    before any work, so a rejected drive costs no transport.
     """
+    if wl_steps < MIN_STEPS:
+        raise _ArgumentError("wl_steps", f"steps must be >= {MIN_STEPS}")
     comps, norms, dt = _drive_steps(drive, regime, m)
     hol = wilson_loop(drive.path, regime, m, steps=wl_steps)
     reference = hol.block(band)
     frame = hol.frame(band)
-    psi = _propagate(comps, dt, frame)
+    psi = _propagate(comps, norms, dt, frame)
     sign = 1.0 if band == "plus" else -1.0
     psi = psi * np.exp(1j * sign * norms.sum() * dt / HBAR_MEV_S)
     block = dagger(frame) @ psi

@@ -37,6 +37,7 @@ import numpy as np
 from ._linalg import (PAULI, blocked_product, clifford_exp, dagger, ordered_product,
                       pow2_exponent, projector_frame, require_unitary, scaled_norm,
                       unitarity_defect)
+from .algebra import step_table
 from .connection import gap_norms, projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
                      NotConstantMagnitude, is_finite_number, is_number_tree)
@@ -251,7 +252,7 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     """Path-ordered transport around a closed loop.
 
     Midpoint-evaluated exponents (second-order accurate), exactly unitary
-    steps, built, exponentiated and multiplied in blocks (see
+    steps, built and multiplied in real form, in blocks (see
     _linalg.blocked_product).  The points are scaled in place by one power
     of two for the whole path (see transport_exponents), and d and |d| are
     evaluated once per midpoint, in one degeneracy check the blocks reuse.
@@ -268,8 +269,9 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     np.ldexp(pts, -pow2_exponent(pts), out=pts)
     comps = d_components(0.5 * pts[1:] + 0.5 * pts[:-1], m, regime)
     norms = gap_norms(comps)
-    full = blocked_product(len(pts) - 1, lambda lo, hi: transport_exponents(
-        pts[lo:hi + 1], regime, m, d=(comps[lo:hi], norms[lo:hi])))
+    full = blocked_product(len(pts) - 1, step_table("transport"), lambda lo, hi:
+                           transport_exponents(pts[lo:hi + 1], regime, m,
+                                               d=(comps[lo:hi], norms[lo:hi])))
     fp, fm = basepoint_frames(pts[0], regime, m)  # the same bits as unscaled
     return Holonomy(
         full=full,

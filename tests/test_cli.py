@@ -420,6 +420,19 @@ class TestHolonomy:
 
 
 class TestVerifyAdiabatic:
+    @pytest.mark.parametrize("wl_steps", ["50", "-1"])
+    def test_wl_steps_below_min_steps_exit_2_before_the_drive(self, capsys, tmp_path,
+                                                              monkeypatch, wl_steps):
+        from holostark import dynamics
+        monkeypatch.setattr(dynamics, "_drive_steps",
+                            lambda *a: pytest.fail("the drive was evaluated"))
+        code = main(["verify-adiabatic", "--regime", "quadratic", "--T", "1e-9",
+                     "--path", write_octant(tmp_path), "--time-steps", "2000",
+                     "--wl-steps", wl_steps])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: --wl-steps: steps must be >= 100\n"
+
     def test_static_path_gives_unit_fidelity(self, capsys, tmp_path):
         f = tmp_path / "static.json"
         f.write_text(json.dumps({"kind": "sampled", "samples":

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from holostark import (DegeneratePoint, InvalidInput, connection_d, eigenphases,
                        make_spherical_triangle, projectors, sampled_path,
                        transport_exponents, wilson_loop)
-from holostark._linalg import BLOCK, clifford_exp, ordered_product
+from holostark._linalg import BLOCK
+from holostark.algebra import step_table
 from holostark.connection import gap_norms
 from holostark.stark import d_components
+
+from util import one_product, transport_matrices
 
 
 def random_dvector(rng, scale=1.0):
@@ -112,8 +115,8 @@ def field_connection(e, regime, m, h=1.0):
     transport: one step of length h (V/m) along E_i with midpoint E has the
     exponent A^i(E) h."""
     e = np.asarray(e, dtype=float)
-    return np.stack([transport_exponents([e - 0.5 * h * u, e + 0.5 * h * u],
-                                         regime, m)[0] / h for u in np.eye(3)])
+    return np.stack([transport_matrices(transport_exponents(
+        [e - 0.5 * h * u, e + 0.5 * h * u], regime, m))[0] / h for u in np.eye(3)])
 
 
 class TestConnectionField:
@@ -172,7 +175,7 @@ class TestConnectionField:
 class TestTransportExponents:
     def test_midpoint_count_and_antihermiticity(self, ge_b):
         pts = np.array([[0, 0, 1e6], [1e5, 0, 1e6], [0, 1e5, 1e6], [0, 0, 1e6]])
-        w = transport_exponents(pts, "quadratic", ge_b)
+        w = transport_matrices(transport_exponents(pts, "quadratic", ge_b))
         assert w.shape == (3, 4, 4)
         assert np.abs(w + np.conj(np.swapaxes(w, 1, 2))).max() <= 1e-12
 
@@ -272,7 +275,7 @@ class TestScaleFree:
         path = sampled_path(scale * np.array([[0, 0, 1e0], [1e1, 0, 1e0], [0, 3e0, 2e0],
                                               [0, 0, 1e0]]))
         pts = path.points(3 * BLOCK)
-        single = ordered_product(clifford_exp(transport_exponents(pts, regime, ge_b)))
+        single = one_product(step_table("transport"), transport_exponents(pts, regime, ge_b))
         hol = wilson_loop(path, regime, ge_b, 3 * BLOCK)
         assert len(pts) - 1 > 2 * BLOCK
         assert np.array_equal(hol.full, single)

@@ -10,7 +10,7 @@ from holostark.connection import transport_exponents
 from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
 
-from util import expm_antiherm, unitarize
+from util import expm_antiherm, transport_matrices, unitarize
 
 OCTANT = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6)
 
@@ -168,7 +168,7 @@ class TestAdiabaticFidelity:
         # Schrodinger oracle
         from scipy.linalg import expm
         pts = OCTANT.points(2000)
-        exponents = transport_exponents(pts, "quadratic", ge_spherical)
+        exponents = transport_matrices(transport_exponents(pts, "quadratic", ge_spherical))
         hermitian_variant = np.eye(4, dtype=complex)
         for w in 1j * exponents:
             hermitian_variant = expm(w) @ hermitian_variant

@@ -6,21 +6,21 @@ import pytest
 from holostark import (DegeneratePoint, Drive, adiabatic_fidelity, evolve,
                        make_spherical_triangle, sampled_path, wilson_loop)
 from holostark._linalg import (BLOCK, PAULI, blocked_product, clifford_exp,
-                               ordered_product)
-from holostark.algebra import _contract
+                               clifford_steps, ordered_product)
+from holostark.algebra import step_table, wedge
 from holostark.connection import gap_norms, transport_exponents
 from holostark.dynamics import _drive_steps, _propagate
 from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
 
-from util import (d_dot_gamma_einsum, expm_antiherm, random_su2,
-                  transport_exponents_einsum)
+from util import (d_dot_gamma_einsum, expm_antiherm, one_product, random_su2,
+                  transport_exponents_einsum, transport_matrices)
 
 
 @pytest.mark.parametrize("regime", ["linear", "quadratic"])
 def test_clifford_exp_matches_eigh_on_transport_exponents(ge_spherical, regime):
     pts = make_spherical_triangle(0.7, 1.1, 1e6).points(50)
-    exponents = transport_exponents(pts, regime, ge_spherical)
+    exponents = transport_matrices(transport_exponents(pts, regime, ge_spherical))
     assert np.abs(clifford_exp(exponents) - expm_antiherm(exponents)).max() <= 1e-14
 
 
@@ -56,18 +56,71 @@ def test_ordered_product_matches_sequential_loop(rng, k):
     assert np.abs(ordered_product(units) - expected).max() <= 1e-14
 
 
-@pytest.mark.parametrize("k", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def _real_form_cases(ge_b, rng):
+    """(table, rows, angles or None, complex exponents) of both integrators,
+    each with a zero row first; the Schrodinger steps are those of
+    test_clifford_exp_matches_eigh_on_schrodinger_steps, angles up to 10."""
+    pts = make_spherical_triangle(0.7, 1.1, 1e6).points(50)
+    b = np.vstack([np.zeros(10), transport_exponents(pts, "quadratic", ge_b)])
+    comps = d_components(rng.normal(size=(40, 3)) * 1e6, ge_b, "quadratic")
+    dt_over_hbar = np.linspace(0.0, 10.0, 40) / np.linalg.norm(comps[:, 1:], axis=1)
+    x = (-1j * dt_over_hbar)[:, None, None] * d_dot_gamma_einsum(comps)
+    return [(step_table("transport"), b, None, transport_matrices(b)),
+            (step_table("schrodinger"), dt_over_hbar[:, None] * comps[:, 1:],
+             dt_over_hbar * gap_norms(comps), x)]
+
+
+def test_real_form_steps_match_eigh(ge_b, rng):
+    for table, rows, theta, x in _real_form_cases(ge_b, rng):
+        steps = clifford_steps(table, rows, theta)
+        assert steps.shape == (len(rows), 8, 8) and steps.dtype == float
+        assert np.array_equal(steps[0], np.eye(8))
+        assert np.abs(steps @ np.swapaxes(steps, 1, 2) - np.eye(8)).max() <= 1e-14
+        want = expm_antiherm(x)
+        assert np.abs(steps[:, :4, :4] + 1j * steps[:, 4:, :4] - want).max() <= 1e-14
+        assert np.abs(steps[:, 4:, 4:] - 1j * steps[:, :4, 4:] - want).max() <= 1e-14
+
+
+def test_row_norms_are_the_step_angles(ge_b, rng):
+    # theta = |B| for the simple transport bivectors, (dt/hbar)|d| for the
+    # Schrodinger steps: both are ||X||_F / 2 for the 4x4 X
+    for table, rows, theta, x in _real_form_cases(ge_b, rng):
+        want = np.linalg.norm(x, axis=(1, 2)) / 2
+        got = np.sqrt(np.einsum("ka,ka->k", rows, rows)) if theta is None else theta
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
+        square = x @ x + (got ** 2)[:, None, None] * np.eye(4)  # X^2 = -theta^2 I
+        assert np.abs(square).max() <= 1e-14 * want.max() ** 2
+
+
+def test_step_tables_round_each_entry_once():
+    # a step entry is cos(theta) + c_a sinc(theta) or +-c_a sinc(theta), one
+    # rounding, so a step has the same bits in a block of any length
+    for kind in ("transport", "schrodinger"):
+        table = step_table(kind)
+        assert set(np.abs(table).ravel()) == {0.0, 1.0}
+        assert (table != 0).sum(axis=0).max() <= 2
+
+
+# BLOCK = 2048: the step counts next to one, two and four blocks
+@pytest.mark.parametrize("k", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
+                               2 * BLOCK, 2 * BLOCK + 1, 2 * BLOCK + 3, 4 * BLOCK + 3])
 def test_blocked_product_has_the_bits_of_one_ordered_product(rng, k):
-    x = 1j * np.einsum("kc,cij->kij", rng.normal(size=(k, 3)), PAULI)
-    blocked = blocked_product(k, lambda lo, hi: x[lo:hi])
-    assert np.array_equal(blocked, ordered_product(clifford_exp(x)))
+    # both integrators' tables: random bivectors are not simple, so the
+    # transport rows are wedges of random pairs
+    u, v = rng.normal(size=(2, k, 5))
+    b = wedge(u, v)
+    blocked = blocked_product(k, step_table("transport"), lambda lo, hi: b[lo:hi])
+    assert np.array_equal(blocked, one_product(step_table("transport"), b))
+    theta = np.linalg.norm(u, axis=1)
+    blocked = blocked_product(k, step_table("schrodinger"), lambda lo, hi: u[lo:hi], theta)
+    assert np.array_equal(blocked, one_product(step_table("schrodinger"), u, theta))
 
 
 @pytest.mark.parametrize("regime", ["linear", "quadratic"])
 def test_wilson_loop_has_the_bits_of_one_ordered_product(ge_b, regime):
     path = make_spherical_triangle(0.7, 1.1, 1e6)
-    single = ordered_product(clifford_exp(
-        transport_exponents(path.points(20000), regime, ge_b)))
+    single = one_product(step_table("transport"),
+                         transport_exponents(path.points(20000), regime, ge_b))
     assert np.array_equal(wilson_loop(path, regime, ge_b, 20000).full, single)
 
 
@@ -78,25 +131,39 @@ def test_propagate_has_the_bits_of_one_ordered_product(ge_b, regime):
     pts = drive.path.points(drive.time_steps)
     comps = d_components(0.5 * (pts[1:] + pts[:-1]), ge_b, regime)
     scale = drive.total_time / len(comps) / HBAR_MEV_S
-    single = ordered_product(clifford_exp(_contract(scale * comps[:, 1:], "gamma", -1j)))
-    steps, _, dt = _drive_steps(drive, regime, ge_b)
+    single = one_product(step_table("schrodinger"), scale * comps[:, 1:],
+                         scale * gap_norms(comps))
+    steps, norms, dt = _drive_steps(drive, regime, ge_b)
     assert np.array_equal(steps, comps)
-    psi = _propagate(steps, dt, np.eye(4))
+    psi = _propagate(steps, norms, dt, np.eye(4))
     assert np.array_equal(psi, single @ np.eye(4))
+
+
+@pytest.mark.parametrize("path", [
+    make_spherical_triangle(0.7, 1.1, 1e6), make_spherical_triangle(2.2, -2.0, 1e6),
+    sampled_path([[0, 0, 1e6], [1e6, 0, 1e6], [0, 3e6, 2e6], [0, 0, 1e6]])],
+    ids=["triangle", "obtuse-triangle", "sampled"])
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+def test_wilson_loop_agrees_with_the_complex_kernel(ge_b, regime, path):
+    # the complex 4x4 steps clifford_exp(X) of independently built exponents
+    pts = path.points(20000)
+    single = ordered_product(clifford_exp(transport_exponents_einsum(pts, regime, ge_b)))
+    assert np.abs(wilson_loop(path, regime, ge_b, 20000).full - single).max() <= 1e-12
 
 
 @pytest.mark.parametrize("regime", ["linear", "quadratic"])
 def test_transport_exponents_match_einsum(ge_b, regime):
     pts = make_spherical_triangle(0.7, 1.1, 1e6).points(500)
     expected = transport_exponents_einsum(pts, regime, ge_b)
-    got = transport_exponents(pts, regime, ge_b)
+    got = transport_matrices(transport_exponents(pts, regime, ge_b))
     assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def test_schrodinger_generators_match_einsum(ge_b, rng):
     comps = d_components(rng.normal(size=(500, 3)) * 1e6, ge_b, "quadratic")
     expected = -1j * d_dot_gamma_einsum(comps)
-    got = _contract(comps[:, 1:], "gamma", -1j)
+    rows = (comps[:, 1:] @ step_table("schrodinger")[1:]).reshape(-1, 8, 8)
+    got = rows[:, :4, :4] + 1j * rows[:, 4:, :4]
     assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
 

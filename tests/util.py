@@ -3,7 +3,7 @@
 import numpy as np
 
 from holostark import acomm, default_basis, gamma_basis
-from holostark._linalg import PAULI, dagger
+from holostark._linalg import PAULI, clifford_steps, dagger, ordered_product
 from holostark.algebra import CliffordBasis, _generators
 from holostark.connection import gap_norms
 from holostark.stark import d_components, d_increment
@@ -105,6 +105,19 @@ def transport_exponents_einsum(points, regime, m):
     jde = np.einsum("kai,ki->ka", jac, points[1:] - points[:-1])
     expo = np.einsum("ka,kb,abij->kij", jde, comps[:, 1:], default_basis().gammab)
     return (0.5j / (norms * norms))[:, None, None] * expo
+
+
+def transport_matrices(rows):
+    """The complex exponents sum_{a<b} B_ab i gamma_ab (k, 4, 4) of the
+    transport rows B (k, 10) of transport_exponents, by einsum."""
+    a, b = np.triu_indices(5, 1)
+    return np.einsum("kp,pij->kij", rows, 1j * default_basis().gammab[a, b])
+
+
+def one_product(table, rows, theta=None):
+    """The complex 4x4 of one ordered_product over all real-form steps."""
+    r = ordered_product(clifford_steps(table, rows, theta))
+    return r[:4, :4] + 1j * r[4:, :4]
 
 
 def d_dot_gamma_einsum(comps):
