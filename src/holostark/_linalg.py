@@ -8,12 +8,6 @@ from .errors import NotUnitary
 # block is a whole subtree of ordered_product's pairwise tree
 BLOCK = 2048
 
-PAULI = np.array([
-    [[0, 1], [1, 0]],
-    [[0, -1j], [1j, 0]],
-    [[1, 0], [0, -1]],
-], dtype=complex)
-
 
 def dagger(a):
     return np.conj(np.swapaxes(a, -1, -2))
@@ -36,16 +30,6 @@ def scaled_norm(x, axis=None):
         return np.ldexp(np.sqrt(sq), k)
 
 
-def clifford_exp(x):
-    """exp(X) = cos(theta) I + sin(theta)/theta X for stacked anti-Hermitian
-    n x n X with X^2 = -theta^2 I, so theta = ||X||_F / sqrt(n) (Hestenes &
-    Sobczyk 1984).  Unitary at any step size; exactly I at theta = 0."""
-    n = x.shape[-1]
-    theta = np.linalg.norm(x, axis=(-2, -1)) / np.sqrt(n)
-    return (np.cos(theta)[..., None, None] * np.eye(n)
-            + np.sinc(theta / np.pi)[..., None, None] * x)
-
-
 def ordered_product(units):
     """Later-to-the-left product units[k-1] ... units[1] units[0] of a
     (k, ..., n, n) stack, k >= 1, as a pairwise tree of batched matmuls."""
@@ -56,32 +40,36 @@ def ordered_product(units):
 
 
 def clifford_steps(table, c, theta=None):
-    """Real forms (k, 8, 8) of the 4x4 exp(X_j) = cos(theta_j) I + sin(theta_j)
-    / theta_j X_j, X_j = sum_a c[j, a] X_a, from real rows c (k, m) and the
-    flattened real forms of I, X_1 .. X_m in table (1 + m, 64) (algebra).
-    Each X_j must square to -theta_j^2 I; theta defaults to the row norms.
-    One real matmul builds the k steps; a zero row gives exactly I."""
+    """Real forms (k, ..., 2n, 2n) of the n x n exp(X_j) = cos(theta_j) I +
+    sin(theta_j) / theta_j X_j, X_j = sum_a c[j, ..., a] X_a, from real rows
+    c (k, ..., m) and the flattened real forms of I, X_1 .. X_m in table
+    (1 + m, 4n^2) (algebra.step_table).  Each X_j must square to -theta_j^2 I;
+    theta defaults to the row norms.  One real matmul builds all the steps; a
+    zero row gives exactly I."""
     if theta is None:
-        theta = np.sqrt(np.einsum("ka,ka->k", c, c))
-    coef = np.empty((len(c), len(table)))
-    coef[:, 0] = np.cos(theta)
-    np.multiply(np.sinc(theta / np.pi)[:, None], c, out=coef[:, 1:])
+        theta = np.sqrt(np.einsum("...a,...a->...", c, c))
+    coef = np.empty(c.shape[:-1] + (len(table),))
+    coef[..., 0] = np.cos(theta)
+    np.multiply(np.sinc(theta / np.pi)[..., None], c, out=coef[..., 1:])
     # the tables hold 0 and +-1, at most two nonzeros a column: each entry
     # rounds once, to the same bits on any BLAS path and at any row count
-    return (coef @ table).reshape(-1, 8, 8)
+    size = int(table.shape[1] ** 0.5)
+    return (coef.reshape(-1, len(table)) @ table).reshape(c.shape[:-1] + (size, size))
 
 
 def blocked_product(k, table, coeffs, theta=None):
-    """The complex 4x4 ordered product of k clifford_steps, built BLOCK steps
+    """The complex n x n ordered product of k clifford_steps, built BLOCK steps
     at a time from coeffs(lo, hi), the rows c_lo to c_{hi-1}, and theta, all k
-    angles if given.  Every full block is a whole subtree of the single
-    product's pairwise tree, so the result has the bits of one ordered_product
-    over all k real-form steps, in memory bounded by one block.  BLAS
-    multiplies real 8x8 forms about three times faster than complex 4x4."""
+    angles if given; any axes after the first batch the products.  Every full
+    block is a whole subtree of the single product's pairwise tree, so the
+    result has the bits of one ordered_product over all k real-form steps, in
+    memory bounded by one block.  BLAS multiplies the real 8x8 forms of the
+    4x4 steps about three times faster than the complex 4x4 ones."""
     r = ordered_product(np.stack([ordered_product(clifford_steps(
         table, coeffs(lo, min(lo + BLOCK, k)), None if theta is None else
         theta[lo:lo + BLOCK])) for lo in range(0, k, BLOCK)]))
-    return r[:4, :4] + 1j * r[4:, :4]
+    n = r.shape[-1] // 2
+    return r[..., :n, :n] + 1j * r[..., n:, :n]
 
 
 def unitarity_defect(u):

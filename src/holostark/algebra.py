@@ -1,4 +1,4 @@
-"""Spin-3/2 operators and the five mutually anticommuting 4x4 matrices.
+"""Spin-3/2 operators, the anticommuting 4x4 gammas, Pauli matrices, step tables.
 
 Conventions
 -----------
@@ -26,6 +26,10 @@ def _frozen(a):
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+PAULI = _frozen(np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                         dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -111,13 +115,15 @@ def wedge(u, v):
     return u[:, a] * v[:, b] - u[:, b] * v[:, a]
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=3)
 def step_table(kind):
     """The _linalg.clifford_steps table of the "transport" steps, on the ten
-    i gamma_ab = gamma_a gamma_b (a < b, as in wedge), or of the "schrodinger"
-    steps, on the five -i gamma_a: the real forms [[Re, -Im], [Im, Re]] of I
-    and those, flattened (the real form of a product is the product's)."""
+    i gamma_ab = gamma_a gamma_b (a < b, as in wedge), of the "schrodinger"
+    steps, on the five -i gamma_a, or of the 2x2 "pauli" steps, on the three
+    i sigma_c: the real forms [[Re, -Im], [Im, Re]] of I and those, flattened
+    (the real form of a product is the product's)."""
     g = default_basis()
-    xs = 1j * g.gammab[np.triu_indices(5, 1)] if kind == "transport" else -1j * g.gamma
-    x = np.concatenate([np.eye(4)[None], xs])
-    return _frozen(np.block([[x.real, -x.imag], [x.imag, x.real]]).reshape(-1, 64))
+    xs = {"transport": 1j * g.gammab[np.triu_indices(5, 1)], "schrodinger": -1j * g.gamma,
+          "pauli": 1j * PAULI}[kind]
+    x = np.concatenate([np.eye(xs.shape[-1])[None], xs])
+    return _frozen(np.block([[x.real, -x.imag], [x.imag, x.real]]).reshape(len(x), -1))

@@ -51,8 +51,8 @@ class Drive:
 
 def _drive_steps(drive, regime, m):
     """The drive's per-midpoint d-components, their |d| and dt, after
-    checking that the gap stays open and that float64 holds the summed
-    level shifts and the step phases.
+    checking that the gap stays open, that float64 holds the summed level
+    shifts and that their phase stays below 2^53 rad.
 
     Each time step freezes the field at the midpoint of one segment of
     ``drive.path.points(drive.time_steps)``: exactly time_steps of them on a
@@ -65,14 +65,14 @@ def _drive_steps(drive, regime, m):
     comps = d_components(mids, m, regime)
     norms = gap_norms(comps)
     dt = drive.total_time / len(mids)
-    # the callers sum level shifts and their phases over the drive; a step
-    # angle (dt/hbar)|d| whose square overflows keeps no phase at all
+    # the callers sum level shifts and their phases over the drive; past
+    # 2^53 rad a float64 phase keeps no angle at all
     with np.errstate(over="ignore"):
-        peak = (np.abs(comps[:, 0]) + norms).max()
-        shifts, angle_sq = len(mids) * peak, (2.0 * (dt / HBAR_MEV_S) * peak) ** 2
+        shifts = len(mids) * (np.abs(comps[:, 0]) + norms).max()
+        phase = shifts * (dt / HBAR_MEV_S)
     if not np.isfinite(shifts):
         raise InvalidInput("field too strong for float64: summed level shifts overflow")
-    if not np.isfinite(angle_sq):
+    if not phase <= 2.0 ** 53:
         raise _ArgumentError("total_time", f"a {drive.total_time!r} s drive "
                              "overflows the step phases in float64")
     return comps, norms, dt

@@ -27,6 +27,10 @@ Two analytic oracles cover special cases:
   product ``zee_holonomy`` for meridian-arc-meridian triangles, describing
   the band that carries the spin-projection +-1/2 doublet (see
   ``half_spin_band``).
+
+Their factors exp(i v . sigma), and those of ``linear_stark_holonomy``, are
+real rows v built and multiplied by the Wilson loop's own kernel,
+``_linalg.clifford_steps`` / ``blocked_product``, on the "pauli" table.
 """
 
 import itertools
@@ -34,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (PAULI, blocked_product, clifford_exp, dagger, ordered_product,
-                      pow2_exponent, projector_frame, require_unitary, scaled_norm,
-                      unitarity_defect)
+from ._linalg import (blocked_product, dagger, pow2_exponent, projector_frame,
+                      require_unitary, scaled_norm, unitarity_defect)
 from .algebra import step_table
 from .connection import gap_norms, projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
@@ -283,13 +286,8 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     )
 
 
-def _su2_generators(v):
-    """The stack i v . sigma (..., 2, 2) for real vectors v (..., 3)."""
-    return 1j * np.einsum("...c,cij->...ij", v, PAULI)
-
-
 def _linear_stark_block_connection(path, steps=DEFAULT_STEPS):
-    """Per-step 2x2 anti-Hermitian increments of the linear-regime holonomy.
+    """Rows v (k, 3) of the linear-regime holonomy's 2x2 increments i v . sigma.
 
     At constant |E| the band transport reduces to increments
     (i / 2|E|^2) sigma . (dE x E_mid); their ordered product is the
@@ -305,13 +303,13 @@ def _linear_stark_block_connection(path, steps=DEFAULT_STEPS):
         raise NotConstantMagnitude("path does not keep |E| constant")
     mids = 0.5 * pts[1:] + 0.5 * pts[:-1]
     diffs = pts[1:] - pts[:-1]
-    v = np.cross(diffs, mids) / (2.0 * np.einsum("ki,ki->k", mids, mids))[:, None]
-    return _su2_generators(v)
+    return np.cross(diffs, mids) / (2.0 * np.einsum("ki,ki->k", mids, mids))[:, None]
 
 
 def linear_stark_holonomy(path, steps=DEFAULT_STEPS):
     """Ordered product of the linear-regime increments: the 2x2 oracle."""
-    return ordered_product(clifford_exp(_linear_stark_block_connection(path, steps)))
+    v = _linear_stark_block_connection(path, steps)
+    return blocked_product(len(v), step_table("pauli"), lambda lo, hi: v[lo:hi])
 
 
 def _check_loop_angles(theta, phi):
@@ -328,7 +326,7 @@ def _triangle_product(theta, phi, rows):
     vs = np.zeros((4,) + np.broadcast(theta, phi).shape + (3,))  # factor axis first
     for k, c in itertools.product(range(4), range(3)):
         vs[k, ..., c] = rows[k][c]
-    return ordered_product(clifford_exp(_su2_generators(vs)))
+    return blocked_product(4, step_table("pauli"), lambda lo, hi: vs[lo:hi])
 
 
 def linear_triangle_holonomy(theta, phi):

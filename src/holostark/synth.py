@@ -8,7 +8,8 @@ global-phase blind, matching holonomy equivalence classes.
 
 Per-loop holonomies come from the analytic oracles where they are valid
 (spherical quadratic model, linear regime), batched over grid chunks of at
-most ``_linalg.BLOCK`` 2x2 factors, else from the numeric Wilson loop.
+most ``_linalg.BLOCK`` 2x2 factors, else from the numeric Wilson loop; both
+are built by one kernel, ``_linalg.clifford_steps`` / ``blocked_product``.
 Nelder-Mead runs per candidate through the package's own ``minimize``, a
 port of scipy's method="Nelder-Mead" with identical iterates, so scipy is
 not needed at run time; a fixed seed makes the search deterministic.
@@ -204,10 +205,15 @@ def _clip_angles(x):
 def _canonical_phase(target):
     """Strip the global phase: rotate so the largest-magnitude entry is real
     positive.  Phase-equivalent targets then drive identical searches (the
-    objective is phase-blind anyway; this removes even float-level drift)."""
+    objective is phase-blind anyway; this removes even float-level drift).
+    An exact quarter turn first takes that entry into [0, pi/2), as numpy's
+    complex multiply rounds (i a)(-i b) and a b apart."""
     flat = target.reshape(-1)
-    k = int(np.argmax(np.abs(flat)))
-    return target * (np.conj(flat[k]) / abs(flat[k]))
+    z = flat[int(np.argmax(np.abs(flat)))]
+    turn = 1
+    while not (z.real > 0 and z.imag >= 0):
+        z, turn = -1j * z, -1j * turn
+    return (turn * target) * (np.conj(z) / abs(z))
 
 
 def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):

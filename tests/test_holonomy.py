@@ -12,6 +12,7 @@ from holostark import (DegeneratePoint, FieldPath, InvalidAngle, InvalidInput,
                        linear_triangle_holonomy, make_latitude_loop,
                        make_spherical_triangle, path_from_dict, path_to_dict,
                        projectors, sampled_path, wilson_loop, zee_holonomy)
+from holostark.algebra import step_table
 from holostark.holonomy import _linear_stark_block_connection
 from holostark.stark import d_components
 
@@ -285,7 +286,7 @@ class TestLinearOracle:
         loop = make_latitude_loop(theta, 1e6)
         u = linear_stark_holonomy(loop, steps=20000)
         mhat = np.array([np.sin(theta), 0.0, np.cos(theta)])
-        from holostark._linalg import PAULI
+        from holostark.algebra import PAULI
         from util import expm_antiherm
         expected = expm_antiherm(-1j * np.pi * PAULI[2]) @ expm_antiherm(
             1j * np.pi * np.cos(theta) * np.einsum("c,cij->ij", mhat, PAULI))
@@ -297,10 +298,12 @@ class TestLinearOracle:
         assert np.abs(u - np.eye(2)).max() <= 1e-10
 
     def test_increments_are_antihermitian(self):
-        inc = _linear_stark_block_connection(octant_path(), steps=500)
-        assert inc.shape[1:] == (2, 2)
-        assert abs(inc.shape[0] - 500) <= 2  # arc-length allocation rounds
-        assert np.abs(inc + np.conj(np.swapaxes(inc, 1, 2))).max() <= 1e-15
+        # one real row v per step, on the i sigma_c, whose real forms are
+        # antisymmetric: every increment i v . sigma is anti-Hermitian
+        v = _linear_stark_block_connection(octant_path(), steps=500)
+        assert v.shape == (500, 3) and v.dtype == float
+        x = step_table("pauli")[1:].reshape(3, 4, 4)
+        assert np.array_equal(x, -np.swapaxes(x, 1, 2))
 
     @pytest.mark.parametrize("magnitude", [1e-300, 1e-160, 1e160, 1e308])
     def test_scale_free(self, magnitude):

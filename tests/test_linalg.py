@@ -5,46 +5,15 @@ import pytest
 
 from holostark import (DegeneratePoint, Drive, adiabatic_fidelity, evolve,
                        make_spherical_triangle, sampled_path, wilson_loop)
-from holostark._linalg import (BLOCK, PAULI, blocked_product, clifford_exp,
-                               clifford_steps, ordered_product)
-from holostark.algebra import step_table, wedge
+from holostark._linalg import BLOCK, blocked_product, clifford_steps, ordered_product
+from holostark.algebra import PAULI, step_table, wedge
 from holostark.connection import gap_norms, transport_exponents
 from holostark.dynamics import _drive_steps, _propagate
 from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
 
-from util import (d_dot_gamma_einsum, expm_antiherm, one_product, random_su2,
-                  transport_exponents_einsum, transport_matrices)
-
-
-@pytest.mark.parametrize("regime", ["linear", "quadratic"])
-def test_clifford_exp_matches_eigh_on_transport_exponents(ge_spherical, regime):
-    pts = make_spherical_triangle(0.7, 1.1, 1e6).points(50)
-    exponents = transport_matrices(transport_exponents(pts, regime, ge_spherical))
-    assert np.abs(clifford_exp(exponents) - expm_antiherm(exponents)).max() <= 1e-14
-
-
-def test_clifford_exp_matches_eigh_on_schrodinger_steps(ge_b, basis, rng):
-    # step exponents -i (dt/hbar) d.gamma with rotation angles |d| dt/hbar
-    # from exactly 0 (giving exactly I) to 10, well past pi
-    comps = d_components(rng.normal(size=(40, 3)) * 1e6, ge_b, "quadratic")
-    dt_over_hbar = np.linspace(0.0, 10.0, 40) / np.linalg.norm(comps[:, 1:], axis=1)
-    x = (-1j * dt_over_hbar)[:, None, None] * np.einsum(
-        "ka,aij->kij", comps[:, 1:], basis.gamma)
-    out = clifford_exp(x)
-    assert np.array_equal(out[0], np.eye(4))
-    assert np.abs(out - expm_antiherm(x)).max() <= 1e-14
-
-
-def test_clifford_exp_matches_eigh_on_su2_generators(rng):
-    # X = i v.sigma squares to -|v|^2 I; |v| from exactly 0 (giving exactly I)
-    # to 10, well past pi
-    v = rng.normal(size=(40, 3))
-    v *= (np.linspace(0.0, 10.0, 40) / np.linalg.norm(v, axis=1))[:, None]
-    x = 1j * np.einsum("kc,cij->kij", v, PAULI)
-    out = clifford_exp(x)
-    assert np.array_equal(out[0], np.eye(2))
-    assert np.abs(out - expm_antiherm(x)).max() <= 1e-13
+from util import (clifford_exp, d_dot_gamma_einsum, expm_antiherm, one_product,
+                  random_su2, transport_exponents_einsum, transport_matrices)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8])
@@ -57,56 +26,67 @@ def test_ordered_product_matches_sequential_loop(rng, k):
 
 
 def _real_form_cases(ge_b, rng):
-    """(table, rows, angles or None, complex exponents) of both integrators,
-    each with a zero row first; the Schrodinger steps are those of
-    test_clifford_exp_matches_eigh_on_schrodinger_steps, angles up to 10."""
+    """(table, rows, angles or None, complex exponents) of the transport in
+    both regimes, the Schrodinger steps and the 2x2 oracles, each with a zero
+    row first; the Schrodinger and SU(2) step angles run from exactly 0 to
+    10, well past pi."""
     pts = make_spherical_triangle(0.7, 1.1, 1e6).points(50)
-    b = np.vstack([np.zeros(10), transport_exponents(pts, "quadratic", ge_b)])
+    cases = []
+    for regime in ("linear", "quadratic"):
+        b = np.vstack([np.zeros(10), transport_exponents(pts, regime, ge_b)])
+        cases.append((step_table("transport"), b, None, transport_matrices(b)))
     comps = d_components(rng.normal(size=(40, 3)) * 1e6, ge_b, "quadratic")
     dt_over_hbar = np.linspace(0.0, 10.0, 40) / np.linalg.norm(comps[:, 1:], axis=1)
     x = (-1j * dt_over_hbar)[:, None, None] * d_dot_gamma_einsum(comps)
-    return [(step_table("transport"), b, None, transport_matrices(b)),
-            (step_table("schrodinger"), dt_over_hbar[:, None] * comps[:, 1:],
-             dt_over_hbar * gap_norms(comps), x)]
+    cases.append((step_table("schrodinger"), dt_over_hbar[:, None] * comps[:, 1:],
+                  dt_over_hbar * gap_norms(comps), x))
+    v = rng.normal(size=(40, 3))
+    v *= (np.linspace(0.0, 10.0, 40) / np.linalg.norm(v, axis=1))[:, None]
+    cases.append((step_table("pauli"), v, None, 1j * np.einsum("kc,cij->kij", v, PAULI)))
+    return cases
 
 
 def test_real_form_steps_match_eigh(ge_b, rng):
     for table, rows, theta, x in _real_form_cases(ge_b, rng):
+        n = x.shape[-1]
         steps = clifford_steps(table, rows, theta)
-        assert steps.shape == (len(rows), 8, 8) and steps.dtype == float
-        assert np.array_equal(steps[0], np.eye(8))
-        assert np.abs(steps @ np.swapaxes(steps, 1, 2) - np.eye(8)).max() <= 1e-14
+        assert steps.shape == (len(rows), 2 * n, 2 * n) and steps.dtype == float
+        assert np.array_equal(steps[0], np.eye(2 * n))
+        assert np.abs(steps @ np.swapaxes(steps, 1, 2) - np.eye(2 * n)).max() <= 1e-14
         want = expm_antiherm(x)
-        assert np.abs(steps[:, :4, :4] + 1j * steps[:, 4:, :4] - want).max() <= 1e-14
-        assert np.abs(steps[:, 4:, 4:] - 1j * steps[:, :4, 4:] - want).max() <= 1e-14
+        assert np.abs(steps[:, :n, :n] + 1j * steps[:, n:, :n] - want).max() <= 1e-14
+        assert np.abs(steps[:, n:, n:] - 1j * steps[:, :n, n:] - want).max() <= 1e-14
 
 
 def test_row_norms_are_the_step_angles(ge_b, rng):
     # theta = |B| for the simple transport bivectors, (dt/hbar)|d| for the
-    # Schrodinger steps: both are ||X||_F / 2 for the 4x4 X
+    # Schrodinger steps, |v| for i v . sigma: each is ||X||_F / sqrt(n) for
+    # the n x n X
     for table, rows, theta, x in _real_form_cases(ge_b, rng):
-        want = np.linalg.norm(x, axis=(1, 2)) / 2
+        n = x.shape[-1]
+        want = np.linalg.norm(x, axis=(1, 2)) / np.sqrt(n)
         got = np.sqrt(np.einsum("ka,ka->k", rows, rows)) if theta is None else theta
         assert np.abs(got - want).max() <= 1e-15 * want.max()
-        square = x @ x + (got ** 2)[:, None, None] * np.eye(4)  # X^2 = -theta^2 I
+        square = x @ x + (got ** 2)[:, None, None] * np.eye(n)  # X^2 = -theta^2 I
         assert np.abs(square).max() <= 1e-14 * want.max() ** 2
 
 
 def test_step_tables_round_each_entry_once():
     # a step entry is cos(theta) + c_a sinc(theta) or +-c_a sinc(theta), one
-    # rounding, so a step has the same bits in a block of any length
-    for kind in ("transport", "schrodinger"):
+    # rounding, so a step has the same bits in a block of any length; a
+    # pauli step entry is a single exact product
+    for kind, nonzeros in (("transport", 2), ("schrodinger", 2), ("pauli", 1)):
         table = step_table(kind)
         assert set(np.abs(table).ravel()) == {0.0, 1.0}
-        assert (table != 0).sum(axis=0).max() <= 2
+        assert (table != 0).sum(axis=0).max() <= nonzeros
 
 
 # BLOCK = 2048: the step counts next to one, two and four blocks
 @pytest.mark.parametrize("k", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
                                2 * BLOCK, 2 * BLOCK + 1, 2 * BLOCK + 3, 4 * BLOCK + 3])
 def test_blocked_product_has_the_bits_of_one_ordered_product(rng, k):
-    # both integrators' tables: random bivectors are not simple, so the
-    # transport rows are wedges of random pairs
+    # all three tables: random bivectors are not simple, so the transport
+    # rows are wedges of random pairs
     u, v = rng.normal(size=(2, k, 5))
     b = wedge(u, v)
     blocked = blocked_product(k, step_table("transport"), lambda lo, hi: b[lo:hi])
@@ -114,6 +94,21 @@ def test_blocked_product_has_the_bits_of_one_ordered_product(rng, k):
     theta = np.linalg.norm(u, axis=1)
     blocked = blocked_product(k, step_table("schrodinger"), lambda lo, hi: u[lo:hi], theta)
     assert np.array_equal(blocked, one_product(step_table("schrodinger"), u, theta))
+    w = v[:, :3]
+    blocked = blocked_product(k, step_table("pauli"), lambda lo, hi: w[lo:hi])
+    assert np.array_equal(blocked, one_product(step_table("pauli"), w))
+
+
+@pytest.mark.parametrize("k", [1, 4, BLOCK + 3])
+def test_blocked_product_batches_the_axes_after_the_first(rng, k):
+    # rows (k, 2, 3, m): six products at once, each with the bits of its own call
+    for kind, m, n in (("pauli", 3, 2), ("schrodinger", 5, 4)):
+        table, c = step_table(kind), rng.normal(size=(k, 2, 3, m))
+        batched = blocked_product(k, table, lambda lo, hi: c[lo:hi])
+        assert batched.shape == (2, 3, n, n)
+        for i, j in np.ndindex(2, 3):
+            alone = blocked_product(k, table, lambda lo, hi: c[lo:hi, i, j])
+            assert np.array_equal(batched[i, j], alone)
 
 
 @pytest.mark.parametrize("regime", ["linear", "quadratic"])

@@ -126,6 +126,15 @@ class TestSynthesize:
         assert np.allclose(np.array(r3.loops), np.array(r1.loops), atol=1e-6)
         assert abs(r3.fidelity - r1.fidelity) <= 1e-9
 
+    def test_canonical_phase_is_exact_under_quarter_turns(self, rng):
+        # numpy's complex multiply rounds (i a)(-i b) differently from a b, so
+        # a continuous rotation alone gives i t other bits than t
+        for _ in range(500):
+            target = np.exp(1j * rng.uniform(-np.pi, np.pi)) * random_su2(rng)
+            want = synth._canonical_phase(target)
+            for turn in (1j, -1, -1j):
+                assert np.array_equal(synth._canonical_phase(turn * target), want)
+
     def test_haar_targets_three_loops(self, rng):
         hits = 0
         for _ in range(5):

@@ -3,8 +3,8 @@
 import numpy as np
 
 from holostark import acomm, default_basis, gamma_basis
-from holostark._linalg import PAULI, clifford_steps, dagger, ordered_product
-from holostark.algebra import CliffordBasis, _generators
+from holostark._linalg import clifford_steps, dagger, ordered_product
+from holostark.algebra import PAULI, CliffordBasis, _generators
 from holostark.connection import gap_norms
 from holostark.stark import d_components, d_increment
 
@@ -92,6 +92,16 @@ def expm_antiherm(a):
     return np.einsum("...ik,...k,...jk->...ij", v, np.exp(-1j * w), np.conj(v))
 
 
+def clifford_exp(x):
+    """exp(X) = cos(theta) I + sin(theta)/theta X for stacked anti-Hermitian
+    n x n X with X^2 = -theta^2 I, so theta = ||X||_F / sqrt(n) (Hestenes &
+    Sobczyk 1984).  Unitary at any step size; exactly I at theta = 0."""
+    n = x.shape[-1]
+    theta = np.linalg.norm(x, axis=(-2, -1)) / np.sqrt(n)
+    return (np.cos(theta)[..., None, None] * np.eye(n)
+            + np.sinc(theta / np.pi)[..., None, None] * x)
+
+
 def transport_exponents_einsum(points, regime, m):
     """Per-step transport exponents (i / 2|d|^2) jde_a d_b gamma_ab built with
     one three-operand einsum, independent of the production matmul; the
@@ -115,9 +125,10 @@ def transport_matrices(rows):
 
 
 def one_product(table, rows, theta=None):
-    """The complex 4x4 of one ordered_product over all real-form steps."""
+    """The complex n x n of one ordered_product over all real-form steps."""
     r = ordered_product(clifford_steps(table, rows, theta))
-    return r[:4, :4] + 1j * r[4:, :4]
+    n = r.shape[-1] // 2
+    return r[:n, :n] + 1j * r[n:, :n]
 
 
 def d_dot_gamma_einsum(comps):
