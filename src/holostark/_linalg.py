@@ -63,11 +63,13 @@ def blocked_product(k, table, coeffs, theta=None):
     angles if given; any axes after the first batch the products.  Every full
     block is a whole subtree of the single product's pairwise tree, so the
     result has the bits of one ordered_product over all k real-form steps, in
-    memory bounded by one block.  BLAS multiplies the real 8x8 forms of the
-    4x4 steps about three times faster than the complex 4x4 ones."""
-    r = ordered_product(np.stack([ordered_product(clifford_steps(
+    memory bounded by one block; a single block is that product itself.  BLAS
+    multiplies the real 8x8 forms of the 4x4 steps about three times faster
+    than the complex 4x4 ones."""
+    blocks = [ordered_product(clifford_steps(
         table, coeffs(lo, min(lo + BLOCK, k)), None if theta is None else
-        theta[lo:lo + BLOCK])) for lo in range(0, k, BLOCK)]))
+        theta[lo:lo + BLOCK])) for lo in range(0, k, BLOCK)]
+    r = blocks[0] if k <= BLOCK else ordered_product(np.stack(blocks))
     n = r.shape[-1] // 2
     return r[..., :n, :n] + 1j * r[..., n:, :n]
 

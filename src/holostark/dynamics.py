@@ -73,8 +73,8 @@ def _drive_steps(drive, regime, m):
     if not np.isfinite(shifts):
         raise InvalidInput("field too strong for float64: summed level shifts overflow")
     if not phase <= 2.0 ** 53:
-        raise _ArgumentError("total_time", f"a {drive.total_time!r} s drive "
-                             "overflows the step phases in float64")
+        raise _ArgumentError("total_time", f"a {drive.total_time!r} s drive sums "
+                             "its phase past 2^53 rad, where float64 keeps no angle")
     return comps, norms, dt
 
 

@@ -320,15 +320,6 @@ def _check_loop_angles(theta, phi):
             raise InvalidAngle(f"{rule}, got {bad[0]}")
 
 
-def _triangle_product(theta, phi, rows):
-    """Product (..., 2, 2) of exp(i v . sigma) over four factor rows v, first
-    to last."""
-    vs = np.zeros((4,) + np.broadcast(theta, phi).shape + (3,))  # factor axis first
-    for k, c in itertools.product(range(4), range(3)):
-        vs[k, ..., c] = rows[k][c]
-    return blocked_product(4, step_table("pauli"), lambda lo, hi: vs[lo:hi])
-
-
 def linear_triangle_holonomy(theta, phi):
     """Closed-form linear-regime holonomy of the meridian-arc-meridian
     triangle (exact evaluation of the ordered product).
@@ -339,10 +330,12 @@ def linear_triangle_holonomy(theta, phi):
     """
     _check_loop_angles(theta, phi)
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    return _triangle_product(theta, phi, [[0.0, -theta / 2.0, 0.0],
-                                          [phi * ct * st / 2.0, 0.0, phi * ct * ct / 2.0],
-                                          [0.0, 0.0, -phi / 2.0],
-                                          [-theta * sp / 2.0, theta * cp / 2.0, 0.0]])
+    v = np.zeros((4,) + np.broadcast(theta, phi).shape + (3,))  # factor axis first
+    v[0, ..., 1] = -theta / 2.0
+    v[1, ..., 0], v[1, ..., 2] = phi * ct * st / 2.0, phi * ct * ct / 2.0
+    v[2, ..., 2] = -phi / 2.0
+    v[3, ..., 0], v[3, ..., 1] = -theta * sp / 2.0, theta * cp / 2.0
+    return blocked_product(4, step_table("pauli"), lambda lo, hi: v[lo:hi])
 
 
 def zee_holonomy(theta, phi):
@@ -356,10 +349,12 @@ def zee_holonomy(theta, phi):
     """
     _check_loop_angles(theta, phi)
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    return _triangle_product(theta, phi, [[0.0, theta, 0.0],
-                                          [-phi * st, 0.0, phi * ct / 2.0],
-                                          [0.0, 0.0, -phi / 2.0],
-                                          [theta * sp, -theta * cp, 0.0]])
+    v = np.zeros((4,) + np.broadcast(theta, phi).shape + (3,))  # factor axis first
+    v[0, ..., 1] = theta
+    v[1, ..., 0], v[1, ..., 2] = -phi * st, phi * ct / 2.0
+    v[2, ..., 2] = -phi / 2.0
+    v[3, ..., 0], v[3, ..., 1] = theta * sp, -theta * cp
+    return blocked_product(4, step_table("pauli"), lambda lo, hi: v[lo:hi])
 
 
 def half_spin_band(m):

@@ -7,9 +7,10 @@ refinements with restarts; the objective 1 - |tr(u^dag target)| / 2 is
 global-phase blind, matching holonomy equivalence classes.
 
 Per-loop holonomies come from the analytic oracles where they are valid
-(spherical quadratic model, linear regime), batched over grid chunks of at
-most ``_linalg.BLOCK`` 2x2 factors, else from the numeric Wilson loop; both
-are built by one kernel, ``_linalg.clifford_steps`` / ``blocked_product``.
+(spherical quadratic model, linear regime), else from the numeric Wilson
+loop; both are built by one kernel, ``_linalg.clifford_steps`` /
+``blocked_product``.  The grid evaluates each of its (theta, phi) loops
+once, into a table, and scores every candidate from that table.
 Nelder-Mead runs per candidate through the package's own ``minimize``, a
 port of scipy's method="Nelder-Mead" with identical iterates, so scipy is
 not needed at run time; a fixed seed makes the search deterministic.
@@ -202,6 +203,26 @@ def _clip_angles(x):
     return loops, penalty
 
 
+def _score(products, target, penalty):
+    """The objective 1 - |tr(u^dag target)| / 2 + 10 penalty of a product u
+    or a stack; hypot rounds alike for one product and a batch, np.abs of
+    complex does not."""
+    tr = np.trace(dagger(products) @ target, axis1=-2, axis2=-1)
+    return 1.0 - np.hypot(tr.real, tr.imag) / 2.0 + 10.0 * penalty
+
+
+def _grid(rng, grid_points, max_loops, max_combinations):
+    """(theta, phi) grid indices, each (n, max_loops), of the coarse grid's
+    candidates: every pair for one loop, else all zeros (phi index
+    grid_points // 2 is phi = 0.0) and max_combinations random draws."""
+    if max_loops == 1:
+        return np.indices((grid_points, grid_points)).reshape(2, -1, 1)
+    draws = [rng.integers(0, grid_points, size=(max_combinations,))
+             for _ in range(2 * max_loops)]
+    index = np.vstack([np.tile([0, grid_points // 2], max_loops), np.column_stack(draws)])
+    return index[:, 0::2], index[:, 1::2]
+
+
 def _canonical_phase(target):
     """Strip the global phase: rotate so the largest-magnitude entry is real
     positive.  Phase-equivalent targets then drive identical searches (the
@@ -220,8 +241,9 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     """Search for a loop sequence whose composed holonomy matches the target.
 
     Coarse 16x16-per-loop grid seeding (capped at a few thousand random
-    combinations for multi-loop searches, scored in chunks of at most BLOCK
-    2x2 factors), then per-candidate Nelder-Mead refinement with restarts.
+    combinations for multi-loop searches, scored from one table of the 256
+    single-loop holonomies), then per-candidate Nelder-Mead refinement with
+    restarts; every grid candidate counts as an evaluation.
     ``converged`` reports whether 1 - fidelity <= tol; an unreachable target
     yields converged=False, never an exception.  Fixed seed, identical bits.
     """
@@ -238,34 +260,29 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
 
     def objective(x):
         nonlocal evaluations
-        evaluations += np.size(x) // (2 * max_loops)
+        evaluations += 1
         loops, penalty = _clip_angles(x)
-        tr = np.trace(dagger(loop_product(loops, model)) @ target, axis1=-2, axis2=-1)
-        # hypot rounds alike for one candidate and a batch; np.abs of complex does not
-        return 1.0 - np.hypot(tr.real, tr.imag) / 2.0 + 10.0 * penalty
+        return _score(loop_product(loops, model), target, penalty)
 
     # the numeric model pays a Wilson loop per evaluation: shrink the budget
     grid_points = GRID_POINTS if model.analytic else 8
     restarts = RESTARTS if model.analytic else 3
     max_combinations = MAX_GRID_COMBINATIONS if model.analytic else 256
     maxiter = 4000 if model.analytic else 600
-    # grid candidates per call: at most BLOCK 2x2 oracle factors, four per loop
-    chunk = max(1, BLOCK // (4 * max_loops)) if model.analytic else 1
-
-    theta_grid = np.linspace(0.0, np.pi, grid_points)
-    phi_grid = np.linspace(-np.pi, np.pi, grid_points, endpoint=False)
-    if max_loops == 1:
-        candidates = np.array([(t, p) for t in theta_grid for p in phi_grid])
-    else:
-        n = max_combinations
-        candidates = np.column_stack([
-            theta_grid[rng.integers(0, grid_points, size=(n,))] if k % 2 == 0
-            else phi_grid[rng.integers(0, grid_points, size=(n,))]
-            for k in range(2 * max_loops)
-        ])
-        candidates = np.vstack([np.zeros((1, 2 * max_loops)), candidates])
-    scores = np.concatenate([objective(candidates[lo:lo + chunk])
-                             for lo in range(0, len(candidates), chunk)])
+    # every grid loop is one of grid_points^2 (theta, phi) pairs: evaluate
+    # each once, at most BLOCK 2x2 factors (four a loop) a call, into a table
+    chunk = BLOCK // 4 if model.analytic else 1
+    pairs = np.stack(np.meshgrid(np.linspace(0.0, np.pi, grid_points),
+                                 np.linspace(-np.pi, np.pi, grid_points, endpoint=False),
+                                 indexing="ij"), axis=-1)
+    singles = pairs.reshape(-1, 1, 2)
+    table = np.concatenate([loop_product(singles[lo:lo + chunk], model)
+                            for lo in range(0, len(singles), chunk)])
+    t, p = _grid(rng, grid_points, max_loops, max_combinations)
+    candidates = pairs[t, p].reshape(len(t), 2 * max_loops)
+    units = table.reshape(grid_points, grid_points, 2, 2)[t, p]
+    scores = _score(ordered_product(np.moveaxis(units, 1, 0)), target, 0.0)
+    evaluations += len(candidates)
     order = np.argsort(scores, kind="stable")
     # the grid holds at least 64 candidates, more than any restart count
     seeds = [candidates[i] for i in order[:restarts]]

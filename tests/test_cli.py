@@ -602,9 +602,9 @@ def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
     # transport is scale-free, so a 1e300 V/m loop is no overflow: holonomy
     # gives the 1e6 V/m record (the octant exits 3 from its defect at 200
     # steps, the 3-segment sampled loop converges), and the linear drive
-    # fails only on its step phases, a fact of --T.  |E| is the norm of the
-    # power-of-two-scaled field, so sampled norms beyond float64 and the
-    # linear spectrum at 1e160 V/m are no overflow either
+    # fails only on its summed phase past 2^53 rad, a fact of --T.  |E| is
+    # the norm of the power-of-two-scaled field, so sampled norms beyond
+    # float64 and the linear spectrum at 1e160 V/m are no overflow either
     def path(magnitude):
         if argv[-1] != "sampled":
             return write_octant(tmp_path, magnitude)
@@ -636,7 +636,8 @@ def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert len(err.splitlines()) == 1
     if argv[:3] == ["verify-adiabatic", "--regime", "linear"]:
-        assert err == "error: --T: a 1e-09 s drive overflows the step phases in float64\n"
+        assert err == ("error: --T: a 1e-09 s drive sums its phase past 2^53 rad, "
+                       "where float64 keeps no angle\n")
     else:
         assert err.startswith("error: field too strong for float64")
 

@@ -16,6 +16,8 @@ from holostark.algebra import step_table
 from holostark.holonomy import _linear_stark_block_connection
 from holostark.stark import d_components
 
+from util import triangle_product
+
 OCTANT = (np.pi / 2, np.pi / 2)
 
 
@@ -396,6 +398,34 @@ class TestZeeHolonomy:
 # theta = 0, phi = 0, theta = pi and negative phi, then generic angles
 EDGE_ANGLES = np.array([(0.0, 1.3), (0.9, 0.0), (np.pi, 1.1), (0.7, -2.2),
                         (np.pi, -np.pi), (0.0, 0.0), (1.4, -0.3), (0.2, 5.9)])
+
+
+def _zee_rows(theta, phi):
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    return [[0.0, theta, 0.0],
+            [-phi * st, 0.0, phi * ct / 2.0],
+            [0.0, 0.0, -phi / 2.0],
+            [theta * sp, -theta * cp, 0.0]]
+
+
+def _linear_rows(theta, phi):
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    return [[0.0, -theta / 2.0, 0.0],
+            [phi * ct * st / 2.0, 0.0, phi * ct * ct / 2.0],
+            [0.0, 0.0, -phi / 2.0],
+            [-theta * sp / 2.0, theta * cp / 2.0, 0.0]]
+
+
+@pytest.mark.parametrize("oracle,rows", [(zee_holonomy, _zee_rows),
+                                         (linear_triangle_holonomy, _linear_rows)],
+                         ids=["zee", "linear"])
+def test_oracle_rows_match_the_reference_builder(oracle, rows):
+    # a 50x50 grid with theta = 0 and pi, phi = 0, and the scalar calls
+    theta, phi = np.meshgrid(np.linspace(0.0, np.pi, 50),
+                             np.append(np.linspace(-np.pi, np.pi, 49), 0.0), indexing="ij")
+    assert np.array_equal(oracle(theta, phi), triangle_product(theta, phi, rows(theta, phi)))
+    for t, p in ((0.0, 1.3), (np.pi, 0.0), (0.7, -2.1)):
+        assert np.array_equal(oracle(t, p), triangle_product(t, p, rows(t, p)))
 
 
 @pytest.mark.parametrize("oracle", [zee_holonomy, linear_triangle_holonomy])

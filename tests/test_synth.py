@@ -8,6 +8,7 @@ from holostark import (InvalidAngle, InvalidInput, LoopModel, NotUnitary, half_s
                        loop_product, synthesize, zee_holonomy)
 from holostark import synth
 from holostark._linalg import BLOCK
+from holostark.synth import GRID_POINTS
 
 from util import random_su2
 
@@ -173,15 +174,27 @@ class TestSynthesize:
 
 class TestGridScoring:
     def spy(self, monkeypatch):
-        """Record the grid's batched loop_product calls and what synthesize
-        hands to Nelder-Mead: the objective and each restart seed."""
-        seen = {"grid": [], "seeds": []}
+        """Record the grid's table of single-loop loop_product calls, its
+        candidate indices and scores, and what synthesize hands to
+        Nelder-Mead: the objective and each restart seed."""
+        seen = {"table": [], "seeds": []}
         real_product, real_minimize = synth.loop_product, synth.minimize
+        real_grid, real_score = synth._grid, synth._score
 
         def loop_product_spy(loops, model):
-            if np.ndim(loops) == 3:
-                seen["grid"].append(np.array(loops))
+            if "objective" not in seen:
+                seen["table"].append(np.array(loops))
             return real_product(loops, model)
+
+        def grid_spy(*args):
+            seen["index"] = real_grid(*args)
+            return seen["index"]
+
+        def score_spy(products, target, penalty):
+            scores = real_score(products, target, penalty)
+            if "objective" not in seen:
+                seen["scores"] = scores
+            return scores
 
         def minimize_spy(fun, x0, **kwargs):
             seen["objective"] = fun
@@ -189,6 +202,8 @@ class TestGridScoring:
             return real_minimize(fun, x0, **kwargs)
 
         monkeypatch.setattr(synth, "loop_product", loop_product_spy)
+        monkeypatch.setattr(synth, "_grid", grid_spy)
+        monkeypatch.setattr(synth, "_score", score_spy)
         monkeypatch.setattr(synth, "minimize", minimize_spy)
         return seen
 
@@ -197,20 +212,49 @@ class TestGridScoring:
         seen = self.spy(monkeypatch)
         target = random_su2(np.random.default_rng(31))
         result = synthesize(target, model=SPH, max_loops=max_loops, tol=1e-3, seed=4)
-        grid = np.concatenate(seen["grid"])
-        candidates = grid.reshape(len(grid), 2 * max_loops)
+        # the table: each of the 16x16 (theta, phi) grid pairs once, as a
+        # single loop, in calls of at most BLOCK 2x2 factors, four per loop
+        table = np.concatenate(seen["table"])
+        assert table.shape == (GRID_POINTS ** 2, 1, 2)
+        assert len(np.unique(table[:, 0, 0])) == len(np.unique(table[:, 0, 1])) == GRID_POINTS
+        assert len(np.unique(table[:, 0], axis=0)) == GRID_POINTS ** 2
+        assert max(4 * t.shape[0] * t.shape[1] for t in seen["table"]) <= BLOCK
+        i, j = seen["index"]
+        candidates = table[i * GRID_POINTS + j, 0].reshape(len(i), 2 * max_loops)
         assert len(candidates) == (256 if max_loops == 1 else 4097)
-        # every grid call holds at most BLOCK 2x2 factors, four per loop
-        assert max(4 * g.shape[0] * g.shape[1] for g in seen["grid"]) <= BLOCK
+        if max_loops > 1:
+            assert np.array_equal(candidates[0], np.zeros(2 * max_loops))
         assert result.evaluations >= len(candidates)
 
         objective = seen["objective"]
-        batched = objective(candidates)
-        single = np.array([objective(x) for x in candidates])
-        assert np.abs(batched - single).max() <= 1e-15
-        order = np.argsort(single, kind="stable")
+        scores = seen["scores"]
+        assert np.array_equal(scores, [objective(x) for x in candidates])
+        order = np.argsort(scores, kind="stable")
         seeds = np.array(seen["seeds"])
         assert np.array_equal(seeds, candidates[order[:len(seeds)]])
+
+    def test_numeric_grid_transports_each_grid_loop_at_most_once(self, monkeypatch, ge_b):
+        # the 8x8 numeric grid: at most 64 Wilson loops before Nelder-Mead,
+        # however many of its 257 two-loop candidates share a loop
+        transported = []
+        real_wilson_loop = synth.wilson_loop
+
+        def wilson_loop_spy(*args, **kwargs):
+            transported.append(args[0])
+            return real_wilson_loop(*args, **kwargs)
+
+        class NelderMeadReached(Exception):
+            pass
+
+        def minimize_spy(*args, **kwargs):
+            raise NelderMeadReached
+
+        monkeypatch.setattr(synth, "wilson_loop", wilson_loop_spy)
+        monkeypatch.setattr(synth, "minimize", minimize_spy)
+        model = LoopModel.numeric_quadratic(ge_b, 1e6)
+        with pytest.raises(NelderMeadReached):
+            synthesize(random_su2(np.random.default_rng(5)), model=model, max_loops=2, seed=5)
+        assert 0 < len(transported) <= 8 ** 2
 
     @pytest.mark.parametrize("max_loops", [3, 6])
     def test_peak_memory_is_bounded(self, max_loops):

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite: independent oracle constructions."""
 
+import itertools
+
 import numpy as np
 
 from holostark import acomm, default_basis, gamma_basis
-from holostark._linalg import clifford_steps, dagger, ordered_product
-from holostark.algebra import PAULI, CliffordBasis, _generators
+from holostark._linalg import blocked_product, clifford_steps, dagger, ordered_product
+from holostark.algebra import PAULI, CliffordBasis, _generators, step_table
 from holostark.connection import gap_norms
 from holostark.stark import d_components, d_increment
 
@@ -100,6 +102,16 @@ def clifford_exp(x):
     theta = np.linalg.norm(x, axis=(-2, -1)) / np.sqrt(n)
     return (np.cos(theta)[..., None, None] * np.eye(n)
             + np.sinc(theta / np.pi)[..., None, None] * x)
+
+
+def triangle_product(theta, phi, rows):
+    """Product (..., 2, 2) of exp(i v . sigma) over four factor rows v, first
+    to last, each row three scalars or arrays: the reference for the
+    triangle oracles' own row builders."""
+    vs = np.zeros((4,) + np.broadcast(theta, phi).shape + (3,))  # factor axis first
+    for k, c in itertools.product(range(4), range(3)):
+        vs[k, ..., c] = rows[k][c]
+    return blocked_product(4, step_table("pauli"), lambda lo, hi: vs[lo:hi])
 
 
 def transport_exponents_einsum(points, regime, m):
