@@ -25,4 +25,4 @@ from .holonomy import (FieldPath, Holonomy, basepoint_frames, eigenphase_distanc
 from .stark import (FeasibilityReport, MaterialParams, builtin_materials, d_increment,
                     eigen_split, feasibility_report, hamiltonian, load_material_table,
                     material_lookup)
-from .synth import LoopModel, SynthesisResult, loop_holonomy, loop_product, synthesize
+from .synth import LoopModel, SynthesisResult, loop_product, synthesize

@@ -39,7 +39,8 @@ EXIT_NOT_CONVERGED = 3
 MATERIALS_ENV = "STARK_MATERIALS_PATH"
 
 # the flag that sets each library argument an error can blame (_ArgumentError)
-_FLAGS = {"rotation_freq": "--rotation-freq", "total_time": "--T", "wl_steps": "--wl-steps"}
+_FLAGS = {"rotation_freq": "--rotation-freq", "total_time": "--T", "wl_steps": "--wl-steps",
+          "magnitude": "--magnitude"}
 
 
 def _complex_matrix(m):
@@ -123,8 +124,9 @@ def cmd_spectrum(args):
 
 def _holonomy_results(hol):
     # blocks of an under-converged run are unitary only to the integration
-    # tolerance; report their phases anyway (exit code flags non-convergence)
-    report_tol = 1e-3
+    # tolerance, however coarse; report their phases anyway (the exit code
+    # flags non-convergence)
+    report_tol = np.inf
     return {
         "full": _complex_matrix(hol.full),
         "block_plus": _complex_matrix(hol.block_plus),

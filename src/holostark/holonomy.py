@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (blocked_product, dagger, pow2_exponent, projector_frame,
-                      require_unitary, scaled_norm, unitarity_defect)
+                      require_unitary, unitarity_defect)
 from .algebra import step_table
 from .connection import gap_norms, projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
@@ -55,10 +55,14 @@ CLOSURE_RTOL = 1e-9  # largest endpoint gap of a closed path, relative to |E|
 class FieldPath:
     """A closed, piecewise-smooth curve in electric-field space.
 
-    Built-in kinds (spherical_triangle, latitude_loop) keep |E| constant and
-    take exactly max(steps, 3) steps, shared among their smooth segments by
-    length; sampled paths split each segment into ceil(steps / segments)
-    equal substeps, so at steps <= segments the samples come back unchanged.
+    Built-in kinds (spherical_triangle, latitude_loop) keep |E| = magnitude
+    constant and take exactly max(steps, 3) steps, shared among their smooth
+    segments by length; sampled paths split each segment into
+    ceil(steps / segments) equal substeps, so at steps <= segments the
+    samples come back unchanged.  Construction makes the checks of
+    make_spherical_triangle, make_latitude_loop and sampled_path, with
+    their messages.  Only a sampled path takes samples, and its magnitude is
+    their mean |E|, so None or exactly that value must be given.
     """
 
     kind: str
@@ -68,10 +72,29 @@ class FieldPath:
     samples: np.ndarray = None
 
     def __post_init__(self):
-        if self.samples is not None:
-            s = np.ascontiguousarray(self.samples, dtype=float)
-            s.setflags(write=False)
-            object.__setattr__(self, "samples", s)
+        t = self.theta
+        if self.kind == "sampled":
+            samples, magnitude = _checked_samples(self.samples)
+            if self.magnitude not in (None, magnitude):
+                raise InvalidInput(f"a sampled path's magnitude is the mean |E| of its "
+                                   f"samples, {magnitude}, got {self.magnitude}")
+            object.__setattr__(self, "samples", samples)
+            object.__setattr__(self, "magnitude", magnitude)
+        elif self.samples is not None:
+            raise InvalidInput(f"only a sampled path takes samples, not {self.kind!r}")
+        elif self.kind == "spherical_triangle":
+            if not (np.isfinite(t) and 0 < t <= np.pi):
+                raise InvalidAngle(f"theta must lie in (0, pi], got {t}")
+            if not np.isfinite(self.phi):
+                raise InvalidAngle(f"phi must be finite, got {self.phi}")
+        elif self.kind == "latitude_loop":
+            if not (np.isfinite(t) and 0 < t < np.pi):
+                raise InvalidAngle(f"theta must lie in (0, pi), got {t}")
+        else:
+            raise InvalidInput(f"unknown path kind {self.kind!r}")
+        _check_magnitude(self.magnitude)
+        for name in ("magnitude", "theta", "phi"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def points(self, steps=DEFAULT_STEPS):
         """Closed polyline (n+1, 3) with first and last points identical."""
@@ -80,14 +103,11 @@ class FieldPath:
         steps, t, p = max(steps, 3), self.theta, self.phi
         if self.kind == "latitude_loop":
             return _sphere_points([(t, 0.0), (t, 2 * np.pi)], [steps], self.magnitude)
-        if self.kind == "spherical_triangle":
-            # each meridian its share of the length t + |p| sin t + t, the arc
-            # the rest; every segment at least one step
-            leg = min(max(1, round(steps * t / (t + abs(p) * np.sin(t) + t))),
-                      (steps - 1) // 2)
-            return _sphere_points([(0.0, 0.0), (t, 0.0), (t, p), (0.0, p)],
-                                  [leg, steps - 2 * leg, leg], self.magnitude)
-        raise InvalidInput(f"unknown path kind {self.kind!r}")
+        # each meridian its share of the length t + |p| sin t + t, the arc the
+        # rest; every segment at least one step
+        leg = min(max(1, round(steps * t / (t + abs(p) * np.sin(t) + t))), (steps - 1) // 2)
+        return _sphere_points([(0.0, 0.0), (t, 0.0), (t, p), (0.0, p)],
+                              [leg, steps - 2 * leg, leg], self.magnitude)
 
 
 def _refined_points(samples, steps):
@@ -124,28 +144,26 @@ def make_spherical_triangle(theta, phi, magnitude):
     Only one angle changes per segment.  theta must lie in (0, pi]; phi = 0
     is allowed and gives a retraced out-and-back path with identity holonomy.
     """
-    if not (np.isfinite(theta) and 0 < theta <= np.pi):
-        raise InvalidAngle(f"theta must lie in (0, pi], got {theta}")
-    if not np.isfinite(phi):
-        raise InvalidAngle(f"phi must be finite, got {phi}")
-    _check_magnitude(magnitude)
-    return FieldPath(kind="spherical_triangle", magnitude=float(magnitude),
-                     theta=float(theta), phi=float(phi))
+    return FieldPath(kind="spherical_triangle", magnitude=magnitude, theta=theta, phi=phi)
 
 
 def make_latitude_loop(theta, magnitude):
-    """Full 2*pi turn at fixed polar angle theta (equator for theta = pi/2)."""
-    if not (np.isfinite(theta) and 0 < theta < np.pi):
-        raise InvalidAngle(f"theta must lie in (0, pi), got {theta}")
-    _check_magnitude(magnitude)
-    return FieldPath(kind="latitude_loop", magnitude=float(magnitude), theta=float(theta))
+    """Full 2*pi turn at fixed polar angle theta (equator for theta = pi/2);
+    theta must lie in (0, pi)."""
+    return FieldPath(kind="latitude_loop", magnitude=magnitude, theta=theta)
 
 
 def sampled_path(samples):
     """Closed path through explicit field samples (n, 3); see FieldPath.points
     for how they are refined."""
+    return FieldPath(kind="sampled", magnitude=None, samples=samples)
+
+
+def _checked_samples(samples):
+    """A checked, read-only float copy of a sampled path's samples, and their
+    mean |E|."""
     try:
-        samples = np.asarray(samples, dtype=float)
+        samples = np.array(samples, dtype=float)
     except (TypeError, OverflowError, ValueError):
         raise InvalidInput("samples must be an (n, 3) array of numbers") from None
     if samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] < 2:
@@ -166,7 +184,8 @@ def sampled_path(samples):
     if gap > CLOSURE_RTOL * magnitude:
         raise NotClosed(f"endpoints differ by {gap:.3e} (tolerance "
                         f"{CLOSURE_RTOL * magnitude:.3e})")
-    return FieldPath(kind="sampled", magnitude=magnitude, samples=samples)
+    samples.setflags(write=False)
+    return samples, magnitude
 
 
 def path_to_dict(path):
@@ -265,9 +284,6 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     if steps < MIN_STEPS:
         raise InvalidInput(f"steps must be >= {MIN_STEPS}")
     pts = path.points(steps)
-    gap = scaled_norm(pts[0] - pts[-1])
-    if gap > CLOSURE_RTOL * path.magnitude:
-        raise NotClosed(f"path endpoints differ by {gap:.3e}")
     basepoint = pts[0].copy()
     np.ldexp(pts, -pow2_exponent(pts), out=pts)
     comps = d_components(0.5 * pts[1:] + 0.5 * pts[:-1], m, regime)
@@ -286,29 +302,20 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     )
 
 
-def _linear_stark_block_connection(path, steps=DEFAULT_STEPS):
-    """Rows v (k, 3) of the linear-regime holonomy's 2x2 increments i v . sigma.
-
-    At constant |E| the band transport reduces to increments
-    (i / 2|E|^2) sigma . (dE x E_mid); their ordered product is the
-    closed-form oracle (see linear_stark_holonomy).  Material constants
-    cancel, so the increments depend on the direction history only.  The
-    points are first scaled by a power of two, exactly, so no square over-
-    or underflows.
-    """
+def linear_stark_holonomy(path, steps=DEFAULT_STEPS):
+    """The linear-regime 2x2 oracle at constant |E|: the ordered product of
+    the band increments (i / 2|E|^2) sigma . (dE x E_mid), one real row v
+    per step.  Material constants cancel, so the increments depend on the
+    direction history only.  The points are first scaled by a power of two,
+    exactly, so no square over- or underflows."""
     pts = path.points(steps)
     np.ldexp(pts, -pow2_exponent(pts), out=pts)
     norms = np.linalg.norm(pts, axis=1)
     if norms.max() - norms.min() > 1e-9 * norms.mean():
         raise NotConstantMagnitude("path does not keep |E| constant")
     mids = 0.5 * pts[1:] + 0.5 * pts[:-1]
-    diffs = pts[1:] - pts[:-1]
-    return np.cross(diffs, mids) / (2.0 * np.einsum("ki,ki->k", mids, mids))[:, None]
-
-
-def linear_stark_holonomy(path, steps=DEFAULT_STEPS):
-    """Ordered product of the linear-regime increments: the 2x2 oracle."""
-    v = _linear_stark_block_connection(path, steps)
+    v = np.cross(pts[1:] - pts[:-1], mids)
+    v /= 2.0 * np.einsum("ki,ki->k", mids, mids)[:, None]
     return blocked_product(len(v), step_table("pauli"), lambda lo, hi: v[lo:hi])
 
 

@@ -48,13 +48,17 @@ _IONIZATION_MEV = {
 }
 
 
+_MATERIAL_CONSTANTS = ("alpha", "beta", "delta", "chi", "rbar_angstrom", "ionization_meV")
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Per-(material, dopant) constants with unit conventions.
 
     alpha, beta, delta are the dimensionless quadratic coefficients, chi the
     dimensionless linear one, rbar_angstrom the mean ground-state radius and
-    ionization_meV the acceptor ionization energy.
+    ionization_meV the acceptor ionization energy.  Construction requires
+    all six finite, and alpha, rbar_angstrom and ionization_meV > 0.
     """
 
     name: str
@@ -67,6 +71,10 @@ class MaterialParams:
     ionization_meV: float
 
     def __post_init__(self):
+        for key in _MATERIAL_CONSTANTS:
+            if not math.isfinite(getattr(self, key)):
+                raise InvalidInput(f"material {self.name}:{self.dopant} needs finite "
+                                   f"constants, got {key} = {getattr(self, key)}")
         if not (self.alpha > 0 and self.rbar_angstrom > 0 and self.ionization_meV > 0):
             raise InvalidInput(
                 f"material {self.name}:{self.dopant} needs alpha, rbar, ionization > 0"
@@ -108,9 +116,6 @@ def material_lookup(material, dopant, table=None):
             f"no constants for {material}:{dopant}; supply a user material table"
         )
     return _BUILTIN[key]
-
-
-_MATERIAL_CONSTANTS = ("alpha", "beta", "delta", "chi", "rbar_angstrom", "ionization_meV")
 
 
 def load_material_table(path):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import BLOCK, dagger, ordered_product, require_unitary
-from .errors import InvalidInput
+from .errors import InvalidInput, _ArgumentError
 from .holonomy import (_check_loop_angles, half_spin_band, holonomy_fidelity,
                        linear_triangle_holonomy, make_spherical_triangle,
                        wilson_loop, zee_holonomy)
@@ -37,11 +37,27 @@ NUMERIC_STEPS = 1000
 
 @dataclass(frozen=True)
 class LoopModel:
-    """Which physical model maps triangle angles to a 2x2 holonomy."""
+    """Which physical model maps triangle angles to a 2x2 holonomy.
+
+    Construction checks the kind, and for the numeric model a MaterialParams
+    and a finite magnitude (|E| in V/m) > 0.
+    """
 
     kind: str  # spherical_quadratic | linear | numeric_quadratic
     material: MaterialParams = None
     magnitude: float = None
+
+    def __post_init__(self):
+        if self.kind not in ("spherical_quadratic", "linear", "numeric_quadratic"):
+            raise InvalidInput(f"unknown loop model {self.kind!r}")
+        if self.kind != "numeric_quadratic":
+            return
+        if not isinstance(self.material, MaterialParams):
+            raise InvalidInput(f"the numeric_quadratic model needs a MaterialParams, "
+                               f"got {self.material!r}")
+        if not 0 < np.float64(self.magnitude) < np.inf:
+            raise _ArgumentError("magnitude", "field magnitude must be positive, "
+                                 f"got {self.magnitude}")
 
     @classmethod
     def spherical_quadratic(cls):
@@ -64,38 +80,31 @@ class LoopModel:
         return self.kind in ("spherical_quadratic", "linear")
 
 
-def loop_holonomy(theta, phi, model):
-    """2x2 holonomies (..., 2, 2) of (theta, phi) triangles under the model,
-    for scalar or array angles; theta = 0 or phi = 0 gives exactly I.  The
-    analytic oracles check the angles themselves."""
-    trivial = np.asarray((theta == 0.0) | (phi == 0.0))
+def loop_product(loops, model):
+    """Ordered product of per-loop holonomies, later loops multiplying from
+    the left: loop_product([a, b]) = holonomy(b) @ holonomy(a).  Takes
+    (..., L, 2) (theta, phi) triangle angles and returns (..., 2, 2); L = 1
+    gives each loop's own holonomy.  A loop with theta = 0 or phi = 0
+    contributes exactly I, and the empty sequence is exactly the identity.
+    The analytic oracles check the angles themselves."""
+    loops = np.asarray(loops, dtype=float)
+    if loops.size == 0:
+        return np.eye(2, dtype=complex)
+    theta, phi = loops[..., 0], loops[..., 1]
+    trivial = (theta == 0.0) | (phi == 0.0)
     if model.kind == "spherical_quadratic":
         units = zee_holonomy(theta, phi)
     elif model.kind == "linear":
         units = linear_triangle_holonomy(theta, phi)
-    elif model.kind == "numeric_quadratic":
+    else:
         _check_loop_angles(theta, phi)
         band = half_spin_band(model.material)
-        theta, phi = np.broadcast_arrays(theta, phi)
         units = np.empty(trivial.shape + (2, 2), dtype=complex)
         for i in map(tuple, np.argwhere(~trivial)):
             path = make_spherical_triangle(theta[i], phi[i], model.magnitude)
             result = wilson_loop(path, "quadratic", model.material, steps=NUMERIC_STEPS)
             units[i] = result.block(band)
-    else:
-        raise InvalidInput(f"unknown loop model {model.kind!r}")
     units[trivial] = np.eye(2)
-    return units
-
-
-def loop_product(loops, model):
-    """Ordered product of per-loop holonomies, later loops multiplying from
-    the left: loop_product([a, b]) = holonomy(b) @ holonomy(a).  Takes
-    (..., L, 2) angles; the empty sequence is exactly the identity."""
-    loops = np.asarray(loops, dtype=float)
-    if loops.size == 0:
-        return np.eye(2, dtype=complex)
-    units = loop_holonomy(loops[..., 0], loops[..., 1], model)
     return ordered_product(np.moveaxis(units, -3, 0))
 
 
@@ -278,14 +287,18 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     singles = pairs.reshape(-1, 1, 2)
     table = np.concatenate([loop_product(singles[lo:lo + chunk], model)
                             for lo in range(0, len(singles), chunk)])
+    # gather and multiply the candidates' units BLOCK 2x2 factors at a time,
+    # so memory does not grow with max_loops
     t, p = _grid(rng, grid_points, max_loops, max_combinations)
-    candidates = pairs[t, p].reshape(len(t), 2 * max_loops)
-    units = table.reshape(grid_points, grid_points, 2, 2)[t, p]
-    scores = _score(ordered_product(np.moveaxis(units, 1, 0)), target, 0.0)
-    evaluations += len(candidates)
+    table = table.reshape(grid_points, grid_points, 2, 2)
+    step = max(1, BLOCK // max_loops)
+    scores = _score(np.concatenate([
+        ordered_product(np.moveaxis(table[t[lo:lo + step], p[lo:lo + step]], 1, 0))
+        for lo in range(0, len(t), step)]), target, 0.0)
+    evaluations += len(t)
     order = np.argsort(scores, kind="stable")
     # the grid holds at least 64 candidates, more than any restart count
-    seeds = [candidates[i] for i in order[:restarts]]
+    seeds = [pairs[t[i], p[i]].reshape(-1) for i in order[:restarts]]
 
     # restarts run in seed order; strict improvement keeps the lowest-index
     # winner on ties, so selection is deterministic

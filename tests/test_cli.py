@@ -254,6 +254,21 @@ class TestHolonomy:
         assert code == 3
         assert rec["results"]["converged"] is False
 
+    @pytest.mark.parametrize("regime", ["quadratic", "linear"])
+    def test_under_resolved_run_exits_3_with_its_record(self, capsys, tmp_path, regime):
+        # at 400 steps this loop's blocks are unitary only to about 4e-2 (the
+        # transport leaks between the bands), and their phases are reported
+        f = tmp_path / "under.json"
+        f.write_text(json.dumps({"kind": "sampled", "samples": [
+            [0, 0, 1e6], [1e3, 0, -1e6], [1e6, 0, 0], [0, 0, 1e6]]}))
+        code, rec = run_cli(capsys, "holonomy", "--path", str(f), "--regime", regime,
+                            "--steps", "400")
+        res = rec["results"]
+        assert code == 3 and res["converged"] is False
+        for key in ("plus", "minus"):
+            block = np.array(res[f"block_{key}"]).view(complex)[..., 0]
+            assert res[f"eigenphases_{key}"] == eigenphases(block, tol=1.0).tolist()
+
     @pytest.mark.parametrize("steps, code", [(200, 3), (20000, 0)])
     def test_sampled_octant_refines_with_steps(self, capsys, tmp_path, steps, code):
         # 40 samples: step doubling must refine the polyline, not rerun it
@@ -539,6 +554,17 @@ class TestSynth:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: --seed") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("magnitude", ["0", "-1e6", "nan", "inf"])
+    def test_unusable_magnitude_names_the_flag(self, capsys, tmp_path, magnitude):
+        f = tmp_path / "identity.json"
+        f.write_text(json.dumps({"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+        code = main(["synth", "--target", str(f), "--seed", "0", "--model",
+                     "numeric_quadratic", f"--magnitude={magnitude}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: --magnitude: field magnitude must be positive, "
+                       f"got {float(magnitude)}\n")
 
     def test_malformed_matrix_exits_2(self, capsys, tmp_path):
         f = tmp_path / "bad.json"

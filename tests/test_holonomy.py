@@ -12,8 +12,8 @@ from holostark import (DegeneratePoint, FieldPath, InvalidAngle, InvalidInput,
                        linear_triangle_holonomy, make_latitude_loop,
                        make_spherical_triangle, path_from_dict, path_to_dict,
                        projectors, sampled_path, wilson_loop, zee_holonomy)
+from holostark import holonomy
 from holostark.algebra import step_table
-from holostark.holonomy import _linear_stark_block_connection
 from holostark.stark import d_components
 
 from util import triangle_product
@@ -75,8 +75,25 @@ class TestPaths:
          r"samples must be an \(n, 3\) array with n >= 2"),
         (lambda: sampled_path([[0, 0, 1e6], [np.nan, 0, 1e6], [0, 0, 1e6]]), InvalidInput,
          "samples must be finite"),
+        # built directly, a path gets the same checks
+        (lambda: FieldPath(kind="spherical_triangle", magnitude=-1e6, theta=9.0, phi=1.0),
+         InvalidAngle, r"theta must lie in \(0, pi\], got 9.0"),
+        (lambda: FieldPath(kind="spherical_triangle", magnitude=1e6, theta=np.nan),
+         InvalidAngle, r"theta must lie in \(0, pi\], got nan"),
+        (lambda: FieldPath(kind="spherical_triangle", magnitude=-1e6, theta=1.0),
+         NonPositiveMagnitude, "field magnitude must be positive, got -1000000.0"),
+        (lambda: FieldPath(kind="latitude_loop", magnitude=1e6, theta=0.0), InvalidAngle,
+         r"theta must lie in \(0, pi\), got 0.0"),
+        (lambda: FieldPath(kind="sampled", magnitude=np.nan,
+                           samples=octant_path().points(40)), InvalidInput,
+         r"magnitude is the mean \|E\| of its samples, .*, got nan"),
+        (lambda: FieldPath(kind="latitude_loop", magnitude=1e6, theta=1.0,
+                           samples=np.ones((5, 3))), InvalidInput,
+         "only a sampled path takes samples, not 'latitude_loop'"),
     ], ids=["unknown-kind", "infinite-phi", "latitude-pole", "latitude-south-pole",
-            "two-columns", "nan-sample"])
+            "two-columns", "nan-sample", "direct-theta", "direct-nan-theta",
+            "direct-magnitude", "direct-latitude-pole", "direct-sampled-magnitude",
+            "direct-latitude-samples"])
     def test_malformed_path_raises(self, build, error, says):
         with pytest.raises(error, match=says):
             build()
@@ -96,6 +113,12 @@ class TestPaths:
         ref = eigenphases(wilson_loop(path, "quadratic", ge_b, steps=400).full)
         got = eigenphases(wilson_loop(scaled, "quadratic", ge_b, steps=400).full)
         assert np.abs(got - ref).max() <= 4e-15
+
+    def test_sampled_path_keeps_its_own_samples(self):
+        samples = octant_path().points(40)
+        path = sampled_path(samples)
+        samples[1] = 0.0  # the caller's array stays writable, and the path unchanged
+        assert not path.samples.flags.writeable and path.samples[1].any()
 
     @pytest.mark.parametrize("steps", [1, 20, 39])
     def test_sampled_points_unchanged_up_to_segment_count(self, steps):
@@ -205,12 +228,10 @@ class TestWilsonLoop:
         with pytest.raises(InvalidInput):
             wilson_loop(octant_path(), "quadratic", ge_b, steps=50)
 
-    def test_not_closed_rejected(self, ge_b):
-        path = sampled_path(np.array([[0, 0, 1e6], [1e5, 0, 1e6], [0, 0, 1e6]]))
-        object.__setattr__(path, "samples", np.array(
-            [[0, 0, 1e6], [1e5, 0, 1e6], [0, 1e4, 1e6]], dtype=float))
+    def test_not_closed_rejected(self):
         with pytest.raises(NotClosed):
-            wilson_loop(path, "quadratic", ge_b, steps=100)
+            FieldPath(kind="sampled", magnitude=None, samples=np.array(
+                [[0, 0, 1e6], [1e5, 0, 1e6], [0, 1e4, 1e6]], dtype=float))
 
     def test_degenerate_point_en_route(self, ge_b):
         samples = np.array([[0, 0, 1e6], [0, 0, 1e2], [0, 0, -1e2],
@@ -299,10 +320,15 @@ class TestLinearOracle:
         u = linear_stark_holonomy(path, steps=2000)
         assert np.abs(u - np.eye(2)).max() <= 1e-10
 
-    def test_increments_are_antihermitian(self):
+    def test_increments_are_antihermitian(self, monkeypatch):
         # one real row v per step, on the i sigma_c, whose real forms are
         # antisymmetric: every increment i v . sigma is anti-Hermitian
-        v = _linear_stark_block_connection(octant_path(), steps=500)
+        rows = []
+        real_product = holonomy.blocked_product
+        monkeypatch.setattr(holonomy, "blocked_product", lambda k, table, coeffs:
+                            rows.append(coeffs(0, k)) or real_product(k, table, coeffs))
+        linear_stark_holonomy(octant_path(), steps=500)
+        (v,) = rows
         assert v.shape == (500, 3) and v.dtype == float
         x = step_table("pauli")[1:].reshape(3, 4, 4)
         assert np.array_equal(x, -np.swapaxes(x, 1, 2))
@@ -318,7 +344,7 @@ class TestLinearOracle:
         samples = np.array([[0, 0, 1e6], [1.5e6, 0, 0], [0, 0, 1e6]])
         path = sampled_path(samples)
         with pytest.raises(NotConstantMagnitude):
-            _linear_stark_block_connection(path, steps=500)
+            linear_stark_holonomy(path, steps=500)
 
     def test_octant_matches_wilson_block(self, ge_b):
         u = linear_stark_holonomy(octant_path(), steps=20000)

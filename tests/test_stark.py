@@ -59,6 +59,13 @@ class TestMaterials:
         with pytest.raises(InvalidInput):
             replace(ge_b, rbar_angstrom=-1.0)
 
+    @pytest.mark.parametrize("key, value", [("beta", np.nan), ("delta", np.inf),
+                                            ("alpha", np.inf), ("chi", -np.inf)])
+    def test_non_finite_constants_rejected(self, ge_b, key, value):
+        from dataclasses import replace
+        with pytest.raises(InvalidInput, match=f"needs finite constants, got {key} = "):
+            replace(ge_b, **{key: value})
+
 
 class TestDLinear:
     def test_hand_value(self, ge_b):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from holostark import (InvalidAngle, InvalidInput, LoopModel, NotUnitary, half_spin_band,
-                       holonomy_fidelity, linear_triangle_holonomy, loop_holonomy,
-                       loop_product, synthesize, zee_holonomy)
+                       holonomy_fidelity, linear_triangle_holonomy, loop_product,
+                       synthesize, zee_holonomy)
 from holostark import synth
 from holostark._linalg import BLOCK
 from holostark.synth import GRID_POINTS
@@ -71,19 +71,32 @@ class TestLoopProduct:
             assert np.array_equal(u, loop_product(row, model))
             assert np.array_equal(u, loop_product([tuple(a) for a in row], model))
         assert np.array_equal(batch[2], np.eye(2))
-        units = loop_holonomy(loops[..., 0], loops[..., 1], model)
+        units = loop_product(loops[..., None, :], model)
         assert np.array_equal(units[0, 1], np.eye(2))
         assert np.array_equal(units[2], np.broadcast_to(np.eye(2), (3, 2, 2)))
-        assert np.array_equal(loop_holonomy(0.0, 1.3, model), np.eye(2))
+        assert np.array_equal(loop_product([(0.0, 1.3)], model), np.eye(2))
 
     def test_unknown_model_rejected(self):
         with pytest.raises(InvalidInput, match="unknown loop model 'bogus'"):
-            loop_holonomy(1.0, 0.5, LoopModel(kind="bogus"))
+            LoopModel(kind="bogus")
+
+    @pytest.mark.parametrize("material, magnitude, says", [
+        (None, 1e6, "the numeric_quadratic model needs a MaterialParams, got None"),
+        ("Ge:B", 0.0, "field magnitude must be positive, got 0.0"),
+        ("Ge:B", -1e6, "field magnitude must be positive, got -1000000.0"),
+        ("Ge:B", np.inf, "field magnitude must be positive, got inf"),
+        ("Ge:B", np.nan, "field magnitude must be positive, got nan"),
+        ("Ge:B", None, "field magnitude must be positive, got None"),
+    ], ids=["no-material", "zero", "negative", "inf", "nan", "none"])
+    def test_numeric_model_checked_when_built(self, ge_b, material, magnitude, says):
+        with pytest.raises(InvalidInput, match=f"^{says}$") as info:
+            LoopModel.numeric_quadratic(material and ge_b, magnitude)
+        assert getattr(info.value, "argument", None) == (material and "magnitude")
 
     def test_numeric_model_agrees_with_analytic(self, ge_spherical):
         model = LoopModel.numeric_quadratic(ge_spherical, 1e6)
         assert half_spin_band(ge_spherical) == "minus"
-        u_num = loop_holonomy(0.9, 1.2, model)
+        u_num = loop_product([(0.9, 1.2)], model)
         u_ana = zee_holonomy(0.9, 1.2)
         # same band transport up to frame conjugation: compare eigenphases
         from holostark import eigenphase_distance
@@ -256,7 +269,7 @@ class TestGridScoring:
             synthesize(random_su2(np.random.default_rng(5)), model=model, max_loops=2, seed=5)
         assert 0 < len(transported) <= 8 ** 2
 
-    @pytest.mark.parametrize("max_loops", [3, 6])
+    @pytest.mark.parametrize("max_loops", [3, 6, 16])
     def test_peak_memory_is_bounded(self, max_loops):
         target = random_su2(np.random.default_rng(8))
         tracemalloc.start()
