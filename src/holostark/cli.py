@@ -122,11 +122,11 @@ def cmd_spectrum(args):
     return results, {}, True
 
 
-def _holonomy_results(hol):
-    # blocks of an under-converged run are unitary only to the integration
-    # tolerance, however coarse; report their phases anyway (the exit code
-    # flags non-convergence)
-    report_tol = np.inf
+def _holonomy_results(hol, converged):
+    # the blocks of a converged run must be unitary to 1e-3; an under-resolved
+    # run reports its blocks' phases however far they are from unitary, and
+    # its exit code flags it
+    report_tol = 1e-3 if converged else np.inf
     return {
         "full": _complex_matrix(hol.full),
         "block_plus": _complex_matrix(hol.block_plus),
@@ -175,7 +175,7 @@ def cmd_holonomy(args):
     defect_coarse = _max_difference(coarse, mid)
     ratio = defect_coarse / defect if defect > 0 else None
     converged = defect <= args.defect_tol
-    results = _holonomy_results(hol)
+    results = _holonomy_results(hol, converged)
     results.update({
         "selected_band": args.band,
         "selected_block": _complex_matrix(hol.block(args.band)),

@@ -226,10 +226,18 @@ def _grid(rng, grid_points, max_loops, max_combinations):
     grid_points // 2 is phi = 0.0) and max_combinations random draws."""
     if max_loops == 1:
         return np.indices((grid_points, grid_points)).reshape(2, -1, 1)
-    draws = [rng.integers(0, grid_points, size=(max_combinations,))
-             for _ in range(2 * max_loops)]
-    index = np.vstack([np.tile([0, grid_points // 2], max_loops), np.column_stack(draws)])
+    index = np.empty((max_combinations + 1, 2 * max_loops), dtype=np.int64)
+    index[0] = np.tile([0, grid_points // 2], max_loops)
+    for column in index[1:].T:
+        column[:] = rng.integers(0, grid_points, size=(max_combinations,))
     return index[:, 0::2], index[:, 1::2]
+
+
+def _by_block(f, n, factors):
+    """f over consecutive slices of range(n), concatenated: with `factors`
+    2x2 factors an item, at most BLOCK of them a call."""
+    step = max(1, BLOCK // factors)
+    return np.concatenate([f(slice(lo, lo + step)) for lo in range(0, n, step)])
 
 
 def _canonical_phase(target):
@@ -279,22 +287,22 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     max_combinations = MAX_GRID_COMBINATIONS if model.analytic else 256
     maxiter = 4000 if model.analytic else 600
     # every grid loop is one of grid_points^2 (theta, phi) pairs: evaluate
-    # each once, at most BLOCK 2x2 factors (four a loop) a call, into a table
-    chunk = BLOCK // 4 if model.analytic else 1
+    # each once into a table, then gather and multiply each candidate's
+    # units from it, both _by_block.  An analytic loop is four 2x2 factors;
+    # a numeric loop, a Wilson loop of its own, counts as BLOCK, so each is
+    # one loop_product call as in Nelder-Mead.  A candidate is max_loops
+    # factors, so the products' memory does not grow with max_loops.
     pairs = np.stack(np.meshgrid(np.linspace(0.0, np.pi, grid_points),
                                  np.linspace(-np.pi, np.pi, grid_points, endpoint=False),
                                  indexing="ij"), axis=-1)
     singles = pairs.reshape(-1, 1, 2)
-    table = np.concatenate([loop_product(singles[lo:lo + chunk], model)
-                            for lo in range(0, len(singles), chunk)])
-    # gather and multiply the candidates' units BLOCK 2x2 factors at a time,
-    # so memory does not grow with max_loops
-    t, p = _grid(rng, grid_points, max_loops, max_combinations)
+    table = _by_block(lambda s: loop_product(singles[s], model), len(singles),
+                      4 if model.analytic else BLOCK)
     table = table.reshape(grid_points, grid_points, 2, 2)
-    step = max(1, BLOCK // max_loops)
-    scores = _score(np.concatenate([
-        ordered_product(np.moveaxis(table[t[lo:lo + step], p[lo:lo + step]], 1, 0))
-        for lo in range(0, len(t), step)]), target, 0.0)
+    t, p = _grid(rng, grid_points, max_loops, max_combinations)
+    products = _by_block(lambda s: ordered_product(np.moveaxis(table[t[s], p[s]], 1, 0)),
+                         len(t), max_loops)
+    scores = _score(products, target, 0.0)
     evaluations += len(t)
     order = np.argsort(scores, kind="stable")
     # the grid holds at least 64 candidates, more than any restart count

@@ -269,6 +269,18 @@ class TestHolonomy:
             block = np.array(res[f"block_{key}"]).view(complex)[..., 0]
             assert res[f"eigenphases_{key}"] == eigenphases(block, tol=1.0).tolist()
 
+    def test_converged_run_needs_unitary_blocks(self, capsys, tmp_path):
+        # a loose --defect-tol calls the same run converged: its blocks, not
+        # unitary to 1e-3, must then fail the run instead of exiting 0
+        f = tmp_path / "under.json"
+        f.write_text(json.dumps({"kind": "sampled", "samples": [
+            [0, 0, 1e6], [1e3, 0, -1e6], [1e6, 0, 0], [0, 0, 1e6]]}))
+        code = main(["holonomy", "--path", str(f), "--regime", "quadratic",
+                     "--steps", "400", "--defect-tol", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: argument is not unitary")
+
     @pytest.mark.parametrize("steps, code", [(200, 3), (20000, 0)])
     def test_sampled_octant_refines_with_steps(self, capsys, tmp_path, steps, code):
         # 40 samples: step doubling must refine the polyline, not rerun it
