@@ -9,7 +9,7 @@ import numpy as np
 
 from holostark import LoopModel, loop_product, synthesize, zee_holonomy
 
-model = LoopModel.spherical_quadratic()
+model = LoopModel("spherical_quadratic")
 
 print("Round trip: recover a loop-generated gate with a single triangle")
 theta0, phi0 = 0.85, 1.55

@@ -23,6 +23,6 @@ from .holonomy import (FieldPath, Holonomy, basepoint_frames, eigenphase_distanc
                        make_latitude_loop, make_spherical_triangle, path_from_dict,
                        path_to_dict, sampled_path, wilson_loop, zee_holonomy)
 from .stark import (FeasibilityReport, MaterialParams, builtin_materials, d_increment,
-                    eigen_split, feasibility_report, hamiltonian, load_material_table,
-                    material_lookup)
+                    eigen_split, feasibility_report, hamiltonian, material_lookup,
+                    material_table)
 from .synth import LoopModel, SynthesisResult, loop_product, synthesize

@@ -22,14 +22,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from ._linalg import scaled_norm
+from ._linalg import require_unitary, scaled_norm
 from .dynamics import Drive, adiabatic_fidelity
 from .connection import gap_norms
-from .errors import HolostarkError, InvalidInput, _parse_json, is_number_tree
+from .errors import HolostarkError, InvalidInput, _ArgumentError, _parse_json, is_number_tree
 from .holonomy import (DEFAULT_STEPS, MIN_STEPS, eigenphases, half_spin_band,
                        path_from_dict, path_to_dict, wilson_loop)
 from .stark import (_MATERIAL_CONSTANTS, REGIMES, builtin_materials, d_components,
-                    eigen_split, feasibility_report, load_material_table, material_lookup)
+                    eigen_split, feasibility_report, material_lookup, material_table)
 from .synth import LoopModel, synthesize
 
 EXIT_OK = 0
@@ -40,7 +40,7 @@ MATERIALS_ENV = "STARK_MATERIALS_PATH"
 
 # the flag that sets each library argument an error can blame (_ArgumentError)
 _FLAGS = {"rotation_freq": "--rotation-freq", "total_time": "--T", "wl_steps": "--wl-steps",
-          "magnitude": "--magnitude"}
+          "magnitude": "--magnitude", "steps": "--steps"}
 
 
 def _complex_matrix(m):
@@ -62,8 +62,8 @@ def _parse_complex_matrix(desc):
 
 
 def _read_input(path):
-    """The parsed JSON of a path or target file, and the record of the same
-    bytes: their sha256 and raw text."""
+    """The parsed JSON of an input file (path, target or material table), and
+    the record of the same bytes: their sha256 and raw text."""
     with open(path, "rb") as fh:
         raw = fh.read()
     return _parse_json(path, raw), {"sha256": hashlib.sha256(raw).hexdigest(),
@@ -71,11 +71,15 @@ def _read_input(path):
 
 
 def _material_table(args):
-    """The built-ins, overridden by $STARK_MATERIALS_PATH, then by --materials."""
+    """The built-ins, overridden by $STARK_MATERIALS_PATH, then by --materials;
+    each table read is echoed, in that order, in args.material_tables."""
     table = {(m.name, m.dopant): m for m in builtin_materials()}
-    for path in (os.environ.get(MATERIALS_ENV), args.materials):
+    for source, path in ((MATERIALS_ENV, os.environ.get(MATERIALS_ENV)),
+                         ("--materials", args.materials)):
         if path:
-            table.update(load_material_table(path))
+            records, echo = _read_input(path)
+            table.update(material_table(records, path))
+            args.material_tables.append({"source": source, **echo})
     return table
 
 
@@ -127,6 +131,9 @@ def _holonomy_results(hol, converged):
     # run reports its blocks' phases however far they are from unitary, and
     # its exit code flags it
     report_tol = 1e-3 if converged else np.inf
+    for band in ("plus", "minus"):
+        require_unitary(hol.block(band), report_tol,
+                        f"the {band} band block (the transport leaks between the bands)")
     return {
         "full": _complex_matrix(hol.full),
         "block_plus": _complex_matrix(hol.block_plus),
@@ -164,7 +171,7 @@ def cmd_holonomy(args):
     desc, path_file = _read_input(args.path)
     path = path_from_dict(desc)
     if args.steps < MIN_STEPS:
-        raise InvalidInput(f"steps must be >= {MIN_STEPS}")
+        raise _ArgumentError("steps", f"steps must be >= {MIN_STEPS}")
     segments = 0 if path.samples is None else len(path.samples) - 1
     n = max(args.steps, 4 * MIN_STEPS, 4 * segments)
     # the n run first, so that a step count too large to allocate fails at once
@@ -210,12 +217,9 @@ def cmd_verify_adiabatic(args):
 
 
 def _synth_model(args):
-    if args.model == "spherical_quadratic":
-        return LoopModel.spherical_quadratic()
-    if args.model == "linear":
-        return LoopModel.linear()
-    m = _material(args)
-    return LoopModel.numeric_quadratic(m, args.magnitude)
+    if args.model == "numeric_quadratic":  # the one model that takes a material
+        return LoopModel(args.model, _material(args), args.magnitude)
+    return LoopModel(args.model)
 
 
 def cmd_synth(args):
@@ -323,7 +327,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.material_tables = []
         results, inputs, converged = args.func(args)
+        if args.material_tables:
+            inputs["material_tables"] = args.material_tables
         record = {"command": [parser.prog] + argv, "tool_version": __version__,
                   "seed": getattr(args, "seed", None), "inputs": inputs,
                   "timestamp": datetime.now(timezone.utc).isoformat(), "results": results}

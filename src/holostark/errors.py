@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the JSON file reader, and
-the number checks that guard its JSON inputs."""
+"""Exception types shared across the package, the JSON parser, and the
+number checks that guard its JSON inputs."""
 
 import io
 import json
@@ -69,15 +69,9 @@ def is_number_tree(value):
     return True
 
 
-def load_json(path):
-    """Parse a JSON file; text that does not parse (bad syntax, not UTF-8,
-    nesting too deep for the parser) is invalid input naming the file."""
-    with open(path, "rb") as fh:
-        return _parse_json(path, fh.read())
-
-
 def _parse_json(path, raw):
-    """The JSON of ``raw``, the bytes of ``path``, read as a UTF-8 text file."""
+    """The JSON of ``raw``, the bytes of ``path``, read as a UTF-8 text file;
+    text that does not parse is invalid input naming the file."""
     try:
         return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except RecursionError:

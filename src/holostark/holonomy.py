@@ -50,6 +50,12 @@ DEFAULT_STEPS = 20000
 MIN_STEPS = 100
 CLOSURE_RTOL = 1e-9  # largest endpoint gap of a closed path, relative to |E|
 
+# each kind of path: {key of its JSON description: FieldPath field it sets}
+_PATH_KEYS = {"spherical_triangle": {"theta": "theta", "phi": "phi",
+                                     "magnitude_V_per_m": "magnitude"},
+              "latitude_loop": {"theta": "theta", "magnitude_V_per_m": "magnitude"},
+              "sampled": {"samples": "samples"}}
+
 
 @dataclass(frozen=True)
 class FieldPath:
@@ -61,18 +67,27 @@ class FieldPath:
     ceil(steps / segments) equal substeps, so at steps <= segments the
     samples come back unchanged.  Construction makes the checks of
     make_spherical_triangle, make_latitude_loop and sampled_path, with
-    their messages.  Only a sampled path takes samples, and its magnitude is
-    their mean |E|, so None or exactly that value must be given.
+    their messages.  A kind takes the fields _PATH_KEYS lists for it, and
+    leaves the others at their defaults; a sampled path's magnitude is the
+    mean |E| of its samples, so None or exactly that value must be given.
     """
 
     kind: str
-    magnitude: float
+    magnitude: float = None
     theta: float = 0.0
     phi: float = 0.0
     samples: np.ndarray = None
 
     def __post_init__(self):
-        t = self.theta
+        if self.kind not in _PATH_KEYS:
+            raise InvalidInput(f"unknown path kind {self.kind!r}")
+        t, taken = self.theta, _PATH_KEYS[self.kind].values()
+        if self.samples is not None and "samples" not in taken:
+            raise InvalidInput(f"only a sampled path takes samples, not {self.kind!r}")
+        for name in ("theta", "phi"):
+            if name not in taken and getattr(self, name) != 0.0:
+                raise InvalidInput(f"a {self.kind} path takes no {name}, "
+                                   f"got {getattr(self, name)}")
         if self.kind == "sampled":
             samples, magnitude = _checked_samples(self.samples)
             if self.magnitude not in (None, magnitude):
@@ -80,18 +95,13 @@ class FieldPath:
                                    f"samples, {magnitude}, got {self.magnitude}")
             object.__setattr__(self, "samples", samples)
             object.__setattr__(self, "magnitude", magnitude)
-        elif self.samples is not None:
-            raise InvalidInput(f"only a sampled path takes samples, not {self.kind!r}")
         elif self.kind == "spherical_triangle":
             if not (np.isfinite(t) and 0 < t <= np.pi):
                 raise InvalidAngle(f"theta must lie in (0, pi], got {t}")
             if not np.isfinite(self.phi):
                 raise InvalidAngle(f"phi must be finite, got {self.phi}")
-        elif self.kind == "latitude_loop":
-            if not (np.isfinite(t) and 0 < t < np.pi):
-                raise InvalidAngle(f"theta must lie in (0, pi), got {t}")
-        else:
-            raise InvalidInput(f"unknown path kind {self.kind!r}")
+        elif not (np.isfinite(t) and 0 < t < np.pi):
+            raise InvalidAngle(f"theta must lie in (0, pi), got {t}")
         _check_magnitude(self.magnitude)
         for name in ("magnitude", "theta", "phi"):
             object.__setattr__(self, name, float(getattr(self, name)))
@@ -133,7 +143,7 @@ def _sphere_points(knots, counts, magnitude):
 
 
 def _check_magnitude(magnitude):
-    if not (np.isfinite(magnitude) and magnitude > 0):
+    if not (magnitude is not None and np.isfinite(magnitude) and magnitude > 0):
         raise NonPositiveMagnitude(f"field magnitude must be positive, got {magnitude}")
 
 
@@ -156,7 +166,7 @@ def make_latitude_loop(theta, magnitude):
 def sampled_path(samples):
     """Closed path through explicit field samples (n, 3); see FieldPath.points
     for how they are refined."""
-    return FieldPath(kind="sampled", magnitude=None, samples=samples)
+    return FieldPath(kind="sampled", samples=samples)
 
 
 def _checked_samples(samples):
@@ -190,26 +200,15 @@ def _checked_samples(samples):
 
 def path_to_dict(path):
     """JSON-ready description of a path (inverse of path_from_dict)."""
-    if path.kind == "sampled":
-        return {"kind": "sampled", "samples": path.samples.tolist()}
-    out = {"kind": path.kind, "theta": path.theta,
-           "magnitude_V_per_m": path.magnitude}
-    if path.kind == "spherical_triangle":
-        out["phi"] = path.phi
-    return out
-
-
-# the keys each kind of path description must carry besides "kind"
-_PATH_KEYS = {"spherical_triangle": ("theta", "phi", "magnitude_V_per_m"),
-              "latitude_loop": ("theta", "magnitude_V_per_m"),
-              "sampled": ("samples",)}
+    return {"kind": path.kind, **{key: np.asarray(getattr(path, field)).tolist()
+                                  for key, field in _PATH_KEYS[path.kind].items()}}
 
 
 def path_from_dict(desc):
-    """Build a FieldPath from its JSON description.
-
-    Triangles carry keys theta, phi, magnitude_V_per_m; latitude loops theta
-    and magnitude_V_per_m; sampled paths a "samples" list of 3-vectors.
+    """Build a FieldPath from its JSON description: an object with a known
+    "kind" and every key _PATH_KEYS lists for that kind, each a finite
+    number ("samples": a list of 3-vectors of them).  Other keys are
+    ignored, and FieldPath makes the range and closure checks.
     """
     try:
         kind = desc["kind"]
@@ -217,20 +216,14 @@ def path_from_dict(desc):
         raise InvalidInput("path description needs a 'kind' key")
     if not (isinstance(kind, str) and kind in _PATH_KEYS):
         raise InvalidInput(f"unknown path kind {kind!r}")
-    for key in _PATH_KEYS[kind]:
+    fields = {}
+    for key, field in _PATH_KEYS[kind].items():
         if key not in desc:
             raise InvalidInput(f"{kind} path description needs a {key!r} key")
-    num = {k: v for k, v in desc.items() if k in ("theta", "phi", "magnitude_V_per_m")}
-    if not all(is_finite_number(v) for v in num.values()):
-        raise InvalidInput(f"path values must be finite numbers, got {num}")
-    if kind == "spherical_triangle":
-        return make_spherical_triangle(num["theta"], num["phi"],
-                                       num["magnitude_V_per_m"])
-    if kind == "latitude_loop":
-        return make_latitude_loop(num["theta"], num["magnitude_V_per_m"])
-    if not is_number_tree(desc["samples"]):
-        raise InvalidInput("path samples must be finite numbers")
-    return sampled_path(desc["samples"])
+        if not (is_number_tree if key == "samples" else is_finite_number)(desc[key]):
+            raise InvalidInput(f"{kind} path description needs finite numbers for {key!r}")
+        fields[field] = desc[key]
+    return FieldPath(kind=kind, **fields)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ import numpy as np
 
 from ._linalg import pow2_exponent, scaled_norm
 from .algebra import default_basis
-from .errors import (InvalidInput, UnknownMaterial, _ArgumentError, is_finite_number,
-                     load_json)
+from .errors import InvalidInput, UnknownMaterial, _ArgumentError, is_finite_number
 from .units import MEV_PER_ANGSTROM_V_PER_M, PLANCK_MEV_S
 
 REGIMES = ("linear", "quadratic")
@@ -118,14 +117,11 @@ def material_lookup(material, dopant, table=None):
     return _BUILTIN[key]
 
 
-def load_material_table(path):
-    """Read a user material table (JSON list of records) into a lookup dict.
-
-    Each record is an object carrying the strings material and dopant and
-    the finite numbers alpha, beta, delta, chi, rbar_angstrom,
-    ionization_meV.
-    """
-    records = load_json(path)
+def material_table(records, path):
+    """A user material table as a lookup dict.  ``records`` is the parsed
+    JSON of the file ``path``, which its format errors name: a list of
+    objects, each with the strings material and dopant and the finite
+    numbers alpha, beta, delta, chi, rbar_angstrom, ionization_meV."""
     if not isinstance(records, list):
         raise InvalidInput(f"{path}: expected a JSON list of material records")
     table = {}

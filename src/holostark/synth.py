@@ -39,8 +39,13 @@ NUMERIC_STEPS = 1000
 class LoopModel:
     """Which physical model maps triangle angles to a 2x2 holonomy.
 
-    Construction checks the kind, and for the numeric model a MaterialParams
-    and a finite magnitude (|E| in V/m) > 0.
+    LoopModel("spherical_quadratic"), the idealized beta = delta/sqrt(3)
+    quadratic model, and LoopModel("linear"), the linear Stark regime at
+    constant |E|, are analytic oracles.  LoopModel("numeric_quadratic",
+    material, magnitude) runs the NUMERIC_STEPS Wilson loop of an anisotropic
+    quadratic MaterialParams at |E| = magnitude (V/m, finite, > 0) on its
+    spin-projection +-1/2 band (half_spin_band).  Construction checks these,
+    and that only the numeric model takes a material and a magnitude.
     """
 
     kind: str  # spherical_quadratic | linear | numeric_quadratic
@@ -50,30 +55,15 @@ class LoopModel:
     def __post_init__(self):
         if self.kind not in ("spherical_quadratic", "linear", "numeric_quadratic"):
             raise InvalidInput(f"unknown loop model {self.kind!r}")
-        if self.kind != "numeric_quadratic":
-            return
-        if not isinstance(self.material, MaterialParams):
+        if self.analytic:
+            if self.material is not None or self.magnitude is not None:
+                raise InvalidInput(f"the {self.kind} model takes no material or magnitude")
+        elif not isinstance(self.material, MaterialParams):
             raise InvalidInput(f"the numeric_quadratic model needs a MaterialParams, "
                                f"got {self.material!r}")
-        if not 0 < np.float64(self.magnitude) < np.inf:
+        elif not 0 < np.float64(self.magnitude) < np.inf:
             raise _ArgumentError("magnitude", "field magnitude must be positive, "
                                  f"got {self.magnitude}")
-
-    @classmethod
-    def spherical_quadratic(cls):
-        """Idealized beta = delta/sqrt(3) quadratic model (analytic oracle)."""
-        return cls(kind="spherical_quadratic")
-
-    @classmethod
-    def linear(cls):
-        """Linear Stark regime at constant |E| (analytic oracle)."""
-        return cls(kind="linear")
-
-    @classmethod
-    def numeric_quadratic(cls, material, magnitude):
-        """Anisotropic quadratic material, evaluated by the NUMERIC_STEPS
-        Wilson loop on its spin-projection +-1/2 band (half_spin_band)."""
-        return cls(kind="numeric_quadratic", material=material, magnitude=magnitude)
 
     @property
     def analytic(self):
@@ -271,7 +261,7 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     if max_loops < 1:
         raise InvalidInput("max_loops must be >= 1")
     target = _canonical_phase(target)
-    model = model or LoopModel.spherical_quadratic()
+    model = model or LoopModel("spherical_quadratic")
     rng = np.random.default_rng(seed)
     evaluations = 0
 

@@ -204,7 +204,7 @@ def test_criterion_09_integrator_properties(ge_spherical):
 
 
 def test_criterion_10_synthesis(acc_rng):
-    model = LoopModel.spherical_quadratic()
+    model = LoopModel("spherical_quadratic")
     worst_rt = 0.0
     for _ in range(5):
         theta = float(acc_rng.uniform(0.2, 1.4))

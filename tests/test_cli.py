@@ -223,6 +223,10 @@ class TestHolonomy:
         pytest.param({"kind": "sampled",
                       "samples": [[0, 0, 1e6], [10**400, 0, 1e6], [0, 0, 1e6]]},
                      "error: ", id="desc2"),
+        pytest.param({"kind": "sampled",
+                      "samples": [[0, 0, 1e6], [None, 0, 1e6], [0, 0, 1e6]]},
+                     "error: sampled path description needs finite numbers for "
+                     "'samples'\n", id="samples-not-echoed"),
         pytest.param({"kind": "spherical_triangle", "theta": 1.0,
                       "magnitude_V_per_m": 1e6},
                      "error: spherical_triangle path description needs a 'phi' key",
@@ -279,7 +283,32 @@ class TestHolonomy:
                      "--steps", "400", "--defect-tol", "2"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: argument is not unitary")
+        assert err.startswith("error: the plus band block (the transport leaks between "
+                              "the bands) is not unitary: defect ")
+
+    def test_record_names_every_table_read(self, capsys, tmp_path, monkeypatch):
+        # a table that changes Ge:B's beta changes the holonomy: the record
+        # carries its bytes, in merge order after the built-ins
+        argv = ["holonomy", "--path", write_octant(tmp_path), "--regime", "quadratic",
+                "--steps", "400", "--defect-tol", "1"]
+        _, plain = run_cli(capsys, *argv)
+        env, flag = tmp_path / "env.json", tmp_path / "flag.json"
+        env.write_text(json.dumps([dict(cli._material_dict(material_lookup("Ge", "B")),
+                                        beta=-0.25)]))
+        flag.write_text(json.dumps([GAAS_BE]))
+        monkeypatch.setenv("STARK_MATERIALS_PATH", str(env))
+        code, rec = run_cli(capsys, *argv)
+        _, both = run_cli(capsys, *argv, "--materials", str(flag))
+        assert code == 0 and "material_tables" not in plain["inputs"]
+        assert rec["results"]["full"] != plain["results"]["full"]
+        assert rec["results"]["full"] == both["results"]["full"]
+        echo = [{"source": "STARK_MATERIALS_PATH", "raw": env.read_text(),
+                 "sha256": hashlib.sha256(env.read_bytes()).hexdigest()}]
+        assert rec["inputs"] == {"path_file": plain["inputs"]["path_file"],
+                                 "material_tables": echo}
+        assert both["inputs"]["material_tables"] == echo + [{
+            "source": "--materials", "raw": flag.read_text(),
+            "sha256": hashlib.sha256(flag.read_bytes()).hexdigest()}]
 
     @pytest.mark.parametrize("steps, code", [(200, 3), (20000, 0)])
     def test_sampled_octant_refines_with_steps(self, capsys, tmp_path, steps, code):
@@ -443,7 +472,7 @@ class TestHolonomy:
                      "quadratic", "--steps", steps])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == "error: steps must be >= 100\n"
+        assert err == "error: --steps: steps must be >= 100\n"
 
 
 class TestVerifyAdiabatic:
@@ -533,8 +562,8 @@ class TestSynth:
                             "--max-loops", "1", "--tol", "1e-6", "--seed", "0")
         res = rec["results"]
         assert code == 0 and res["converged"] is True and res["model"] == model
-        loop_model = (LoopModel.linear() if model == "linear" else
-                      LoopModel.numeric_quadratic(material_lookup("Ge", "B"), 1e6))
+        loop_model = (LoopModel("linear") if model == "linear" else
+                      LoopModel("numeric_quadratic", material_lookup("Ge", "B"), 1e6))
         achieved = loop_product(res["loops"], loop_model)
         assert holonomy_fidelity(achieved, np.eye(2)) >= 1.0 - 1e-6
 
@@ -678,6 +707,22 @@ def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
                        "where float64 keeps no angle\n")
     else:
         assert err.startswith("error: field too strong for float64")
+
+
+@pytest.mark.parametrize("kind", ["sampled-holonomy", "linear-spectrum"])
+def test_field_norm_overflow_exits_2(capsys, tmp_path, kind):
+    # every entry is finite, but |E| of (1.5e308, 1.5e308, 0) is not
+    if kind == "linear-spectrum":
+        argv = ["spectrum", "--regime", "linear", "--field", "1.5e308,1.5e308,0"]
+    else:
+        big, f = 1.5e308, tmp_path / "huge.json"
+        f.write_text(json.dumps({"kind": "sampled", "samples": [
+            [big, big, 0], [0, big, big], [big, 0, big], [big, big, 0]]}))
+        argv = ["holonomy", "--path", str(f), "--regime", "quadratic"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: field too strong for float64: |E| overflows\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -834,12 +879,15 @@ def test_record_echoes_the_bytes_read_once(capsys, tmp_path, monkeypatch, name):
     assert code == 0
     for f in list(echoed.values()) + tables:
         assert opened.count(f) == 1
-    assert set(rec["inputs"]) == set(echoed)
-    for key, f in echoed.items():
+    inputs = rec["inputs"]
+    tables_read = inputs.get("material_tables", [])  # in merge order, with their source
+    assert [t.pop("source") for t in tables_read] == ["--materials"] * len(tables)
+    assert set(inputs) == set(echoed) | ({"material_tables"} if tables else set())
+    pairs = [(inputs[key], f) for key, f in echoed.items()] + list(zip(tables_read, tables))
+    for echo, f in pairs:
         raw = Path(f).read_bytes()
         assert b"\r\n" in raw
-        assert rec["inputs"][key] == {"sha256": hashlib.sha256(raw).hexdigest(),
-                                      "raw": raw.decode("utf-8")}
+        assert echo == {"sha256": hashlib.sha256(raw).hexdigest(), "raw": raw.decode("utf-8")}
 
 
 @pytest.mark.parametrize("argv, says", [

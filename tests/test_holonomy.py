@@ -83,6 +83,8 @@ class TestPaths:
          NonPositiveMagnitude, "field magnitude must be positive, got -1000000.0"),
         (lambda: FieldPath(kind="latitude_loop", magnitude=1e6, theta=0.0), InvalidAngle,
          r"theta must lie in \(0, pi\), got 0.0"),
+        (lambda: FieldPath(kind="latitude_loop", theta=1.0), NonPositiveMagnitude,
+         "field magnitude must be positive, got None"),
         (lambda: FieldPath(kind="sampled", magnitude=np.nan,
                            samples=octant_path().points(40)), InvalidInput,
          r"magnitude is the mean \|E\| of its samples, .*, got nan"),
@@ -91,11 +93,29 @@ class TestPaths:
          "only a sampled path takes samples, not 'latitude_loop'"),
     ], ids=["unknown-kind", "infinite-phi", "latitude-pole", "latitude-south-pole",
             "two-columns", "nan-sample", "direct-theta", "direct-nan-theta",
-            "direct-magnitude", "direct-latitude-pole", "direct-sampled-magnitude",
-            "direct-latitude-samples"])
+            "direct-magnitude", "direct-latitude-pole", "direct-no-magnitude",
+            "direct-sampled-magnitude", "direct-latitude-samples"])
     def test_malformed_path_raises(self, build, error, says):
         with pytest.raises(error, match=says):
             build()
+
+    @pytest.mark.parametrize("kind, fields, says", [
+        ("latitude_loop", dict(magnitude=1e6, theta=1.0, phi=np.nan),
+         "a latitude_loop path takes no phi, got nan"),
+        ("sampled", dict(magnitude=None, samples=octant_path().points(40), theta=7.0,
+                         phi=-3.0),
+         "a sampled path takes no theta, got 7.0"),
+        ("sampled", dict(magnitude=None, samples=octant_path().points(40), phi=-3.0),
+         "a sampled path takes no phi, got -3.0"),
+    ], ids=["latitude-phi", "sampled-angles", "sampled-phi"])
+    def test_kind_takes_only_its_fields(self, kind, fields, says):
+        with pytest.raises(InvalidInput, match=f"^{says}$"):
+            FieldPath(kind=kind, **fields)
+
+    def test_default_fields_left_alone_build(self):
+        # a field at its default is no field taken: the loop equals its builder's
+        assert FieldPath(kind="latitude_loop", magnitude=1e6, theta=1.0,
+                         phi=0.0) == make_latitude_loop(1.0, 1e6)
 
     @pytest.mark.parametrize("magnitude", [1e-200, 1e-160, 1e160, 1e300])
     def test_sampled_path_beyond_float64_norms(self, ge_b, magnitude):

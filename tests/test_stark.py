@@ -5,7 +5,7 @@ import pytest
 
 from holostark import (FeasibilityReport, InvalidInput, MaterialParams, UnknownMaterial,
                        builtin_materials, d_increment, eigen_split,
-                       feasibility_report, hamiltonian, load_material_table,
+                       feasibility_report, hamiltonian, material_table,
                        material_lookup)
 from holostark.stark import d_components
 
@@ -43,7 +43,7 @@ class TestMaterials:
                    delta=-0.4, chi=2e-3, rbar_angstrom=50.0, ionization_meV=28.0)
         path = tmp_path / "materials.json"
         path.write_text(json.dumps([rec]))
-        table = load_material_table(path)
+        table = material_table(json.loads(path.read_text()), path)
         m = material_lookup("GaAs", "Be", table=table)
         assert m.rbar_angstrom == 50.0
         with pytest.raises(UnknownMaterial):

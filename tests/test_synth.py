@@ -12,7 +12,7 @@ from holostark.synth import GRID_POINTS
 
 from util import random_su2
 
-SPH = LoopModel.spherical_quadratic()
+SPH = LoopModel("spherical_quadratic")
 
 
 class TestLoopProduct:
@@ -30,7 +30,7 @@ class TestLoopProduct:
         assert np.abs(u - expected).max() <= 1e-14
 
     def test_linear_model(self):
-        u = loop_product([(0.9, 0.8)], LoopModel.linear())
+        u = loop_product([(0.9, 0.8)], LoopModel("linear"))
         assert np.abs(u - linear_triangle_holonomy(0.9, 0.8)).max() <= 1e-14
 
     def test_invalid_angle(self):
@@ -48,7 +48,7 @@ class TestLoopProduct:
         with pytest.raises(InvalidAngle, match="phi must be finite, got nan"):
             loop_product(loops, SPH)
 
-    @pytest.mark.parametrize("model", [SPH, LoopModel.linear()], ids=["sph", "linear"])
+    @pytest.mark.parametrize("model", [SPH, LoopModel("linear")], ids=["sph", "linear"])
     def test_angles_checked_once_per_batch(self, monkeypatch, model):
         from holostark import holonomy
         checks = []
@@ -59,7 +59,7 @@ class TestLoopProduct:
         loop_product(np.full((4, 3, 2), 0.5), model)
         assert len(checks) == 1
 
-    @pytest.mark.parametrize("model", [SPH, LoopModel.linear()], ids=["sph", "linear"])
+    @pytest.mark.parametrize("model", [SPH, LoopModel("linear")], ids=["sph", "linear"])
     def test_batch_equals_row_by_row(self, model, rng):
         loops = np.stack([rng.uniform(0.0, np.pi, size=(6, 3)),
                           rng.uniform(-np.pi, np.pi, size=(6, 3))], axis=-1)
@@ -80,6 +80,15 @@ class TestLoopProduct:
         with pytest.raises(InvalidInput, match="unknown loop model 'bogus'"):
             LoopModel(kind="bogus")
 
+    @pytest.mark.parametrize("kind", ["spherical_quadratic", "linear"])
+    @pytest.mark.parametrize("material, magnitude", [("junk", -1), ("Ge:B", None),
+                                                     (None, 1e6)],
+                             ids=["junk", "material", "magnitude"])
+    def test_analytic_model_takes_no_material(self, ge_b, kind, material, magnitude):
+        with pytest.raises(InvalidInput, match=f"^the {kind} model takes no material "
+                                               "or magnitude$"):
+            LoopModel(kind, ge_b if material == "Ge:B" else material, magnitude)
+
     @pytest.mark.parametrize("material, magnitude, says", [
         (None, 1e6, "the numeric_quadratic model needs a MaterialParams, got None"),
         ("Ge:B", 0.0, "field magnitude must be positive, got 0.0"),
@@ -90,11 +99,11 @@ class TestLoopProduct:
     ], ids=["no-material", "zero", "negative", "inf", "nan", "none"])
     def test_numeric_model_checked_when_built(self, ge_b, material, magnitude, says):
         with pytest.raises(InvalidInput, match=f"^{says}$") as info:
-            LoopModel.numeric_quadratic(material and ge_b, magnitude)
+            LoopModel("numeric_quadratic", material and ge_b, magnitude)
         assert getattr(info.value, "argument", None) == (material and "magnitude")
 
     def test_numeric_model_agrees_with_analytic(self, ge_spherical):
-        model = LoopModel.numeric_quadratic(ge_spherical, 1e6)
+        model = LoopModel("numeric_quadratic", ge_spherical, 1e6)
         assert half_spin_band(ge_spherical) == "minus"
         u_num = loop_product([(0.9, 1.2)], model)
         u_ana = zee_holonomy(0.9, 1.2)
@@ -264,7 +273,7 @@ class TestGridScoring:
 
         monkeypatch.setattr(synth, "wilson_loop", wilson_loop_spy)
         monkeypatch.setattr(synth, "minimize", minimize_spy)
-        model = LoopModel.numeric_quadratic(ge_b, 1e6)
+        model = LoopModel("numeric_quadratic", ge_b, 1e6)
         with pytest.raises(NelderMeadReached):
             synthesize(random_su2(np.random.default_rng(5)), model=model, max_loops=2, seed=5)
         assert 0 < len(transported) <= 8 ** 2
