@@ -119,9 +119,10 @@ def material_lookup(material, dopant, table=None):
 
 def material_table(records, path):
     """A user material table as a lookup dict.  ``records`` is the parsed
-    JSON of the file ``path``, which its format errors name: a list of
-    objects, each with the strings material and dopant and the finite
-    numbers alpha, beta, delta, chi, rbar_angstrom, ionization_meV."""
+    JSON of the file ``path``, which every error names: a list of objects,
+    each with the strings material and dopant and the finite numbers alpha,
+    beta, delta, chi, rbar_angstrom, ionization_meV in MaterialParams'
+    ranges."""
     if not isinstance(records, list):
         raise InvalidInput(f"{path}: expected a JSON list of material records")
     table = {}
@@ -134,8 +135,11 @@ def material_table(records, path):
             if not (isinstance(rec[key], str) if key in ("material", "dopant")
                     else is_finite_number(rec[key])):
                 raise InvalidInput(f"{path}: bad value {rec[key]!r} for material key {key!r}")
-        m = MaterialParams(name=rec["material"], dopant=rec["dopant"],
-                           **{k: rec[k] for k in _MATERIAL_CONSTANTS})
+        try:
+            m = MaterialParams(name=rec["material"], dopant=rec["dopant"],
+                               **{k: rec[k] for k in _MATERIAL_CONSTANTS})
+        except InvalidInput as exc:  # a constant out of range
+            raise InvalidInput(f"{path}: {exc}") from None
         table[(m.name, m.dopant)] = m
     return table
 

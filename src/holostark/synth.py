@@ -13,9 +13,12 @@ loop; both are built by one kernel, ``_linalg.clifford_steps`` /
 once, into a table, and scores every candidate from that table.
 Nelder-Mead runs per candidate through the package's own ``minimize``, a
 port of scipy's method="Nelder-Mead" with identical iterates, so scipy is
-not needed at run time; a fixed seed makes the search deterministic.
+not needed at run time; on the analytic models it scores each iteration's
+trial points in one objective call.  A fixed seed makes the search
+deterministic.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +46,10 @@ class LoopModel:
     quadratic model, and LoopModel("linear"), the linear Stark regime at
     constant |E|, are analytic oracles.  LoopModel("numeric_quadratic",
     material, magnitude) runs the NUMERIC_STEPS Wilson loop of an anisotropic
-    quadratic MaterialParams at |E| = magnitude (V/m, finite, > 0) on its
-    spin-projection +-1/2 band (half_spin_band).  Construction checks these,
-    and that only the numeric model takes a material and a magnitude.
+    quadratic MaterialParams at |E| = magnitude (V/m, a finite real number
+    > 0, kept as a float) on its spin-projection +-1/2 band (half_spin_band).
+    Construction checks these, and that only the numeric model takes a
+    material and a magnitude.
     """
 
     kind: str  # spherical_quadratic | linear | numeric_quadratic
@@ -61,9 +65,16 @@ class LoopModel:
         elif not isinstance(self.material, MaterialParams):
             raise InvalidInput(f"the numeric_quadratic model needs a MaterialParams, "
                                f"got {self.material!r}")
+        # a missing magnitude (None) reads as nan: not positive
+        elif (isinstance(self.magnitude, bool)
+              or not isinstance(self.magnitude, (numbers.Real, type(None)))):
+            raise _ArgumentError("magnitude", "field magnitude must be a real number, "
+                                 f"got {self.magnitude!r}")
         elif not 0 < np.float64(self.magnitude) < np.inf:
             raise _ArgumentError("magnitude", "field magnitude must be positive, "
                                  f"got {self.magnitude}")
+        else:
+            object.__setattr__(self, "magnitude", float(self.magnitude))
 
     @property
     def analytic(self):
@@ -94,7 +105,8 @@ def loop_product(loops, model):
             path = make_spherical_triangle(theta[i], phi[i], model.magnitude)
             result = wilson_loop(path, "quadratic", model.material, steps=NUMERIC_STEPS)
             units[i] = result.block(band)
-    units[trivial] = np.eye(2)
+    if trivial.any():
+        units[trivial] = np.eye(2)
     return ordered_product(np.moveaxis(units, -3, 0))
 
 
@@ -119,16 +131,25 @@ class _MaxFev(Exception):
     """The evaluation budget is spent: abandon the current iteration."""
 
 
-def minimize(fun, x0, *, fatol, xatol, maxiter, maxfev):
+def minimize(fun, x0, *, fatol, xatol, maxiter, maxfev, lookahead=False):
     """Unbounded Nelder-Mead (Nelder & Mead, Comput. J. 7, 308, 1965) with
     the standard coefficients rho = 1, chi = 2, psi = sigma = 0.5.
 
-    Operation for operation the non-adaptive, unbounded
+    ``fun`` maps a (k, n) stack of vertices to its k values, each row with
+    the bits of scoring that row alone, and gets a copy of the stack.
+    Without ``lookahead`` every call is one vertex.  With it, one call
+    scores the initial simplex, one each iteration's four trial points
+    (reflection, expansion, outside and inside contraction, all known
+    before any is scored, though at most two are used) and one a shrink's
+    n vertices, so ``fun`` also meets points the serial method never
+    evaluates.
+
+    Either way, operation for operation the non-adaptive, unbounded
     ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead")`` of scipy 1.17,
     so both give the same bits: the same initial simplex, vertex ordering
-    and termination test; ``fun`` gets a copy of each vertex; and a spent
-    ``maxfev`` abandons the iteration uncounted, leaving a half-done shrink
-    with the stale values of the vertices it did not reach.
+    and termination test; ``nfev`` counts only the points scipy evaluates;
+    and a spent ``maxfev`` abandons the iteration uncounted, leaving a
+    half-done shrink with the stale values of the vertices it did not reach.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n = len(x0)
@@ -137,20 +158,27 @@ def minimize(fun, x0, *, fatol, xatol, maxiter, maxfev):
     fsim = np.full(n + 1, np.inf)
     nfev = 0
 
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _MaxFev
-        nfev += 1
-        return fun(np.copy(x))
+    def scored(points):
+        """value(k) of points[k], counted as one evaluation in the order
+        the serial method meets it; raises _MaxFev once the budget is spent."""
+        batch = fun(points.copy()) if lookahead and nfev < maxfev else None
+
+        def value(k):
+            nonlocal nfev
+            if nfev >= maxfev:
+                raise _MaxFev
+            nfev += 1
+            return batch[k] if lookahead else fun(points[k:k + 1].copy())[0]
+        return value
 
     def by_value(sim, fsim):
         ind = np.argsort(fsim)
         return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
+    value = scored(sim)
     try:
         for k in range(n + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = value(k)
     except _MaxFev:
         pass
     # sorted twice, as scipy does: argsort need not keep ties in place
@@ -162,29 +190,27 @@ def minimize(fun, x0, *, fatol, xatol, maxiter, maxfev):
                     and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
                 break
             xbar = sim[:-1].sum(axis=0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
+            # reflection, expansion, outside and inside contraction
+            trial = np.array([2 * xbar - sim[-1], 3 * xbar - 2 * sim[-1],
+                              1.5 * xbar - 0.5 * sim[-1], 0.5 * xbar + 0.5 * sim[-1]])
+            value = scored(trial)
+            fxr = value(0)
             if fxr < fsim[0]:  # expand
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+                fxe = value(1)
+                sim[-1], fsim[-1] = (trial[1], fxe) if fxe < fxr else (trial[0], fxr)
             elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+                sim[-1], fsim[-1] = trial[0], fxr
             else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
+                k = 2 if fxr < fsim[-1] else 3  # outside, else inside contraction
+                fxc = value(k)
+                if (fxc <= fxr) if k == 2 else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = trial[k], fxc
                 else:  # shrink towards the best vertex
+                    shrunk = sim[0] + 0.5 * (sim[1:] - sim[0])
+                    value = scored(shrunk)
                     for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
+                        sim[j] = shrunk[j - 1]
+                        fsim[j] = value(j - 1)
             iterations += 1
         except _MaxFev:
             pass
@@ -250,7 +276,9 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     Coarse 16x16-per-loop grid seeding (capped at a few thousand random
     combinations for multi-loop searches, scored from one table of the 256
     single-loop holonomies), then per-candidate Nelder-Mead refinement with
-    restarts; every grid candidate counts as an evaluation.
+    restarts.  ``evaluations`` counts every grid candidate plus the points
+    each refinement uses (its ``nfev``), not the trial points an analytic
+    model scores ahead and discards.
     ``converged`` reports whether 1 - fidelity <= tol; an unreachable target
     yields converged=False, never an exception.  Fixed seed, identical bits.
     """
@@ -263,11 +291,8 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     target = _canonical_phase(target)
     model = model or LoopModel("spherical_quadratic")
     rng = np.random.default_rng(seed)
-    evaluations = 0
 
     def objective(x):
-        nonlocal evaluations
-        evaluations += 1
         loops, penalty = _clip_angles(x)
         return _score(loop_product(loops, model), target, penalty)
 
@@ -293,17 +318,21 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     products = _by_block(lambda s: ordered_product(np.moveaxis(table[t[s], p[s]], 1, 0)),
                          len(t), max_loops)
     scores = _score(products, target, 0.0)
-    evaluations += len(t)
+    evaluations = len(t)
     order = np.argsort(scores, kind="stable")
     # the grid holds at least 64 candidates, more than any restart count
     seeds = [pairs[t[i], p[i]].reshape(-1) for i in order[:restarts]]
 
     # restarts run in seed order; strict improvement keeps the lowest-index
-    # winner on ties, so selection is deterministic
+    # winner on ties, so selection is deterministic.  An analytic objective
+    # call costs about as much for the four trial points of an iteration as
+    # for one, so it scores them together; a numeric one pays a Wilson loop
+    # a point, so it scores only the points Nelder-Mead uses
     best_x, best_obj = None, np.inf
     for x0 in seeds:
         res = minimize(objective, x0, fatol=1e-14, xatol=1e-12,
-                       maxiter=maxiter, maxfev=2 * maxiter)
+                       maxiter=maxiter, maxfev=2 * maxiter, lookahead=model.analytic)
+        evaluations += res.nfev
         if res.fun < best_obj:
             best_x, best_obj = res.x, res.fun
         if best_obj <= 1e-12:

@@ -93,6 +93,7 @@ class TestMaterials:
         [dict(GAAS_BE, chi=True)],
         [{k: v for k, v in GAAS_BE.items() if k != "delta"}],
         GAAS_BE,  # an object, not a list of records
+        [dict(GAAS_BE, alpha=-1)],  # a constant out of MaterialParams' range
     ])
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_malformed_table_exits_2(self, capsys, tmp_path, monkeypatch, table, via):

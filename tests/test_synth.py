@@ -96,11 +96,18 @@ class TestLoopProduct:
         ("Ge:B", np.inf, "field magnitude must be positive, got inf"),
         ("Ge:B", np.nan, "field magnitude must be positive, got nan"),
         ("Ge:B", None, "field magnitude must be positive, got None"),
-    ], ids=["no-material", "zero", "negative", "inf", "nan", "none"])
+        ("Ge:B", "1e6", "field magnitude must be a real number, got '1e6'"),
+        ("Ge:B", True, "field magnitude must be a real number, got True"),
+    ], ids=["no-material", "zero", "negative", "inf", "nan", "none", "str", "bool"])
     def test_numeric_model_checked_when_built(self, ge_b, material, magnitude, says):
         with pytest.raises(InvalidInput, match=f"^{says}$") as info:
             LoopModel("numeric_quadratic", material and ge_b, magnitude)
         assert getattr(info.value, "argument", None) == (material and "magnitude")
+
+    @pytest.mark.parametrize("magnitude", [10**6, np.float32(1e6), np.int64(10**6)])
+    def test_numeric_model_keeps_a_float_magnitude(self, ge_b, magnitude):
+        model = LoopModel("numeric_quadratic", ge_b, magnitude)
+        assert type(model.magnitude) is float and model.magnitude == 1e6
 
     def test_numeric_model_agrees_with_analytic(self, ge_spherical):
         model = LoopModel("numeric_quadratic", ge_spherical, 1e6)
@@ -186,6 +193,22 @@ class TestSynthesize:
         assert not result.converged
         assert result.fidelity < 1.0 - 1e-8
 
+    def test_numeric_model_scores_one_point_a_call(self, monkeypatch, ge_b):
+        # each numeric point is a Wilson loop: no trial point scored ahead
+        rows, real_minimize = [], synth.minimize
+
+        def minimize_spy(fun, x0, **kwargs):
+            assert kwargs["lookahead"] is False
+            counted = lambda X: rows.append(len(X)) or fun(X)
+            return real_minimize(counted, x0, **dict(kwargs, maxfev=12))
+
+        monkeypatch.setattr(synth, "minimize", minimize_spy)
+        model = LoopModel("numeric_quadratic", ge_b, 1e6)
+        result = synthesize(random_su2(np.random.default_rng(5)), model=model,
+                            max_loops=1, seed=5)
+        assert rows == [1] * 3 * 12  # three restarts of 12 points
+        assert result.evaluations == 8 ** 2 + len(rows)
+
     def test_round_trip_generated_by_loop_product(self, rng):
         loops = [(0.7, 1.1), (1.2, -0.8)]
         target = loop_product(loops, SPH)
@@ -198,8 +221,9 @@ class TestGridScoring:
     def spy(self, monkeypatch):
         """Record the grid's table of single-loop loop_product calls, its
         candidate indices and scores, and what synthesize hands to
-        Nelder-Mead: the objective and each restart seed."""
-        seen = {"table": [], "seeds": []}
+        Nelder-Mead: the objective and each restart seed, and each restart's
+        nfev."""
+        seen = {"table": [], "seeds": [], "nfev": []}
         real_product, real_minimize = synth.loop_product, synth.minimize
         real_grid, real_score = synth._grid, synth._score
 
@@ -221,7 +245,9 @@ class TestGridScoring:
         def minimize_spy(fun, x0, **kwargs):
             seen["objective"] = fun
             seen["seeds"].append(np.array(x0))
-            return real_minimize(fun, x0, **kwargs)
+            res = real_minimize(fun, x0, **kwargs)
+            seen["nfev"].append(res.nfev)
+            return res
 
         monkeypatch.setattr(synth, "loop_product", loop_product_spy)
         monkeypatch.setattr(synth, "_grid", grid_spy)
@@ -254,6 +280,15 @@ class TestGridScoring:
         order = np.argsort(scores, kind="stable")
         seeds = np.array(seen["seeds"])
         assert np.array_equal(seeds, candidates[order[:len(seeds)]])
+
+    @pytest.mark.parametrize("max_loops", [1, 3])
+    def test_evaluations_count_grid_candidates_and_nelder_mead_points(self, monkeypatch,
+                                                                      max_loops):
+        seen = self.spy(monkeypatch)
+        target = random_su2(np.random.default_rng(31))
+        result = synthesize(target, model=SPH, max_loops=max_loops, tol=1e-3, seed=4)
+        assert seen["nfev"]
+        assert result.evaluations == len(seen["index"][0]) + sum(seen["nfev"])
 
     def test_numeric_grid_transports_each_grid_loop_at_most_once(self, monkeypatch, ge_b):
         # the 8x8 numeric grid: at most 64 Wilson loops before Nelder-Mead,
@@ -302,18 +337,28 @@ def _rugged(x):
 OPTIONS = dict(fatol=1e-14, xatol=1e-12, maxiter=4000, maxfev=8000)
 
 
+def _rowwise(f):
+    """The stack objective synth.minimize takes, from a scalar one."""
+    return lambda X: np.array([f(x) for x in X])
+
+
 class TestNelderMead:
     """synth.minimize against scipy's Nelder-Mead, the method it ports:
-    the same options must give the same bits."""
+    the same options must give the same bits, with and without lookahead."""
 
-    def assert_same_as_scipy(self, fun, x0, options, ours=None):
+    def assert_same_as_scipy(self, fun, x0, options, ours=()):
+        """Both modes of synth.minimize on the scalar fun, plus the runs in
+        `ours`, against scipy; returns the last run compared."""
         from scipy.optimize import minimize as scipy_minimize
-        ours = ours or synth.minimize(fun, x0, **options)
+        options = {k: v for k, v in options.items() if k != "lookahead"}
+        runs = list(ours) + [synth.minimize(_rowwise(fun), x0, **options, lookahead=mode)
+                             for mode in (False, True)]
         ref = scipy_minimize(fun, x0, method="Nelder-Mead", options=options)
-        assert np.array_equal(ours.x, ref.x)
-        assert ours.fun == ref.fun
-        assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
-        return ours
+        for res in runs:
+            assert np.array_equal(res.x, ref.x)
+            assert res.fun == ref.fun
+            assert (res.nfev, res.nit) == (ref.nfev, ref.nit)
+        return runs[-1]
 
     @pytest.mark.parametrize("max_loops", [1, 3])
     def test_synth_restarts_match_scipy(self, monkeypatch, max_loops):
@@ -327,9 +372,11 @@ class TestNelderMead:
         monkeypatch.setattr(synth, "minimize", minimize_spy)
         synthesize(random_su2(np.random.default_rng(31)), model=SPH,
                    max_loops=max_loops, tol=1e-3, seed=4)
+        monkeypatch.undo()
         assert runs
         for fun, x0, kwargs, ours in runs:
-            self.assert_same_as_scipy(fun, x0, kwargs, ours)
+            assert kwargs["lookahead"] is True
+            self.assert_same_as_scipy(fun, x0, kwargs, [ours])
 
     def test_rosenbrock_from_a_zero_coordinate(self):
         res = self.assert_same_as_scipy(_rosenbrock, np.array([0.0, 1.2, -0.7, 0.0]),
@@ -372,3 +419,35 @@ class TestNelderMead:
         maxfev = marks[first] + 2 + n // 2
         res = self.assert_same_as_scipy(_rugged, x0, dict(OPTIONS, maxfev=maxfev))
         assert res.nfev == maxfev and res.nit == first + 1
+
+    def test_stops_at_any_maxfev(self):
+        # cuts after a reflection, an expansion, a contraction or inside a
+        # shrink all leave the simplex as scipy leaves it
+        x0 = np.array([0.0, 1.2, -0.7, 0.0])
+        for maxfev in range(5, 120, 3):
+            res = self.assert_same_as_scipy(_rugged, x0, dict(OPTIONS, maxfev=maxfev))
+            assert res.nfev == maxfev
+
+    def test_lookahead_calls_once_per_iteration(self):
+        # n = 3 tells a shrink's n vertices from an iteration's four trial
+        # points; the n + 1 initial vertices come first
+        x0 = np.array([0.5, -1.2, 0.3])
+        n = len(x0)
+        stacks = []
+
+        def fun(X):
+            stacks.append(len(X))
+            return _rowwise(_rugged)(X)
+
+        res = synth.minimize(fun, x0, **OPTIONS, lookahead=True)
+        assert res.nit < OPTIONS["maxiter"] and res.nfev < OPTIONS["maxfev"]
+        assert stacks[0] == n + 1
+        shrinks = stacks.count(n)
+        assert shrinks > 0
+        # the last pass only tests convergence: nit - 1 iterations ran
+        assert stacks[1:].count(4) == res.nit - 1
+        assert len(stacks) == 1 + (res.nit - 1) + shrinks
+        # without lookahead, one call a counted evaluation
+        stacks.clear()
+        assert synth.minimize(fun, x0, **OPTIONS).nfev == len(stacks) == sum(stacks)
+
