@@ -40,7 +40,7 @@ MATERIALS_ENV = "STARK_MATERIALS_PATH"
 
 # the flag that sets each library argument an error can blame (_ArgumentError)
 _FLAGS = {"rotation_freq": "--rotation-freq", "total_time": "--T", "wl_steps": "--wl-steps",
-          "magnitude": "--magnitude", "steps": "--steps"}
+          "magnitude": "--magnitude", "steps": "--steps", "max_loops": "--max-loops"}
 
 
 def _complex_matrix(m):

@@ -1,25 +1,26 @@
 """Synthesis of field-loop sequences realizing target SU(2) gates.
 
 A sequence of spherical-triangle loops, all anchored at the pole, composes
-holonomies by left multiplication (later loops to the left).  The search is
-derivative-free: a coarse grid over loop angles seeds Nelder-Mead
-refinements with restarts; the objective 1 - |tr(u^dag target)| / 2 is
-global-phase blind, matching holonomy equivalence classes.
+holonomies by left multiplication (later loops to the left).  Matching a
+target up to global phase is a smooth least-squares problem in the 2L loop
+angles: the residual, the vector part of the phase-fixed quaternion of
+target^dag u, vanishes exactly at a match.  A coarse grid over loop angles,
+scored by that residual, seeds Levenberg-Marquardt refinements (the
+package's own ``minimize``) from distinct holonomies.
 
 Per-loop holonomies come from the analytic oracles where they are valid
 (spherical quadratic model, linear regime), else from the numeric Wilson
 loop; both are built by one kernel, ``_linalg.clifford_steps`` /
 ``blocked_product``.  The grid evaluates each of its (theta, phi) loops
-once, into a table, and scores every candidate from that table.
-Nelder-Mead runs per candidate through the package's own ``minimize``, a
-port of scipy's method="Nelder-Mead" with identical iterates, so scipy is
-not needed at run time; on the analytic models it scores each iteration's
-trial points in one objective call.  A fixed seed makes the search
-deterministic.
+once, into a table, and scores every candidate from that table.  Each
+refinement step scores a point and its forward-difference neighbours in
+one objective call, and its trial point in another.  A fixed seed makes
+the search deterministic.
 """
 
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,6 +34,12 @@ from .stark import MaterialParams
 GRID_POINTS = 16
 MAX_GRID_COMBINATIONS = 4096
 RESTARTS = 8
+# restart seeds' grid products lie pairwise farther apart than this 1 - F,
+# the phase-blind SU(2) fidelity distance: nearer seeds share a basin
+SEED_SEPARATION = 0.05
+# forward-difference step of the refinement's Jacobian, and its step budget
+JACOBIAN_STEP = 1e-7
+MAXITER = 200
 # Wilson-loop steps per numeric-model holonomy: the refinement defect falls
 # off as 1/steps^2, and 1000 steps reach about 1e-6
 NUMERIC_STEPS = 1000
@@ -119,121 +126,78 @@ class SynthesisResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class _NelderMeadResult:
-    x: np.ndarray  # best vertex of the final simplex
-    fun: float
-    nfev: int
-    nit: int
+def minimize(fun, x0, *, maxiter=MAXITER):
+    """Levenberg-Marquardt least squares (Levenberg, Q. Appl. Math. 2, 164,
+    1944; Marquardt, J. SIAM 11, 431, 1963): lowers |r(x)|^2 from x0.
 
-
-class _MaxFev(Exception):
-    """The evaluation budget is spent: abandon the current iteration."""
-
-
-def minimize(fun, x0, *, fatol, xatol, maxiter, maxfev, lookahead=False):
-    """Unbounded Nelder-Mead (Nelder & Mead, Comput. J. 7, 308, 1965) with
-    the standard coefficients rho = 1, chi = 2, psi = sigma = 0.5.
-
-    ``fun`` maps a (k, n) stack of vertices to its k values, each row with
-    the bits of scoring that row alone, and gets a copy of the stack.
-    Without ``lookahead`` every call is one vertex.  With it, one call
-    scores the initial simplex, one each iteration's four trial points
-    (reflection, expansion, outside and inside contraction, all known
-    before any is scored, though at most two are used) and one a shrink's
-    n vertices, so ``fun`` also meets points the serial method never
-    evaluates.
-
-    Either way, operation for operation the non-adaptive, unbounded
-    ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead")`` of scipy 1.17,
-    so both give the same bits: the same initial simplex, vertex ordering
-    and termination test; ``nfev`` counts only the points scipy evaluates;
-    and a spent ``maxfev`` abandons the iteration uncounted, leaving a
-    half-done shrink with the stale values of the vertices it did not reach.
+    ``fun`` maps a (k, n) stack of points to their (k, m) residuals, each
+    row with the bits of scoring that row alone.  From each new point one
+    call scores it and its n forward-difference neighbours x + h e_i
+    (h = JACOBIAN_STEP); the step then solves (J^T J + lambda D) dx =
+    -J^T r, D the diagonal of J^T J, and one call scores x + dx.  A step
+    that lowers |r|^2 is taken and divides lambda by 10; one that does not
+    multiplies it by 10 and is solved again from the same Jacobian.  A
+    parameter that moves no residual gives a zero row of J^T J, whose
+    diagonal is floored, and lambda stays >= 1e-9, so the solve never fails
+    on a singular J^T J.  Stops after a step that lowers |r|^2 by at most a
+    1e-12 part, before one that would move x by at most a 1e-12 part, or
+    after ``maxiter`` steps; returns ``x``, ``fun`` = |r(x)|^2 and
+    ``nfev``, every point scored.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = np.full(n + 1, np.inf)
-    nfev = 0
-
-    def scored(points):
-        """value(k) of points[k], counted as one evaluation in the order
-        the serial method meets it; raises _MaxFev once the budget is spent."""
-        batch = fun(points.copy()) if lookahead and nfev < maxfev else None
-
-        def value(k):
-            nonlocal nfev
-            if nfev >= maxfev:
-                raise _MaxFev
-            nfev += 1
-            return batch[k] if lookahead else fun(points[k:k + 1].copy())[0]
-        return value
-
-    def by_value(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    value = scored(sim)
-    try:
-        for k in range(n + 1):
-            fsim[k] = value(k)
-    except _MaxFev:
-        pass
-    # sorted twice, as scipy does: argsort need not keep ties in place
-    sim, fsim = by_value(*by_value(sim, fsim))
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
-                break
-            xbar = sim[:-1].sum(axis=0) / n
-            # reflection, expansion, outside and inside contraction
-            trial = np.array([2 * xbar - sim[-1], 3 * xbar - 2 * sim[-1],
-                              1.5 * xbar - 0.5 * sim[-1], 0.5 * xbar + 0.5 * sim[-1]])
-            value = scored(trial)
-            fxr = value(0)
-            if fxr < fsim[0]:  # expand
-                fxe = value(1)
-                sim[-1], fsim[-1] = (trial[1], fxe) if fxe < fxr else (trial[0], fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = trial[0], fxr
-            else:
-                k = 2 if fxr < fsim[-1] else 3  # outside, else inside contraction
-                fxc = value(k)
-                if (fxc <= fxr) if k == 2 else (fxc < fsim[-1]):
-                    sim[-1], fsim[-1] = trial[k], fxc
-                else:  # shrink towards the best vertex
-                    shrunk = sim[0] + 0.5 * (sim[1:] - sim[0])
-                    value = scored(shrunk)
-                    for j in range(1, n + 1):
-                        sim[j] = shrunk[j - 1]
-                        fsim[j] = value(j - 1)
-            iterations += 1
-        except _MaxFev:
-            pass
-        sim, fsim = by_value(sim, fsim)
-    return _NelderMeadResult(x=sim[0], fun=np.min(fsim), nfev=nfev, nit=iterations)
+    x = np.array(x0, dtype=float).reshape(-1)
+    n = len(x)
+    shifts = np.vstack([np.zeros(n), JACOBIAN_STEP * np.eye(n)])
+    damping, nfev, moved = 1e-3, 0, True
+    for _ in range(maxiter):
+        if moved:
+            rows = fun(x + shifts)
+            nfev += n + 1
+            r, cost = rows[0], np.square(rows[0]).sum()
+            jac = (rows[1:] - r).T / JACOBIAN_STEP
+            normal, grad = jac.T @ jac, jac.T @ r
+            diag = np.maximum(np.diag(normal), 1e-12)
+        step = np.linalg.solve(normal + np.diag(damping * diag), -grad)
+        if np.abs(step).max() <= 1e-12 * (1.0 + np.abs(x).max()):
+            break
+        trial = np.square(fun((x + step)[None])[0]).sum()
+        nfev += 1
+        moved = trial < cost
+        if not moved:
+            damping *= 10
+            continue
+        x, cost, settled = x + step, trial, cost - trial <= 1e-12 * cost
+        if settled:
+            break
+        damping = max(damping / 10, 1e-9)
+    return SimpleNamespace(x=x, fun=float(cost), nfev=nfev)
 
 
 def _clip_angles(x):
     """Map raw optimizer parameters (..., 2L) to valid loop angles (..., L, 2)
-    plus a penalty that steers Nelder-Mead back into theta's [0, pi] box."""
+    and each theta's excess (..., L) over the [0, pi] box."""
     loops = np.array(x, dtype=float).reshape(np.shape(x)[:-1] + (-1, 2))
     thetas = loops[..., 0].copy()
     loops[..., 0] = np.clip(thetas, 0.0, np.pi)
-    penalty = np.sum((thetas - loops[..., 0]) ** 2, axis=-1)
-    return loops, penalty
+    return loops, thetas - loops[..., 0]
 
 
-def _score(products, target, penalty):
-    """The objective 1 - |tr(u^dag target)| / 2 + 10 penalty of a product u
-    or a stack; hypot rounds alike for one product and a batch, np.abs of
-    complex does not."""
-    tr = np.trace(dagger(products) @ target, axis1=-2, axis2=-1)
-    return 1.0 - np.hypot(tr.real, tr.imag) / 2.0 + 10.0 * penalty
+def _overlap(u, v):
+    """The phase-blind fidelity |tr(u^dag v)| / 2 of 2x2 stacks."""
+    return np.abs(np.einsum("...ij,...ij->...", np.conj(u), v)) / 2.0
+
+
+def _residual(products, target, excess):
+    """The synthesis residual (..., 3 + L) of products u (..., 2, 2) with
+    theta excesses (..., L), for u and the target in SU(2): the vector part
+    of the quaternion q of target^dag u, its sign fixed so q0 >= 0, then
+    sqrt(10) times each excess, which steers the refinement back into
+    theta's box.  It vanishes exactly where u matches the target up to
+    phase, and |r|^2 = 1 - F^2 + 10 |excess|^2 for the fidelity F = |q0|."""
+    m = dagger(target) @ products
+    sign = np.where((m[..., 0, 0] + m[..., 1, 1]).real < 0, -0.5, 0.5)
+    q = np.stack([(m[..., 0, 1] + m[..., 1, 0]).imag, (m[..., 0, 1] - m[..., 1, 0]).real,
+                  (m[..., 0, 0] - m[..., 1, 1]).imag], axis=-1)
+    return np.concatenate([sign[..., None] * q, np.sqrt(10.0) * excess], axis=-1)
 
 
 def _grid(rng, grid_points, max_loops, max_combinations):
@@ -273,12 +237,13 @@ def _canonical_phase(target):
 def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     """Search for a loop sequence whose composed holonomy matches the target.
 
-    Coarse 16x16-per-loop grid seeding (capped at a few thousand random
+    A coarse 16x16-per-loop grid (capped at a few thousand random
     combinations for multi-loop searches, scored from one table of the 256
-    single-loop holonomies), then per-candidate Nelder-Mead refinement with
-    restarts.  ``evaluations`` counts every grid candidate plus the points
-    each refinement uses (its ``nfev``), not the trial points an analytic
-    model scores ahead and discards.
+    single-loop holonomies) seeds Levenberg-Marquardt refinements of the
+    residual ``_residual``, which also scores the grid.  The restarts start
+    from the best-scoring candidates whose products lie pairwise more than
+    SEED_SEPARATION apart, those with a theta = 0 loop last.  ``evaluations`` counts
+    every grid candidate plus every point the refinements score.
     ``converged`` reports whether 1 - fidelity <= tol; an unreachable target
     yields converged=False, never an exception.  Fixed seed, identical bits.
     """
@@ -286,56 +251,68 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     if target.shape != (2, 2):
         raise InvalidInput("target must be a 2x2 unitary")
     require_unitary(target, 1e-10, "target")
+    if isinstance(max_loops, bool) or not isinstance(max_loops, numbers.Integral):
+        raise _ArgumentError("max_loops",
+                             f"max_loops must be an integer, got {max_loops!r}")
     if max_loops < 1:
-        raise InvalidInput("max_loops must be >= 1")
+        raise _ArgumentError("max_loops", f"max_loops must be >= 1, got {max_loops}")
     target = _canonical_phase(target)
+    # every loop holonomy is in SU(2): so is the residual's target (its
+    # 2x2 det written out, as np.linalg.det pages in more of LAPACK)
+    special = target / np.sqrt(target[0, 0] * target[1, 1] - target[0, 1] * target[1, 0])
     model = model or LoopModel("spherical_quadratic")
     rng = np.random.default_rng(seed)
-
-    def objective(x):
-        loops, penalty = _clip_angles(x)
-        return _score(loop_product(loops, model), target, penalty)
-
-    # the numeric model pays a Wilson loop per evaluation: shrink the budget
+    # the numeric model pays a Wilson loop per loop: shrink the budget
     grid_points = GRID_POINTS if model.analytic else 8
     restarts = RESTARTS if model.analytic else 3
     max_combinations = MAX_GRID_COMBINATIONS if model.analytic else 256
-    maxiter = 4000 if model.analytic else 600
+
+    def units(loops):
+        """The holonomy (..., 2, 2) of each single loop (..., 2), _by_block:
+        an analytic loop is four 2x2 factors; a numeric loop, a Wilson loop
+        of its own, counts as BLOCK, so each is one loop_product call."""
+        flat = loops.reshape(-1, 1, 2)
+        return _by_block(lambda s: loop_product(flat[s], model), len(flat),
+                         4 if model.analytic else BLOCK).reshape(loops.shape[:-1] + (2, 2))
+
+    def objective(x):
+        loops, excess = _clip_angles(x)
+        return _residual(ordered_product(np.moveaxis(units(loops), -3, 0)), special, excess)
+
     # every grid loop is one of grid_points^2 (theta, phi) pairs: evaluate
     # each once into a table, then gather and multiply each candidate's
-    # units from it, both _by_block.  An analytic loop is four 2x2 factors;
-    # a numeric loop, a Wilson loop of its own, counts as BLOCK, so each is
-    # one loop_product call as in Nelder-Mead.  A candidate is max_loops
-    # factors, so the products' memory does not grow with max_loops.
+    # units from it, _by_block: a candidate is max_loops factors, so the
+    # products' memory does not grow with max_loops
     pairs = np.stack(np.meshgrid(np.linspace(0.0, np.pi, grid_points),
                                  np.linspace(-np.pi, np.pi, grid_points, endpoint=False),
                                  indexing="ij"), axis=-1)
-    singles = pairs.reshape(-1, 1, 2)
-    table = _by_block(lambda s: loop_product(singles[s], model), len(singles),
-                      4 if model.analytic else BLOCK)
-    table = table.reshape(grid_points, grid_points, 2, 2)
+    table = units(pairs)
     t, p = _grid(rng, grid_points, max_loops, max_combinations)
     products = _by_block(lambda s: ordered_product(np.moveaxis(table[t[s], p[s]], 1, 0)),
                          len(t), max_loops)
-    scores = _score(products, target, 0.0)
+    scores = np.square(_residual(products, special, np.zeros(t.shape))).sum(axis=-1)
     evaluations = len(t)
-    order = np.argsort(scores, kind="stable")
-    # the grid holds at least 64 candidates, more than any restart count
-    seeds = [pairs[t[i], p[i]].reshape(-1) for i in order[:restarts]]
+
+    # seeds in score order, each farther than SEED_SEPARATION from every
+    # earlier one.  A theta = 0 loop is I at every phi, so its phi has no
+    # gradient and the refinement stays on that row: such candidates come
+    # last, after every other (at many loops the draws may hold no other)
+    ranked = np.lexsort((scores, (t == 0).any(axis=1)))
+    seeds = []
+    while len(ranked) and len(seeds) < restarts:
+        seeds.append(pairs[t[ranked[0]], p[ranked[0]]].reshape(-1))
+        far = 1.0 - _overlap(products[ranked], products[ranked[0]]) > SEED_SEPARATION
+        ranked = ranked[far]
 
     # restarts run in seed order; strict improvement keeps the lowest-index
-    # winner on ties, so selection is deterministic.  An analytic objective
-    # call costs about as much for the four trial points of an iteration as
-    # for one, so it scores them together; a numeric one pays a Wilson loop
-    # a point, so it scores only the points Nelder-Mead uses
-    best_x, best_obj = None, np.inf
+    # winner on ties, so selection is deterministic
+    best_x, best_cost = None, np.inf
     for x0 in seeds:
-        res = minimize(objective, x0, fatol=1e-14, xatol=1e-12,
-                       maxiter=maxiter, maxfev=2 * maxiter, lookahead=model.analytic)
+        res = minimize(objective, x0)
         evaluations += res.nfev
-        if res.fun < best_obj:
-            best_x, best_obj = res.x, res.fun
-        if best_obj <= 1e-12:
+        if res.fun < best_cost:
+            best_x, best_cost = res.x, res.fun
+        if best_cost <= 2e-12:  # |r|^2 = 1 - F^2: 1 - F <= 1e-12
             break
 
     loops = tuple(map(tuple, _clip_angles(best_x)[0].tolist()))

@@ -608,6 +608,14 @@ class TestSynth:
         assert err == ("error: --magnitude: field magnitude must be positive, "
                        f"got {float(magnitude)}\n")
 
+    def test_no_loops_names_the_flag(self, capsys, tmp_path):
+        f = tmp_path / "identity.json"
+        f.write_text(json.dumps({"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+        code = main(["synth", "--target", str(f), "--seed", "0", "--max-loops", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: --max-loops: max_loops must be >= 1, got 0\n"
+
     def test_malformed_matrix_exits_2(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))

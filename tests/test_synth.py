@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from holostark import (InvalidAngle, InvalidInput, LoopModel, NotUnitary, half_s
                        synthesize, zee_holonomy)
 from holostark import synth
 from holostark._linalg import BLOCK
-from holostark.synth import GRID_POINTS
+from holostark.synth import GRID_POINTS, SEED_SEPARATION
 
 from util import random_su2
 
@@ -181,10 +182,14 @@ class TestSynthesize:
     @pytest.mark.parametrize("target, max_loops, says", [
         (np.eye(3), 1, "target must be a 2x2 unitary"),
         (np.eye(2), 0, "max_loops must be >= 1"),
-    ], ids=["3x3-target", "no-loops"])
+        (np.eye(2), 2.5, "max_loops must be an integer, got 2.5"),
+        (np.eye(2), True, "max_loops must be an integer, got True"),
+    ], ids=["3x3-target", "no-loops", "float-loops", "bool-loops"])
     def test_rejects_malformed_request(self, target, max_loops, says):
-        with pytest.raises(InvalidInput, match=says):
+        with pytest.raises(InvalidInput, match=says) as info:
             synthesize(target, model=SPH, max_loops=max_loops, seed=0)
+        argument = "max_loops" if target.shape == (2, 2) else None
+        assert getattr(info.value, "argument", None) == argument
 
     def test_unreachable_reports_not_converged(self):
         # a generic SU(2) element is off the 2-parameter single-loop surface
@@ -193,21 +198,25 @@ class TestSynthesize:
         assert not result.converged
         assert result.fidelity < 1.0 - 1e-8
 
-    def test_numeric_model_scores_one_point_a_call(self, monkeypatch, ge_b):
-        # each numeric point is a Wilson loop: no trial point scored ahead
-        rows, real_minimize = [], synth.minimize
+    @pytest.mark.parametrize("kind, oracle", [("spherical_quadratic", zee_holonomy),
+                                              ("linear", linear_triangle_holonomy)])
+    def test_round_trip_single_loop_targets(self, kind, oracle):
+        # near-identity and phi ~ +-pi targets, where restarts from the best
+        # grid scores alone once shared a basin or sat on the theta = 0 row
+        missed = []
+        for theta in (0.3, 0.7, 1.1721, 1.4, 2.0, 2.6, 3.0):
+            for phi in (0.003, 0.0234, 0.1, -0.05, 3.1, -3.1):
+                result = synthesize(oracle(theta, phi), model=LoopModel(kind),
+                                    max_loops=1, tol=1e-6, seed=1)
+                if not result.converged:
+                    missed.append((theta, phi, 1.0 - result.fidelity))
+        assert not missed
 
-        def minimize_spy(fun, x0, **kwargs):
-            assert kwargs["lookahead"] is False
-            counted = lambda X: rows.append(len(X)) or fun(X)
-            return real_minimize(counted, x0, **dict(kwargs, maxfev=12))
-
-        monkeypatch.setattr(synth, "minimize", minimize_spy)
+    def test_round_trip_numeric_model(self, ge_b):
         model = LoopModel("numeric_quadratic", ge_b, 1e6)
-        result = synthesize(random_su2(np.random.default_rng(5)), model=model,
-                            max_loops=1, seed=5)
-        assert rows == [1] * 3 * 12  # three restarts of 12 points
-        assert result.evaluations == 8 ** 2 + len(rows)
+        w, _, vh = np.linalg.svd(loop_product([(1.1721, 0.0234)], model))
+        result = synthesize(w @ vh, model=model, max_loops=1, tol=1e-6, seed=11)
+        assert result.converged and 1.0 - result.fidelity <= 1e-6
 
     def test_round_trip_generated_by_loop_product(self, rng):
         loops = [(0.7, 1.1), (1.2, -0.8)]
@@ -220,12 +229,12 @@ class TestSynthesize:
 class TestGridScoring:
     def spy(self, monkeypatch):
         """Record the grid's table of single-loop loop_product calls, its
-        candidate indices and scores, and what synthesize hands to
-        Nelder-Mead: the objective and each restart seed, and each restart's
+        candidate indices and residuals, and what synthesize hands to the
+        refinement: the objective and each restart seed, and each restart's
         nfev."""
         seen = {"table": [], "seeds": [], "nfev": []}
         real_product, real_minimize = synth.loop_product, synth.minimize
-        real_grid, real_score = synth._grid, synth._score
+        real_grid, real_residual = synth._grid, synth._residual
 
         def loop_product_spy(loops, model):
             if "objective" not in seen:
@@ -236,11 +245,11 @@ class TestGridScoring:
             seen["index"] = real_grid(*args)
             return seen["index"]
 
-        def score_spy(products, target, penalty):
-            scores = real_score(products, target, penalty)
+        def residual_spy(products, target, excess):
+            residual = real_residual(products, target, excess)
             if "objective" not in seen:
-                seen["scores"] = scores
-            return scores
+                seen["products"], seen["residual"] = products, residual
+            return residual
 
         def minimize_spy(fun, x0, **kwargs):
             seen["objective"] = fun
@@ -251,9 +260,14 @@ class TestGridScoring:
 
         monkeypatch.setattr(synth, "loop_product", loop_product_spy)
         monkeypatch.setattr(synth, "_grid", grid_spy)
-        monkeypatch.setattr(synth, "_score", score_spy)
+        monkeypatch.setattr(synth, "_residual", residual_spy)
         monkeypatch.setattr(synth, "minimize", minimize_spy)
         return seen
+
+    def candidates(self, seen, max_loops):
+        table = np.concatenate(seen["table"])
+        i, j = seen["index"]
+        return table[i * GRID_POINTS + j, 0].reshape(len(i), 2 * max_loops)
 
     @pytest.mark.parametrize("max_loops", [1, 3])
     def test_batched_scores_match_per_candidate_objective(self, monkeypatch, max_loops):
@@ -267,19 +281,45 @@ class TestGridScoring:
         assert len(np.unique(table[:, 0, 0])) == len(np.unique(table[:, 0, 1])) == GRID_POINTS
         assert len(np.unique(table[:, 0], axis=0)) == GRID_POINTS ** 2
         assert max(4 * t.shape[0] * t.shape[1] for t in seen["table"]) <= BLOCK
-        i, j = seen["index"]
-        candidates = table[i * GRID_POINTS + j, 0].reshape(len(i), 2 * max_loops)
+        candidates = self.candidates(seen, max_loops)
         assert len(candidates) == (256 if max_loops == 1 else 4097)
         if max_loops > 1:
             assert np.array_equal(candidates[0], np.zeros(2 * max_loops))
         assert result.evaluations >= len(candidates)
 
+        # the grid's |r|^2, bit for bit the refinement's at each candidate
         objective = seen["objective"]
-        scores = seen["scores"]
-        assert np.array_equal(scores, [objective(x) for x in candidates])
-        order = np.argsort(scores, kind="stable")
-        seeds = np.array(seen["seeds"])
-        assert np.array_equal(seeds, candidates[order[:len(seeds)]])
+        scores = np.square(seen["residual"]).sum(axis=-1)
+        assert np.array_equal(scores, [np.square(objective(x[None])[0]).sum()
+                                       for x in candidates])
+
+    @pytest.mark.parametrize("max_loops", [1, 2])
+    def test_restart_seeds_are_distinct(self, monkeypatch, max_loops):
+        # seeds in score order, candidates with a theta = 0 loop last,
+        # skipping each within 1 - F <= SEED_SEPARATION of an earlier seed
+        seen = self.spy(monkeypatch)
+
+        def seed_only(fun, x0):  # the seeds, not the search
+            seen["objective"] = fun
+            seen["seeds"].append(np.array(x0))
+            return SimpleNamespace(x=np.array(x0), fun=1.0, nfev=0)
+
+        monkeypatch.setattr(synth, "minimize", seed_only)
+        monkeypatch.setattr(synth, "RESTARTS", 40)
+        synthesize(random_su2(np.random.default_rng(31)), model=SPH, max_loops=max_loops,
+                   seed=4)
+        candidates = self.candidates(seen, max_loops)
+        scores = np.square(seen["residual"]).sum(axis=-1)
+        products = seen["products"]
+        has_zero = (candidates[:, 0::2] == 0).any(axis=1)
+        kept = []
+        for i in sorted(range(len(scores)), key=lambda i: (has_zero[i], scores[i])):
+            if len(kept) < 40 and all(
+                    1.0 - holonomy_fidelity(products[i], products[k]) > SEED_SEPARATION
+                    for k in kept):
+                kept.append(i)
+        assert 8 < len(kept) <= 40 and not has_zero[kept].any()
+        assert np.array_equal(np.array(seen["seeds"]), candidates[kept])
 
     @pytest.mark.parametrize("max_loops", [1, 3])
     def test_evaluations_count_grid_candidates_and_nelder_mead_points(self, monkeypatch,
@@ -291,27 +331,31 @@ class TestGridScoring:
         assert result.evaluations == len(seen["index"][0]) + sum(seen["nfev"])
 
     def test_numeric_grid_transports_each_grid_loop_at_most_once(self, monkeypatch, ge_b):
-        # the 8x8 numeric grid: at most 64 Wilson loops before Nelder-Mead,
-        # however many of its 257 two-loop candidates share a loop
-        transported = []
-        real_wilson_loop = synth.wilson_loop
+        # the 8x8 numeric grid: at most 64 Wilson loops before the refinement,
+        # however many of its 257 two-loop candidates share a loop; then a
+        # Jacobian call of 1 + 2L points transports at most (1 + 2L) L loops
+        # and a trial point L
+        transported, grid, calls = [], [], []
+        real_wilson_loop, real_minimize = synth.wilson_loop, synth.minimize
+        monkeypatch.setattr(synth, "wilson_loop", lambda *a, **k: transported.append(1)
+                            or real_wilson_loop(*a, **k))
 
-        def wilson_loop_spy(*args, **kwargs):
-            transported.append(args[0])
-            return real_wilson_loop(*args, **kwargs)
+        def minimize_spy(fun, x0):
+            grid.append(len(transported))
 
-        class NelderMeadReached(Exception):
-            pass
+            def counted(X):
+                before = len(transported)
+                rows = fun(X)
+                calls.append((len(X), len(transported) - before))
+                return rows
+            return real_minimize(counted, x0, maxiter=4)
 
-        def minimize_spy(*args, **kwargs):
-            raise NelderMeadReached
-
-        monkeypatch.setattr(synth, "wilson_loop", wilson_loop_spy)
         monkeypatch.setattr(synth, "minimize", minimize_spy)
         model = LoopModel("numeric_quadratic", ge_b, 1e6)
-        with pytest.raises(NelderMeadReached):
-            synthesize(random_su2(np.random.default_rng(5)), model=model, max_loops=2, seed=5)
-        assert 0 < len(transported) <= 8 ** 2
+        synthesize(random_su2(np.random.default_rng(5)), model=model, max_loops=2, seed=5)
+        assert 0 < grid[0] <= 8 ** 2
+        assert {k for k, _ in calls} == {1, 5}
+        assert all(loops <= 2 * k for k, loops in calls)
 
     @pytest.mark.parametrize("max_loops", [3, 6, 16])
     def test_peak_memory_is_bounded(self, max_loops):
@@ -325,129 +369,82 @@ class TestGridScoring:
         assert peak < 8e6
 
 
-def _rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+def _circle(X):  # residuals zero at (sqrt 2, sqrt 2)
+    return np.stack([X[:, 0] ** 2 + X[:, 1] ** 2 - 4.0, X[:, 0] - X[:, 1]], axis=-1)
 
 
-def _rugged(x):
-    # bowl with ripples: the simplex shrinks when it straddles a ripple
-    return float(np.sum(x ** 2) + 0.3 * np.sum(np.cos(40.0 * x)))
+def _rosenbrock(X):  # residuals zero at (1, 1)
+    return np.stack([10.0 * (X[:, 1] - X[:, 0] ** 2), 1.0 - X[:, 0]], axis=-1)
 
 
-OPTIONS = dict(fatol=1e-14, xatol=1e-12, maxiter=4000, maxfev=8000)
-
-
-def _rowwise(f):
-    """The stack objective synth.minimize takes, from a scalar one."""
-    return lambda X: np.array([f(x) for x in X])
-
-
-class TestNelderMead:
-    """synth.minimize against scipy's Nelder-Mead, the method it ports:
-    the same options must give the same bits, with and without lookahead."""
-
-    def assert_same_as_scipy(self, fun, x0, options, ours=()):
-        """Both modes of synth.minimize on the scalar fun, plus the runs in
-        `ours`, against scipy; returns the last run compared."""
-        from scipy.optimize import minimize as scipy_minimize
-        options = {k: v for k, v in options.items() if k != "lookahead"}
-        runs = list(ours) + [synth.minimize(_rowwise(fun), x0, **options, lookahead=mode)
-                             for mode in (False, True)]
-        ref = scipy_minimize(fun, x0, method="Nelder-Mead", options=options)
-        for res in runs:
-            assert np.array_equal(res.x, ref.x)
-            assert res.fun == ref.fun
-            assert (res.nfev, res.nit) == (ref.nfev, ref.nit)
-        return runs[-1]
-
-    @pytest.mark.parametrize("max_loops", [1, 3])
-    def test_synth_restarts_match_scipy(self, monkeypatch, max_loops):
-        runs = []
-        real_minimize = synth.minimize
-
-        def minimize_spy(fun, x0, **kwargs):
-            runs.append((fun, np.array(x0), kwargs, real_minimize(fun, x0, **kwargs)))
-            return runs[-1][-1]
-
-        monkeypatch.setattr(synth, "minimize", minimize_spy)
-        synthesize(random_su2(np.random.default_rng(31)), model=SPH,
-                   max_loops=max_loops, tol=1e-3, seed=4)
-        monkeypatch.undo()
-        assert runs
-        for fun, x0, kwargs, ours in runs:
-            assert kwargs["lookahead"] is True
-            self.assert_same_as_scipy(fun, x0, kwargs, [ours])
-
-    def test_rosenbrock_from_a_zero_coordinate(self):
-        res = self.assert_same_as_scipy(_rosenbrock, np.array([0.0, 1.2, -0.7, 0.0]),
-                                        OPTIONS)
-        assert res.nit < OPTIONS["maxiter"] and res.nfev < OPTIONS["maxfev"]
-        assert np.abs(res.x - 1.0).max() <= 1e-6
-
-    def test_objective_gets_a_copy(self):
-        def clobbering(x):
-            f = _rosenbrock(x)
-            x[:] = 0.0
-            return f
-
-        self.assert_same_as_scipy(clobbering, np.array([-1.2, 1.0]), OPTIONS)
-
-    def test_stops_at_maxiter(self):
-        res = self.assert_same_as_scipy(_rosenbrock, np.array([-1.2, 1.0, 0.0]),
-                                        dict(OPTIONS, maxiter=50))
-        assert res.nit == 50
-
-    @pytest.mark.parametrize("maxfev", [0, 2, 4])
-    def test_stops_at_maxfev_inside_the_initial_simplex(self, maxfev):
-        # fewer evaluations than the n + 1 vertices: the unevaluated ones
-        # keep the value inf, and no iteration runs
-        res = self.assert_same_as_scipy(_rosenbrock, np.array([0.0, 1.2, -0.7, 0.0]),
-                                        dict(OPTIONS, maxfev=maxfev))
-        assert (res.nfev, res.nit) == (maxfev, 1)
-
-    def test_stops_at_maxfev_inside_a_shrink(self):
-        # scipy's per-iteration evaluation counts locate the first shrink:
-        # an iteration of n + 2 evaluations (reflect, contract, n vertices)
-        from scipy.optimize import minimize as scipy_minimize
-        x0 = np.array([0.0, 1.2, -0.7, 0.0])
-        n, calls = len(x0), []
-        marks = [n + 1]
-        scipy_minimize(lambda x: calls.append(1) or _rugged(x), x0, method="Nelder-Mead",
-                       callback=lambda xk: marks.append(len(calls)), options=OPTIONS)
-        first = int(np.flatnonzero(np.diff(marks) == n + 2)[0])
-        # the budget runs out after half of the shrink's vertex evaluations
-        maxfev = marks[first] + 2 + n // 2
-        res = self.assert_same_as_scipy(_rugged, x0, dict(OPTIONS, maxfev=maxfev))
-        assert res.nfev == maxfev and res.nit == first + 1
-
-    def test_stops_at_any_maxfev(self):
-        # cuts after a reflection, an expansion, a contraction or inside a
-        # shrink all leave the simplex as scipy leaves it
-        x0 = np.array([0.0, 1.2, -0.7, 0.0])
-        for maxfev in range(5, 120, 3):
-            res = self.assert_same_as_scipy(_rugged, x0, dict(OPTIONS, maxfev=maxfev))
-            assert res.nfev == maxfev
-
-    def test_lookahead_calls_once_per_iteration(self):
-        # n = 3 tells a shrink's n vertices from an iteration's four trial
-        # points; the n + 1 initial vertices come first
-        x0 = np.array([0.5, -1.2, 0.3])
-        n = len(x0)
-        stacks = []
+class TestMinimize:
+    def test_zero_residual_converges_quadratically(self):
+        costs = []
 
         def fun(X):
-            stacks.append(len(X))
-            return _rowwise(_rugged)(X)
+            rows = _circle(X)
+            if len(X) > 1:  # a Jacobian call: rows[0] is the new point
+                costs.append(np.square(rows[0]).sum())
+            X[:] = 0.0  # the points are fun's own copy
+            return rows
 
-        res = synth.minimize(fun, x0, **OPTIONS, lookahead=True)
-        assert res.nit < OPTIONS["maxiter"] and res.nfev < OPTIONS["maxfev"]
-        assert stacks[0] == n + 1
-        shrinks = stacks.count(n)
-        assert shrinks > 0
-        # the last pass only tests convergence: nit - 1 iterations ran
-        assert stacks[1:].count(4) == res.nit - 1
-        assert len(stacks) == 1 + (res.nit - 1) + shrinks
-        # without lookahead, one call a counted evaluation
-        stacks.clear()
-        assert synth.minimize(fun, x0, **OPTIONS).nfev == len(stacks) == sum(stacks)
+        res = synth.minimize(fun, [1.0, 1.5])
+        assert np.abs(res.x - np.sqrt(2.0)).max() <= 1e-12
+        assert res.fun <= 1e-24 and res.nfev <= 20
+        costs = np.array(costs)
+        assert (costs[1:] <= 10.0 * costs[:-1] ** 2).all()
 
+    @pytest.mark.parametrize("maxiter", [1, 2, 5])
+    def test_maxiter_stops_it(self, maxiter):
+        sizes = []
+        res = synth.minimize(lambda X: sizes.append(len(X)) or _rosenbrock(X),
+                             [-1.2, 1.0], maxiter=maxiter)
+        assert sizes.count(1) == maxiter and res.nfev == sum(sizes)
+        assert res.fun == np.square(_rosenbrock(res.x[None])[0]).sum()
+        assert res.fun <= np.square(_rosenbrock(np.array([[-1.2, 1.0]]))).sum()
+
+    def test_singular_normal_matrix(self):
+        # from theta = 0 the loop is I at every phi: a zero column of J
+        def one_loop(X):
+            loops, excess = synth._clip_angles(X)
+            return synth._residual(loop_product(loops, SPH), zee_holonomy(0.5, 1.0), excess)
+
+        res = synth.minimize(one_loop, [0.0, 1.0])
+        assert res.fun <= 1e-20 and np.abs(res.x - [0.5, 1.0]).max() <= 1e-9
+
+    def test_singular_normal_matrix_after_many_steps(self):
+        # both thetas pushed past pi: the residual sees only their excess,
+        # and the two phi columns of J are equal.  The damping, divided by
+        # 10 at each accepted step, once fell below the roundoff of J^T J
+        rng = np.random.default_rng(123)
+        target = [random_su2(rng) for _ in range(16)][-1]
+        result = synthesize(target, model=LoopModel("linear"), max_loops=2, tol=1e-3,
+                            seed=15)
+        assert 0.4 < result.fidelity < 0.999
+
+    def test_forward_jacobian_matches_central_differences(self, monkeypatch):
+        stacks, real_minimize = [], synth.minimize
+
+        def minimize_spy(fun, x0, **kwargs):
+            def recorded(X):
+                rows = fun(X)
+                if len(X) > 1:
+                    stacks.append((fun, X, rows))
+                return rows
+            return real_minimize(recorded, x0, **kwargs)
+
+        monkeypatch.setattr(synth, "minimize", minimize_spy)
+        synthesize(random_su2(np.random.default_rng(31)), model=SPH, max_loops=3,
+                   tol=1e-3, seed=4)
+        assert stacks
+        h, c = synth.JACOBIAN_STEP, 1e-4
+        for fun, X, rows in stacks:
+            x, n = X[0], X.shape[1]
+            assert np.abs(X[1:] - x - h * np.eye(n)).max() <= 1e-15
+            forward = (rows[1:] - rows[0]) / h
+            central = (fun(x + c * np.eye(n)) - fun(x - c * np.eye(n))) / (2 * c)
+            # one side of a theta on the box's edge is flat: skip its column
+            inside = np.ones(n, dtype=bool)
+            inside[0::2] = (c < x[0::2]) & (x[0::2] < np.pi - c)
+            assert inside.sum() >= n - 1
+            assert np.abs(forward - central)[inside].max() <= 1e-6
