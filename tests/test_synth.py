@@ -218,6 +218,24 @@ class TestSynthesize:
         result = synthesize(w @ vh, model=model, max_loops=1, tol=1e-6, seed=11)
         assert result.converged and 1.0 - result.fidelity <= 1e-6
 
+    def test_numeric_model_scores_one_point_a_call(self, monkeypatch, ge_b):
+        # each numeric point is a Wilson loop: a trial step is scored alone,
+        # only a Jacobian call scores its stencil of 1 + 2L points together
+        rows, real_minimize = [], synth.minimize
+
+        def minimize_spy(fun, x0, **kwargs):
+            counted = lambda X: rows.append(len(X)) or fun(X)
+            return real_minimize(counted, x0, **dict(kwargs, maxiter=4))
+
+        monkeypatch.setattr(synth, "minimize", minimize_spy)
+        model = LoopModel("numeric_quadratic", ge_b, 1e6)
+        result = synthesize(random_su2(np.random.default_rng(5)), model=model,
+                            max_loops=1, seed=5)
+        assert set(rows) == {1, 3}
+        # a Jacobian is followed by a trial or ends its restart's refinement
+        assert all(b == 1 for a, b in zip(rows, rows[1:]) if a == 3)
+        assert result.evaluations == 8 ** 2 + sum(rows)
+
     def test_round_trip_generated_by_loop_product(self, rng):
         loops = [(0.7, 1.1), (1.2, -0.8)]
         target = loop_product(loops, SPH)
