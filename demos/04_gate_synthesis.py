@@ -1,8 +1,9 @@
 """Synthesizing SU(2) gates from sequences of field triangles.
 
 Each spherical triangle (theta, phi) applies a holonomy to the qubit
-doublet; concatenating loops multiplies them.  A derivative-free search
-finds loop sequences realizing a requested gate up to global phase.
+doublet; concatenating loops multiplies them.  A coarse grid of loop
+sequences seeds Levenberg-Marquardt refinements, which find sequences
+realizing a requested gate up to global phase.
 """
 
 import numpy as np

@@ -39,14 +39,16 @@ class Drive:
 
     def __post_init__(self):
         if not (np.isfinite(self.total_time) and self.total_time > 0):
-            raise InvalidInput("total_time must be positive")
+            raise _ArgumentError("total_time", "total_time must be finite and positive, "
+                                 f"got {self.total_time!r}")
         if self.time_steps < 10:
-            raise InvalidInput("time_steps must be at least 10")
+            raise _ArgumentError("time_steps", "time_steps must be at least 10, "
+                                 f"got {self.time_steps!r}")
         if self.path.kind == "sampled":
             segments = len(self.path.samples) - 1
             if self.time_steps < 10 * segments:
-                raise InvalidInput(
-                    f"time_steps must be >= 10x the {segments} path segments")
+                raise _ArgumentError("time_steps", f"time_steps must be >= 10x the "
+                                     f"{segments} path segments, got {self.time_steps!r}")
 
 
 def _drive_steps(drive, regime, m):

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._linalg import BLOCK, dagger, ordered_product, require_unitary
+from ._linalg import dagger, ordered_product, require_unitary
 from .errors import InvalidInput, _ArgumentError
 from .holonomy import (_check_loop_angles, half_spin_band, holonomy_fidelity,
                        linear_triangle_holonomy, make_spherical_triangle,
@@ -32,7 +32,9 @@ from .holonomy import (_check_loop_angles, half_spin_band, holonomy_fidelity,
 from .stark import MaterialParams
 
 GRID_POINTS = 16
-MAX_GRID_COMBINATIONS = 4096
+# random draws of a multi-loop grid, on every model: the restarts from
+# distinct seeds reach Haar targets at 2 to 16 loops from these 256
+MAX_GRID_COMBINATIONS = 256
 RESTARTS = 8
 # restart seeds' grid products lie pairwise farther apart than this 1 - F,
 # the phase-blind SU(2) fidelity distance: nearer seeds share a basin
@@ -56,7 +58,9 @@ class LoopModel:
     quadratic MaterialParams at |E| = magnitude (V/m, a finite real number
     > 0, kept as a float) on its spin-projection +-1/2 band (half_spin_band).
     Construction checks these, and that only the numeric model takes a
-    material and a magnitude.
+    material and a magnitude.  The linear model is the abelian (Berry-phase)
+    limit: each triangle gives diag(exp(-i Omega/2), exp(i Omega/2)), Omega =
+    phi (1 - cos theta) its solid angle, so it reaches only diagonal targets.
     """
 
     kind: str  # spherical_quadratic | linear | numeric_quadratic
@@ -200,24 +204,17 @@ def _residual(products, target, excess):
     return np.concatenate([sign[..., None] * q, np.sqrt(10.0) * excess], axis=-1)
 
 
-def _grid(rng, grid_points, max_loops, max_combinations):
+def _grid(rng, grid_points, max_loops):
     """(theta, phi) grid indices, each (n, max_loops), of the coarse grid's
     candidates: every pair for one loop, else all zeros (phi index
-    grid_points // 2 is phi = 0.0) and max_combinations random draws."""
+    grid_points // 2 is phi = 0.0) and MAX_GRID_COMBINATIONS random draws."""
     if max_loops == 1:
         return np.indices((grid_points, grid_points)).reshape(2, -1, 1)
-    index = np.empty((max_combinations + 1, 2 * max_loops), dtype=np.int64)
+    index = np.empty((MAX_GRID_COMBINATIONS + 1, 2 * max_loops), dtype=np.int64)
     index[0] = np.tile([0, grid_points // 2], max_loops)
     for column in index[1:].T:
-        column[:] = rng.integers(0, grid_points, size=(max_combinations,))
+        column[:] = rng.integers(0, grid_points, size=(MAX_GRID_COMBINATIONS,))
     return index[:, 0::2], index[:, 1::2]
-
-
-def _by_block(f, n, factors):
-    """f over consecutive slices of range(n), concatenated: with `factors`
-    2x2 factors an item, at most BLOCK of them a call."""
-    step = max(1, BLOCK // factors)
-    return np.concatenate([f(slice(lo, lo + step)) for lo in range(0, n, step)])
 
 
 def _canonical_phase(target):
@@ -237,10 +234,10 @@ def _canonical_phase(target):
 def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     """Search for a loop sequence whose composed holonomy matches the target.
 
-    A coarse 16x16-per-loop grid (capped at a few thousand random
-    combinations for multi-loop searches, scored from one table of the 256
-    single-loop holonomies) seeds Levenberg-Marquardt refinements of the
-    residual ``_residual``, which also scores the grid.  The restarts start
+    A coarse 16x16-per-loop grid (every pair for one loop, else the all-zeros
+    candidate and MAX_GRID_COMBINATIONS random draws, scored from one table
+    of the 256 single-loop holonomies) seeds Levenberg-Marquardt
+    refinements of the residual ``_residual``, which also scores the grid.  The restarts start
     from the best-scoring candidates whose products lie pairwise more than
     SEED_SEPARATION apart, those with a theta = 0 loop last.  ``evaluations`` counts
     every grid candidate plus every point the refinements score.
@@ -265,31 +262,30 @@ def synthesize(target, model=None, max_loops=3, tol=1e-6, seed=0):
     # the numeric model pays a Wilson loop per loop: shrink the budget
     grid_points = GRID_POINTS if model.analytic else 8
     restarts = RESTARTS if model.analytic else 3
-    max_combinations = MAX_GRID_COMBINATIONS if model.analytic else 256
 
     def units(loops):
-        """The holonomy (..., 2, 2) of each single loop (..., 2), _by_block:
-        an analytic loop is four 2x2 factors; a numeric loop, a Wilson loop
-        of its own, counts as BLOCK, so each is one loop_product call."""
+        """The holonomy (..., 2, 2) of each single loop (..., 2): one
+        loop_product call on an analytic model; one call a loop on the
+        numeric model, each its own Wilson loop, so that a traced run counts
+        no more Wilson loops than loop_product calls (bench/test_bench.py)."""
         flat = loops.reshape(-1, 1, 2)
-        return _by_block(lambda s: loop_product(flat[s], model), len(flat),
-                         4 if model.analytic else BLOCK).reshape(loops.shape[:-1] + (2, 2))
+        calls = [flat] if model.analytic else np.split(flat, len(flat))
+        return np.concatenate([loop_product(c, model) for c in calls]).reshape(
+            loops.shape[:-1] + (2, 2))
 
     def objective(x):
         loops, excess = _clip_angles(x)
         return _residual(ordered_product(np.moveaxis(units(loops), -3, 0)), special, excess)
 
     # every grid loop is one of grid_points^2 (theta, phi) pairs: evaluate
-    # each once into a table, then gather and multiply each candidate's
-    # units from it, _by_block: a candidate is max_loops factors, so the
-    # products' memory does not grow with max_loops
+    # each once into a table, then gather every candidate's units from it
+    # and multiply them in one call (at 16 loops the gather is 0.26 MB)
     pairs = np.stack(np.meshgrid(np.linspace(0.0, np.pi, grid_points),
                                  np.linspace(-np.pi, np.pi, grid_points, endpoint=False),
                                  indexing="ij"), axis=-1)
     table = units(pairs)
-    t, p = _grid(rng, grid_points, max_loops, max_combinations)
-    products = _by_block(lambda s: ordered_product(np.moveaxis(table[t[s], p[s]], 1, 0)),
-                         len(t), max_loops)
+    t, p = _grid(rng, grid_points, max_loops)
+    products = ordered_product(np.moveaxis(table[t, p], 1, 0))
     scores = np.square(_residual(products, special, np.zeros(t.shape))).sum(axis=-1)
     evaluations = len(t)
 

@@ -530,6 +530,26 @@ class TestVerifyAdiabatic:
         assert code == 2
         assert err.startswith("error: --T") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("sampled, flag, value", [
+        (False, "--T", "0"), (False, "--T", "nan"), (False, "--T", "-1"),
+        (False, "--time-steps", "5"),
+        # 39 sampled segments need at least 390 steps
+        (True, "--time-steps", "389")])
+    def test_bad_drive_names_its_flag(self, capsys, tmp_path, sampled, flag, value):
+        path = write_octant(tmp_path)
+        if sampled:
+            path = str(tmp_path / "sampled.json")
+            pts = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6).points(39)
+            with open(path, "w") as fh:
+                json.dump({"kind": "sampled", "samples": pts.tolist()}, fh)
+        drive = {"--T": "1e-9", "--time-steps": "2000", flag: value}
+        code = main(["verify-adiabatic", "--path", path, "--regime", "quadratic",
+                     "--spherical", "--wl-steps", "400"]
+                    + [arg for item in drive.items() for arg in item])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("total_time, exit_code, calls", [("1e300", 2, 0),
                                                               ("1e-9", 0, 1)])
     def test_drive_checked_before_the_wilson_loop(self, capsys, tmp_path, monkeypatch,

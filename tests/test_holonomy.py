@@ -377,6 +377,17 @@ class TestLinearOracle:
             u_closed = linear_triangle_holonomy(theta, phi)
             assert np.abs(u_prod - u_closed).max() <= 1e-6
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(theta=st.floats(0.0, np.pi), phi=st.floats(-10.0, 10.0))
+    def test_triangle_is_an_abelian_berry_phase(self, theta, phi):
+        # the linear regime is the abelian limit: every triangle's holonomy
+        # is diag(exp(-i omega / 2), exp(i omega / 2)), omega = phi (1 - cos
+        # theta) its solid angle, so loop sequences reach only diagonal gates
+        omega = phi * (1.0 - np.cos(theta))
+        u = linear_triangle_holonomy(theta, phi)
+        berry = np.diag([np.exp(-0.5j * omega), np.exp(0.5j * omega)])
+        assert np.abs(u - berry).max() <= 1e-14
+
     def test_random_triangles_match_wilson(self, ge_b, rng):
         for _ in range(5):
             theta = float(rng.uniform(0.2, np.pi / 2))

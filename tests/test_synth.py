@@ -8,8 +8,7 @@ from holostark import (InvalidAngle, InvalidInput, LoopModel, NotUnitary, half_s
                        holonomy_fidelity, linear_triangle_holonomy, loop_product,
                        synthesize, zee_holonomy)
 from holostark import synth
-from holostark._linalg import BLOCK
-from holostark.synth import GRID_POINTS, SEED_SEPARATION
+from holostark.synth import GRID_POINTS, MAX_GRID_COMBINATIONS, SEED_SEPARATION
 
 from util import random_su2
 
@@ -293,14 +292,15 @@ class TestGridScoring:
         target = random_su2(np.random.default_rng(31))
         result = synthesize(target, model=SPH, max_loops=max_loops, tol=1e-3, seed=4)
         # the table: each of the 16x16 (theta, phi) grid pairs once, as a
-        # single loop, in calls of at most BLOCK 2x2 factors, four per loop
-        table = np.concatenate(seen["table"])
+        # single loop, in one loop_product call on an analytic model
+        assert len(seen["table"]) == 1
+        table = seen["table"][0]
         assert table.shape == (GRID_POINTS ** 2, 1, 2)
         assert len(np.unique(table[:, 0, 0])) == len(np.unique(table[:, 0, 1])) == GRID_POINTS
         assert len(np.unique(table[:, 0], axis=0)) == GRID_POINTS ** 2
-        assert max(4 * t.shape[0] * t.shape[1] for t in seen["table"]) <= BLOCK
         candidates = self.candidates(seen, max_loops)
-        assert len(candidates) == (256 if max_loops == 1 else 4097)
+        assert len(candidates) == (GRID_POINTS ** 2 if max_loops == 1
+                                   else 1 + MAX_GRID_COMBINATIONS)
         if max_loops > 1:
             assert np.array_equal(candidates[0], np.zeros(2 * max_loops))
         assert result.evaluations >= len(candidates)
