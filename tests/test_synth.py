@@ -174,6 +174,26 @@ class TestSynthesize:
                 hits += 1
         assert hits >= 4
 
+    @pytest.mark.parametrize("kind, max_loops, maxiter", [
+        ("spherical_quadratic", 1, synth.MAXITER),
+        ("spherical_quadratic", 2, synth.MULTI_LOOP_MAXITER),
+        ("linear", 3, synth.MULTI_LOOP_MAXITER),
+        ("numeric_quadratic", 1, synth.MAXITER),
+        ("numeric_quadratic", 2, synth.MAXITER)])
+    def test_refinement_step_budget(self, monkeypatch, ge_b, kind, max_loops, maxiter):
+        budgets = []
+
+        def seed_only(fun, x0, **kwargs):
+            budgets.append(kwargs["maxiter"])
+            return SimpleNamespace(x=np.array(x0), fun=1.0, nfev=0)
+
+        monkeypatch.setattr(synth, "minimize", seed_only)
+        model = (LoopModel(kind, ge_b, 1e6) if kind == "numeric_quadratic"
+                 else LoopModel(kind))
+        synthesize(random_su2(np.random.default_rng(31)), model=model,
+                   max_loops=max_loops, tol=1e-3, seed=4)
+        assert budgets and set(budgets) == {maxiter}
+
     def test_rejects_nonunitary_target(self):
         with pytest.raises(NotUnitary):
             synthesize(np.array([[1.0, 0.1], [0, 1.0]]), model=SPH, seed=0)
@@ -317,7 +337,7 @@ class TestGridScoring:
         # skipping each within 1 - F <= SEED_SEPARATION of an earlier seed
         seen = self.spy(monkeypatch)
 
-        def seed_only(fun, x0):  # the seeds, not the search
+        def seed_only(fun, x0, **kwargs):  # the seeds, not the search
             seen["objective"] = fun
             seen["seeds"].append(np.array(x0))
             return SimpleNamespace(x=np.array(x0), fun=1.0, nfev=0)
@@ -358,7 +378,7 @@ class TestGridScoring:
         monkeypatch.setattr(synth, "wilson_loop", lambda *a, **k: transported.append(1)
                             or real_wilson_loop(*a, **k))
 
-        def minimize_spy(fun, x0):
+        def minimize_spy(fun, x0, **kwargs):
             grid.append(len(transported))
 
             def counted(X):
