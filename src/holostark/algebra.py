@@ -110,9 +110,18 @@ def default_basis():
 
 def wedge(u, v):
     """The rows (k, 10) u_a v_b - u_b v_a, a < b, of the bivectors u ^ v of
-    real rows u, v (k, 5): the coefficients of step_table("transport")."""
-    a, b = np.triu_indices(5, 1)
-    return u[:, a] * v[:, b] - u[:, b] * v[:, a]
+    real rows u, v (k, 5): the coefficients of step_table("transport").
+    The shapes are the contract; the storage is component-major: each
+    product is taken between rows of u.T and v.T, contiguous when u and v
+    are transposed (5, k) storage, and the result is the transpose of
+    (10, k) rows."""
+    u, v = u.T, v.T
+    out = np.empty((10,) + u.shape[1:])
+    lo = 0
+    for a in range(4):  # the pairs (a, b > a) fill rows lo .. lo + 3 - a
+        np.subtract(u[a] * v[a + 1:], u[a + 1:] * v[a], out=out[lo:lo + 4 - a])
+        lo += 4 - a
+    return out.T
 
 
 @lru_cache(maxsize=3)

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -258,7 +259,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every main call shares it."""
     parser = _Parser(
         prog="holostark",
         description="Holonomies of acceptor-bound holes under rotated electric fields")

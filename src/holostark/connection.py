@@ -76,23 +76,29 @@ def gap_norms(comps):
 
 
 def transport_exponents(points, regime, m, d=None):
-    """Per-step exponents X = A^i(E_mid) dE_i along a polyline, as real rows
-    B (k, 10) of X = sum_{a<b} B_ab i gamma_ab (algebra.step_table).
+    """Per-step exponents X = A^i(E_mid) dE_i along a polyline (k+1, 3), as
+    real rows B (k, 10) of X = sum_{a<b} B_ab i gamma_ab (algebra.step_table).
 
+    The shapes are the contract; the storage is component-major.  The rows
+    are the transpose of (10, k) storage (algebra.wedge), the layout in
+    which they reach _linalg.clifford_steps, and points stored as (3, k+1)
+    rows, as FieldPath.points returns them, are read row by row.
     Midpoint evaluation makes the ordered product of their exponentials a
     second-order integrator.  With jde = J(E_mid) dE, the step's change of d
     (stark.d_increment), B = (0.5/|d|^2) jde ^ d (algebra.wedge): a simple
     bivector, so X^2 = -|B|^2 I.  B is homogeneous of degree 0 in E, so the
     points are first scaled by a power of two (_linalg.pow2_exponent),
-    exactly; a caller passing ``d``, the midpoints' (d_components,
-    gap_norms), has scaled them itself, as one scale must serve d and jde.
-    DegeneratePoint if the gap closes."""
+    exactly; a caller passing ``d``, the midpoints with their
+    (d_components, gap_norms), has scaled them itself, as one scale must
+    serve d and jde.  DegeneratePoint if the gap closes."""
     points = np.asarray(points, dtype=float)
     if d is None:
         points = np.ldexp(points, -pow2_exponent(points))
-    mids = 0.5 * points[1:] + 0.5 * points[:-1]
-    comps = d_components(mids, m, regime) if d is None else d[0]
-    norms = gap_norms(comps) if d is None else d[1]
-    jde = (0.5 / (norms * norms))[:, None] * d_increment(
-        mids, points[1:] - points[:-1], m, regime)
-    return wedge(jde, comps[:, 1:])
+        mids = 0.5 * points[1:] + 0.5 * points[:-1]
+        comps = d_components(mids, m, regime)
+        norms = gap_norms(comps)
+    else:
+        mids, comps, norms = d
+    jde = (0.5 / (norms * norms)) * d_increment(mids, points[1:] - points[:-1], m,
+                                                regime).T
+    return wedge(jde.T, comps[:, 1:])

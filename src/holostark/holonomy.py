@@ -107,7 +107,10 @@ class FieldPath:
             object.__setattr__(self, name, float(getattr(self, name)))
 
     def points(self, steps=DEFAULT_STEPS):
-        """Closed polyline (n+1, 3) with first and last points identical."""
+        """Closed polyline (n+1, 3) with first and last points identical, a
+        new array each call.  The shape is the contract; the storage is
+        component-major, the transpose of (3, n+1) rows, which is how
+        d_components and transport_exponents read it."""
         if self.kind == "sampled":
             return _refined_points(self.samples, steps)
         steps, t, p = max(steps, 3), self.theta, self.phi
@@ -122,11 +125,12 @@ class FieldPath:
 
 def _refined_points(samples, steps):
     substeps = -(-steps // (len(samples) - 1))
+    s = samples.T
     if substeps <= 1:
-        return np.array(samples)
-    w = (np.arange(substeps) / substeps)[:, None]
-    pts = samples[:-1, None] + w * (samples[1:, None] - samples[:-1, None])
-    return np.vstack([pts.reshape(-1, 3), samples[-1:]])
+        return s.copy().T
+    w = np.arange(substeps) / substeps
+    seg = s[:, :-1, None] + w * (s[:, 1:, None] - s[:, :-1, None])
+    return np.concatenate([seg.reshape(3, -1), s[:, -1:]], axis=1).T
 
 
 def _sphere_points(knots, counts, magnitude):
@@ -138,8 +142,8 @@ def _sphere_points(knots, counts, magnitude):
     t, p = (np.concatenate([np.linspace(a[i], b[i], c, endpoint=False)
                             for a, b, c in zip(knots, knots[1:], counts)] + [[knots[0][i]]])
             for i in (0, 1))
-    return magnitude * np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p),
-                                 np.cos(t)], axis=1)
+    st = np.sin(t)
+    return magnitude * np.stack([st * np.cos(p), st * np.sin(p), np.cos(t)]).T
 
 
 def _check_magnitude(magnitude):
@@ -279,11 +283,12 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     pts = path.points(steps)
     basepoint = pts[0].copy()
     np.ldexp(pts, -pow2_exponent(pts), out=pts)
-    comps = d_components(0.5 * pts[1:] + 0.5 * pts[:-1], m, regime)
+    mids = 0.5 * pts[1:] + 0.5 * pts[:-1]
+    comps = d_components(mids, m, regime)
     norms = gap_norms(comps)
-    full = blocked_product(len(pts) - 1, step_table("transport"), lambda lo, hi:
-                           transport_exponents(pts[lo:hi + 1], regime, m,
-                                               d=(comps[lo:hi], norms[lo:hi])))
+    full = blocked_product(len(mids), step_table("transport"), lambda lo, hi:
+                           transport_exponents(pts[lo:hi + 1], regime, m, d=(
+                               mids[lo:hi], comps[lo:hi], norms[lo:hi])))
     fp, fm = basepoint_frames(pts[0], regime, m)  # the same bits as unscaled
     return Holonomy(
         full=full,
@@ -306,7 +311,8 @@ def linear_stark_holonomy(path, steps=DEFAULT_STEPS):
     norms = np.linalg.norm(pts, axis=1)
     if norms.max() - norms.min() > 1e-9 * norms.mean():
         raise NotConstantMagnitude("path does not keep |E| constant")
-    mids = 0.5 * pts[1:] + 0.5 * pts[:-1]
+    # row-ordered: einsum's |E_mid|^2 has other bits on column-ordered rows
+    mids = np.add(0.5 * pts[1:], 0.5 * pts[:-1], order="C")
     v = np.cross(pts[1:] - pts[:-1], mids)
     v /= 2.0 * np.einsum("ki,ki->k", mids, mids)[:, None]
     return blocked_product(len(v), step_table("pauli"), lambda lo, hi: v[lo:hi])

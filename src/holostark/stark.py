@@ -145,41 +145,45 @@ def material_table(records, path):
 
 
 def _quadratic_form(e, f, m):
-    """Bilinear form B(e, f) (..., 6) holding the quadratic coefficients:
+    """Bilinear form B(e, f) (6, ...) of component rows e, f (3, ...):
     d(E) = B(E, E) and d(b) - d(a) = 2 B((a+b)/2, b - a).  Mixed terms sum
     their two orderings at half weight, so B(E, E) rounds like one product."""
     p0 = m.dipole_mev_per_field
     kappa = -(p0 * p0) / m.ionization_meV  # meV per (V/m)^2
     hd = 0.5 * kappa * m.delta
-    ex, ey, ez = np.moveaxis(e, -1, 0)
-    fx, fy, fz = np.moveaxis(f, -1, 0)
+    ex, ey, ez = e
+    fx, fy, fz = f
     xx, yy, zz = ex * fx, ey * fy, ez * fz
-    out = np.empty(e.shape[:-1] + (6,))
-    out[..., 0] = kappa * m.alpha * (xx + yy + zz)
-    out[..., 1] = hd * ez * fy + hd * fz * ey
-    out[..., 2] = hd * ez * fx + hd * fz * ex
-    out[..., 3] = hd * ex * fy + hd * fx * ey
-    out[..., 4] = kappa * (math.sqrt(3.0) / 2.0) * m.beta * (xx - yy)
-    out[..., 5] = kappa * 0.5 * m.beta * (2 * zz - xx - yy)
+    out = np.empty((6,) + np.shape(xx))
+    out[0] = kappa * m.alpha * (xx + yy + zz)
+    out[1] = hd * ez * fy + hd * fz * ey
+    out[2] = hd * ez * fx + hd * fz * ex
+    out[3] = hd * ex * fy + hd * fx * ey
+    out[4] = kappa * (math.sqrt(3.0) / 2.0) * m.beta * (xx - yy)
+    out[5] = kappa * 0.5 * m.beta * (2 * zz - xx - yy)
     return out
 
 
 def d_components(e, m, regime):
     """The d-vector (d0, d1..d5) in meV: e of shape (..., 3) -> (..., 6).
 
-    d_{1..3} = p * chi * E in the linear regime (d0 = d4 = d5 = 0), B(E, E)
-    in the quadratic one (below 0.5 V/m as B(E', E') 2^2k at E' = E 2^-k, so
-    no E_i E_j underflows).  One field point gives the row that hamiltonian,
-    eigen_split, projectors and connection_d take.  InvalidInput if d
-    overflows (too strong) or a nonzero field's d1..d5 round to 0 (too weak)."""
+    The shapes are the contract; the storage is component-major: the result
+    is the transpose of C-ordered (6, ...) rows, and e is read as the rows
+    of its transpose, contiguous when e is itself such a transpose
+    (FieldPath.points).  d_{1..3} = p * chi * E in the linear regime
+    (d0 = d4 = d5 = 0), B(E, E) in the quadratic one (below 0.5 V/m as
+    B(E', E') 2^2k at E' = E 2^-k, so no E_i E_j underflows).  One field
+    point gives the row that hamiltonian, eigen_split, projectors and
+    connection_d take.  InvalidInput if d overflows (too strong) or a
+    nonzero field's d1..d5 round to 0 (too weak)."""
     if regime not in REGIMES:
         raise InvalidInput(f"regime must be one of {REGIMES}, got {regime!r}")
-    e = np.asarray(e, dtype=float)
+    e = np.asarray(e, dtype=float).T
     k = pow2_exponent(e)
     with np.errstate(over="ignore", invalid="ignore"):
         if regime == "linear":
-            out = np.zeros(e.shape[:-1] + (6,))
-            out[..., 1:4] = m.dipole_mev_per_field * m.chi * e
+            out = np.zeros((6,) + e.shape[1:])
+            out[1:4] = m.dipole_mev_per_field * m.chi * e
         elif k < 0:  # scaled up only: scaling down rounds off small components
             scaled = np.ldexp(e, -k)
             out = _quadratic_form(scaled, scaled, m)
@@ -189,18 +193,20 @@ def d_components(e, m, regime):
     if not np.all(np.isfinite(out)):
         raise InvalidInput("field too strong for float64: the d-vector overflows"
                            if np.all(np.isfinite(e)) else "field must be finite")
-    if k < 0 and not np.any(out[..., 1:]) and np.any(
-            d_components(np.ldexp(e, -k), m, regime)[..., 1:]):
+    if k < 0 and not np.any(out[1:]) and np.any(
+            d_components(np.ldexp(e, -k).T, m, regime)[..., 1:]):
         raise InvalidInput("field too weak for float64: the d-vector underflows")
-    return out
+    return out.T
 
 
 def d_increment(e, de, m, regime):
-    """J(e) de for d_1..d_5, shape (..., 5).  At the chord midpoint
-    e = (a + b)/2 with de = b - a it is exactly d(b) - d(a), free of the
-    cancellation of taking that difference."""
+    """J(e) de for d_1..d_5, shape (..., 5), stored component-major like
+    d_components.  At the chord midpoint e = (a + b)/2 with de = b - a it is
+    exactly d(b) - d(a), free of the cancellation of taking that
+    difference."""
     if regime == "quadratic":
-        return 2.0 * _quadratic_form(np.asarray(e, dtype=float), de, m)[..., 1:]
+        e, de = np.asarray(e, dtype=float), np.asarray(de, dtype=float)
+        return (2.0 * _quadratic_form(e.T, de.T, m)[1:]).T
     return d_components(de, m, regime)[..., 1:]  # linear: J is constant
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from holostark import (DegeneratePoint, Drive, adiabatic_fidelity, evolve,
-                       make_spherical_triangle, sampled_path, wilson_loop)
+                       make_latitude_loop, make_spherical_triangle, sampled_path,
+                       wilson_loop)
 from holostark._linalg import BLOCK, blocked_product, clifford_steps, ordered_product
 from holostark.algebra import PAULI, step_table, wedge
 from holostark.connection import gap_norms, transport_exponents
@@ -13,7 +14,8 @@ from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
 
 from util import (clifford_exp, d_dot_gamma_einsum, expm_antiherm, one_product,
-                  random_su2, transport_exponents_einsum, transport_matrices)
+                  propagate_point_major, random_su2, transport_exponents_einsum,
+                  transport_matrices, transport_rows_point_major)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8])
@@ -132,6 +134,49 @@ def test_propagate_has_the_bits_of_one_ordered_product(ge_b, regime):
     assert np.array_equal(steps, comps)
     psi = _propagate(steps, norms, dt, np.eye(4))
     assert np.array_equal(psi, single @ np.eye(4))
+
+
+_SAMPLED = sampled_path([[0, 0, 1e6], [1e6, 0, 1e6], [0, 3e6, 2e6], [0, 0, 1e6]])
+# one step per chord between 100 random directions: step angles up to 17 rad,
+# where a last-bit change of the einsum angle moves cos and sinc
+_DIRECTIONS = np.random.default_rng(7).normal(size=(100, 3))
+_DIRECTIONS *= 1e6 / np.linalg.norm(_DIRECTIONS, axis=1)[:, None]
+_COARSE = sampled_path(np.vstack([_DIRECTIONS, _DIRECTIONS[:1]]))
+
+
+# the loops' data are stored component-major, so a Wilson loop compared with
+# one product of its own transport_exponents cannot see a layout change that
+# moves the einsum angles of both; the point-major chain of tests/util.py can
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+@pytest.mark.parametrize("material, path, steps", [
+    ("ge_b", make_spherical_triangle(0.7, 1.1, 1e6), 400),
+    ("ge_b", make_spherical_triangle(0.7, 1.1, 1e6), 5000),
+    ("ge_b", make_spherical_triangle(0.7, 1.1, 1e6), 20000),
+    ("si_b", make_spherical_triangle(2.1375, 4.4411, 0.534), 400),
+    ("si_b", make_spherical_triangle(2.1375, 4.4411, 0.534), 5000),
+    ("si_b", make_spherical_triangle(2.1375, 4.4411, 0.534), 20000),
+    ("ge_b", make_latitude_loop(1.1, 2e5), 8193),
+    ("si_b", _SAMPLED, 5000),
+    ("ge_b", make_spherical_triangle(2.2, -2.0, 2e-3), 5000),
+    ("ge_b", _COARSE, 100), ("si_b", _COARSE, 400)],
+    ids=["ge-400", "ge-5000", "ge-20000", "si-400", "si-5000", "si-20000",
+         "latitude-8193", "sampled-5000", "below-half-V-per-m", "coarse-ge-100",
+         "coarse-si-400"])
+def test_wilson_loop_has_the_bits_of_the_point_major_chain(request, material, path,
+                                                           steps, regime):
+    m = request.getfixturevalue(material)
+    rows = transport_rows_point_major(path.points(steps), regime, m)
+    assert np.array_equal(wilson_loop(path, regime, m, steps).full,
+                          one_product(step_table("transport"), rows))
+
+
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+@pytest.mark.parametrize("path", [make_spherical_triangle(0.7, 1.1, 1e6), _SAMPLED],
+                         ids=["triangle", "sampled"])
+def test_propagate_has_the_bits_of_the_point_major_chain(ge_b, regime, path):
+    drive = Drive(path, 2e-9, 3 * BLOCK)
+    psi = _propagate(*_drive_steps(drive, regime, ge_b), np.eye(4))
+    assert np.array_equal(psi, propagate_point_major(drive, regime, ge_b, np.eye(4)))
 
 
 @pytest.mark.parametrize("path", [

@@ -1,14 +1,17 @@
 """Shared helpers for the test suite: independent oracle constructions."""
 
 import itertools
+import math
 
 import numpy as np
 
 from holostark import acomm, default_basis, gamma_basis
-from holostark._linalg import blocked_product, clifford_steps, dagger, ordered_product
+from holostark._linalg import (blocked_product, clifford_steps, dagger, ordered_product,
+                               pow2_exponent)
 from holostark.algebra import PAULI, CliffordBasis, _generators, step_table
 from holostark.connection import gap_norms
 from holostark.stark import d_components, d_increment
+from holostark.units import HBAR_MEV_S
 
 
 class NoIntertwiner(Exception):
@@ -127,6 +130,73 @@ def transport_exponents_einsum(points, regime, m):
     jde = np.einsum("kai,ki->ka", jac, points[1:] - points[:-1])
     expo = np.einsum("ka,kb,abij->kij", jde, comps[:, 1:], default_basis().gammab)
     return (0.5j / (norms * norms))[:, None, None] * expo
+
+
+def quadratic_form_point_major(e, f, m):
+    """The bilinear form B(e, f) (..., 6) of points e, f (..., 3), written
+    into C-ordered (..., 6) rows through strided component views: the
+    point-major reference for stark._quadratic_form."""
+    p0 = m.dipole_mev_per_field
+    kappa = -(p0 * p0) / m.ionization_meV
+    hd = 0.5 * kappa * m.delta
+    ex, ey, ez = np.moveaxis(e, -1, 0)
+    fx, fy, fz = np.moveaxis(f, -1, 0)
+    xx, yy, zz = ex * fx, ey * fy, ez * fz
+    out = np.empty(e.shape[:-1] + (6,))
+    out[..., 0] = kappa * m.alpha * (xx + yy + zz)
+    out[..., 1] = hd * ez * fy + hd * fz * ey
+    out[..., 2] = hd * ez * fx + hd * fz * ex
+    out[..., 3] = hd * ex * fy + hd * fx * ey
+    out[..., 4] = kappa * (math.sqrt(3.0) / 2.0) * m.beta * (xx - yy)
+    out[..., 5] = kappa * 0.5 * m.beta * (2 * zz - xx - yy)
+    return out
+
+
+def d_components_point_major(e, m, regime):
+    """d_components of points e (..., 3) as C-ordered rows (..., 6), with
+    the same 2^-k scaling below 0.5 V/m; no range checks."""
+    e = np.asarray(e, dtype=float)
+    if regime == "linear":
+        out = np.zeros(e.shape[:-1] + (6,))
+        out[..., 1:4] = m.dipole_mev_per_field * m.chi * e
+        return out
+    k = pow2_exponent(e)
+    if k < 0:
+        scaled = np.ldexp(e, -k)
+        return np.ldexp(quadratic_form_point_major(scaled, scaled, m), 2 * k)
+    return quadratic_form_point_major(e, e, m)
+
+
+def transport_rows_point_major(points, regime, m):
+    """The transport rows (k, 10) of a polyline by the point-major chain:
+    C-ordered points scaled by one power of two, their midpoints, d rows
+    and |d|, the increments 2 B(E_mid, dE) (linear: d(dE)), and the wedge
+    gathered with fancy indexing, which leaves the rows column-ordered.
+    Every entry is the same chain of IEEE operations as in
+    transport_exponents, and the rows reach the kernel in the same layout,
+    so one_product of them has the Wilson loop's bits."""
+    points = np.ascontiguousarray(points, dtype=float)
+    points = np.ldexp(points, -pow2_exponent(points))
+    mids = 0.5 * points[1:] + 0.5 * points[:-1]
+    comps = d_components_point_major(mids, m, regime)
+    norms = gap_norms(comps)
+    de = points[1:] - points[:-1]
+    inc = (2.0 * quadratic_form_point_major(mids, de, m) if regime == "quadratic"
+           else d_components_point_major(de, m, regime))[:, 1:]
+    jde = (0.5 / (norms * norms))[:, None] * inc
+    a, b = np.triu_indices(5, 1)
+    return jde[:, a] * comps[:, 1 + b] - jde[:, b] * comps[:, 1 + a]
+
+
+def propagate_point_major(drive, regime, m, block):
+    """dynamics._propagate of the drive's checked steps by the point-major
+    chain: one_product of the C-ordered rows (dt/hbar) d1..d5, with the
+    angles (dt/hbar)|d|, applied to block."""
+    pts = np.ascontiguousarray(drive.path.points(drive.time_steps))
+    comps = d_components_point_major(0.5 * pts[1:] + 0.5 * pts[:-1], m, regime)
+    scale = drive.total_time / len(comps) / HBAR_MEV_S
+    return one_product(step_table("schrodinger"), scale * comps[:, 1:],
+                       scale * gap_norms(comps)) @ block
 
 
 def transport_matrices(rows):
