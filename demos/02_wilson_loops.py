@@ -3,9 +3,9 @@ analytic special cases.
 
 Rotating the electric field around a closed loop leaves each Kramers
 doublet where it started but applies a unitary to it -- the holonomy.  The
-numeric pipeline multiplies midpoint-evaluated exponentials of the
-transport generator; two analytic constructions cover special cases and
-must agree with it.
+numeric pipeline multiplies the exact rotors that carry the band
+projector from one path point to the next; two analytic constructions
+cover special cases and must agree with it.
 """
 
 import numpy as np

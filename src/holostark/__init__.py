@@ -22,7 +22,6 @@ from .holonomy import (FieldPath, Holonomy, basepoint_frames, eigenphase_distanc
                        linear_stark_holonomy, linear_triangle_holonomy,
                        make_latitude_loop, make_spherical_triangle, path_from_dict,
                        path_to_dict, sampled_path, wilson_loop, zee_holonomy)
-from .stark import (FeasibilityReport, MaterialParams, builtin_materials, d_increment,
-                    eigen_split, feasibility_report, hamiltonian, material_lookup,
-                    material_table)
+from .stark import (FeasibilityReport, MaterialParams, builtin_materials, eigen_split,
+                    feasibility_report, hamiltonian, material_lookup, material_table)
 from .synth import LoopModel, SynthesisResult, loop_product, synthesize

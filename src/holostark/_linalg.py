@@ -39,46 +39,56 @@ def ordered_product(units):
     return units[0]
 
 
-def clifford_steps(table, c, theta=None):
-    """Real forms (k, ..., 2n, 2n) of the n x n exp(X_j) = cos(theta_j) I +
-    sin(theta_j) / theta_j X_j, X_j = sum_a c[j, ..., a] X_a, from real rows
-    c (k, ..., m) and the flattened real forms of I, X_1 .. X_m in table
-    (1 + m, 4n^2) (algebra.step_table).  Each X_j must square to -theta_j^2 I;
-    theta defaults to the row norms.  One real matmul builds all the steps; a
-    zero row gives exactly I.
+def exp_coefficients(c, theta=None):
+    """The coefficient rows (k, ..., 1 + m) of exp(X_j) = cos(theta_j) I +
+    sin(theta_j) / theta_j X_j, X_j = sum_a c[j, ..., a] X_a, for
+    clifford_steps: [cos theta, sinc theta * c] from real rows c (k, ..., m).
+    Each X_j must square to -theta_j^2 I; theta defaults to the row norms.
+    The shapes are the contract; the storage is component-major, the
+    transpose of (1 + m, k, ...) rows.  A zero row gives exactly I.
 
     The default theta's bits depend on the memory layout of c, not only on
     its values: einsum sums a C-ordered row in another order than a strided
     one (on numpy 2.4, the squared norms of 45 638 of 200 000 random
-    3-vectors, default_rng(1), differ between C and F order).  The transport
-    rows reach this kernel column-ordered, as the transpose of (10, k)
-    storage (algebra.wedge), and the 2x2 oracles' rows row-ordered; a
-    change of either layout can change a step's bits, the more often the
-    larger its angle."""
+    3-vectors, default_rng(1), differ between C and F order).  The 2x2
+    oracles' rows reach it row-ordered, and the Schrodinger steps bring
+    their own theta; a change of either layout can change a step's bits, the
+    more often the larger its angle."""
     if theta is None:
         theta = np.sqrt(np.einsum("...a,...a->...", c, c))
-    coef = np.empty((len(table),) + c.shape[:-1])  # component-major
+    coef = np.empty((1 + c.shape[-1],) + c.shape[:-1])
     np.cos(theta, out=coef[0])
     np.multiply(np.sinc(theta / np.pi), np.moveaxis(c, -1, 0), out=coef[1:])
+    # transpose, not moveaxis: 0.2 against 4 us, on 2x2 oracle calls of 30 us
+    return coef.transpose(tuple(range(1, coef.ndim)) + (0,))
+
+
+def clifford_steps(table, coef):
+    """Real forms (k, ..., 2n, 2n) of the n x n steps sum_j coef[..., j] X_j
+    from coefficient rows (k, ..., 1 + m) and the flattened real forms of
+    X_0 = I, X_1 .. X_m in table (1 + m, 4n^2) (algebra.step_table): one real
+    matmul builds all the steps.  The rows are read component-major, as the
+    transpose of (1 + m, k, ...) storage, the layout in which
+    exp_coefficients and connection.transport_exponents return them."""
+    rows = coef.transpose((coef.ndim - 1,) + tuple(range(coef.ndim - 1)))
     # the tables hold 0 and +-1, at most two nonzeros a column: each entry
     # rounds once, to the same bits on any BLAS path, at any row count and
     # in any layout of the coefficients
     size = int(table.shape[1] ** 0.5)
-    return (coef.reshape(len(table), -1).T @ table).reshape(c.shape[:-1] + (size, size))
+    return (rows.reshape(len(table), -1).T @ table).reshape(coef.shape[:-1] + (size, size))
 
 
-def blocked_product(k, table, coeffs, theta=None):
+def blocked_product(k, table, coeffs):
     """The complex n x n ordered product of k clifford_steps, built BLOCK steps
-    at a time from coeffs(lo, hi), the rows c_lo to c_{hi-1}, and theta, all k
-    angles if given; any axes after the first batch the products.  Every full
-    block is a whole subtree of the single product's pairwise tree, so the
-    result has the bits of one ordered_product over all k real-form steps, in
-    memory bounded by one block; a single block is that product itself.  BLAS
-    multiplies the real 8x8 forms of the 4x4 steps about three times faster
-    than the complex 4x4 ones."""
-    blocks = [ordered_product(clifford_steps(
-        table, coeffs(lo, min(lo + BLOCK, k)), None if theta is None else
-        theta[lo:lo + BLOCK])) for lo in range(0, k, BLOCK)]
+    at a time from coeffs(lo, hi), the coefficient rows of steps lo to
+    hi - 1; any axes after the first batch the products.  Every full block
+    is a whole subtree of the single product's pairwise tree, so the result
+    has the bits of one ordered_product over all k real-form steps, in
+    memory bounded by one block; a single block is that product itself.
+    BLAS multiplies the real 8x8 forms of the 4x4 steps about three times
+    faster than the complex 4x4 ones."""
+    blocks = [ordered_product(clifford_steps(table, coeffs(lo, min(lo + BLOCK, k))))
+              for lo in range(0, k, BLOCK)]
     r = blocks[0] if k <= BLOCK else ordered_product(np.stack(blocks))
     n = r.shape[-1] // 2
     return r[..., :n, :n] + 1j * r[..., n:, :n]

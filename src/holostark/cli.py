@@ -198,6 +198,9 @@ def cmd_holonomy(args):
 
 
 def cmd_verify_adiabatic(args):
+    """Schrodinger propagation against the Wilson loop; the run converges
+    when the infidelity 1 - F is within --fidelity-tol."""
+    _check_tolerance("--fidelity-tol", args.fidelity_tol)
     m = _material(args)
     desc, path_file = _read_input(args.path)
     path = path_from_dict(desc)
@@ -205,6 +208,7 @@ def cmd_verify_adiabatic(args):
     band = args.band or half_spin_band(m)
     out = adiabatic_fidelity(drive, args.regime, m, band=band,
                              wl_steps=args.wl_steps)
+    converged = 1.0 - out.fidelity <= args.fidelity_tol
     results = {
         "band": band,
         "fidelity": out.fidelity,
@@ -213,9 +217,11 @@ def cmd_verify_adiabatic(args):
         "wilson_block": _complex_matrix(out.reference_block),
         "total_time_s": args.total_time,
         "time_steps": out.time_steps,
+        "fidelity_tol": args.fidelity_tol,
+        "converged": converged,
         "path": path_to_dict(path),
     }
-    return results, {"path_file": path_file}, True
+    return results, {"path_file": path_file}, converged
 
 
 def _synth_model(args):
@@ -307,6 +313,8 @@ def build_parser():
                    help="drive duration in seconds")
     p.add_argument("--time-steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--wl-steps", type=int, default=DEFAULT_STEPS)
+    p.add_argument("--fidelity-tol", type=float, default=1e-3,
+                   help="exit 3 when the infidelity 1 - F stays above this")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_adiabatic)
 

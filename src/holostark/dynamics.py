@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import blocked_product, dagger
+from ._linalg import blocked_product, dagger, exp_coefficients
 from .algebra import step_table
 from .connection import gap_norms
 from .errors import InvalidInput, _ArgumentError
@@ -86,8 +86,9 @@ def _propagate(comps, norms, dt, block):
     multiplied in real form (blocked_product); the d0 phase is left to the
     caller.  A step squares to -((dt/hbar)|d|)^2 I, so its angle is a norm."""
     scale = dt / HBAR_MEV_S
-    return blocked_product(len(comps), step_table("schrodinger"),
-                           lambda lo, hi: scale * comps[lo:hi, 1:], scale * norms) @ block
+    theta = scale * norms
+    return blocked_product(len(comps), step_table("schrodinger"), lambda lo, hi:
+                           exp_coefficients(scale * comps[lo:hi, 1:], theta[lo:hi])) @ block
 
 
 def evolve(drive, regime, m, psi0):

@@ -8,9 +8,9 @@ encoded as six real coefficients (d0, d1..d5) in meV:
 so the Kramers doublets sit at eps_pm = d0 +/- |d| and the gap is 2|d|.
 Fields are in V/m, lengths in Angstrom; see units.py.
 
-d is linear in E, or quadratic: d(E) = B(E, E) for one symmetric bilinear
-form B.  A path step from a to b therefore changes d by exactly
-J(E_mid) dE = d(b) - d(a) (d_increment), the input of the transport.
+d is linear in E, or quadratic in it: d(E) = B(E, E) for one symmetric
+bilinear form B.  The transport needs d only at the points of a path (see
+connection): the band direction dhat = d/|d| and nothing of its rate.
 
 The two regimes are kept strictly separate (explicit ``regime`` argument,
 no automatic crossover): the linear effect applies at small fields, the
@@ -144,21 +144,20 @@ def material_table(records, path):
     return table
 
 
-def _quadratic_form(e, f, m):
-    """Bilinear form B(e, f) (6, ...) of component rows e, f (3, ...):
-    d(E) = B(E, E) and d(b) - d(a) = 2 B((a+b)/2, b - a).  Mixed terms sum
-    their two orderings at half weight, so B(E, E) rounds like one product."""
+def _quadratic_form(e, m):
+    """The quadratic form d(E) = B(E, E) (6, ...) of component rows e
+    (3, ...).  Each mixed term is one product kappa delta e_i e_j, to the bit
+    the sum of the bilinear form's two orderings at half weight."""
     p0 = m.dipole_mev_per_field
     kappa = -(p0 * p0) / m.ionization_meV  # meV per (V/m)^2
-    hd = 0.5 * kappa * m.delta
+    kd = kappa * m.delta
     ex, ey, ez = e
-    fx, fy, fz = f
-    xx, yy, zz = ex * fx, ey * fy, ez * fz
+    xx, yy, zz = ex * ex, ey * ey, ez * ez
     out = np.empty((6,) + np.shape(xx))
     out[0] = kappa * m.alpha * (xx + yy + zz)
-    out[1] = hd * ez * fy + hd * fz * ey
-    out[2] = hd * ez * fx + hd * fz * ex
-    out[3] = hd * ex * fy + hd * fx * ey
+    out[1] = kd * ez * ey
+    out[2] = kd * ez * ex
+    out[3] = kd * ex * ey
     out[4] = kappa * (math.sqrt(3.0) / 2.0) * m.beta * (xx - yy)
     out[5] = kappa * 0.5 * m.beta * (2 * zz - xx - yy)
     return out
@@ -186,10 +185,10 @@ def d_components(e, m, regime):
             out[1:4] = m.dipole_mev_per_field * m.chi * e
         elif k < 0:  # scaled up only: scaling down rounds off small components
             scaled = np.ldexp(e, -k)
-            out = _quadratic_form(scaled, scaled, m)
+            out = _quadratic_form(scaled, m)
             np.ldexp(out, 2 * k, out=out)
         else:
-            out = _quadratic_form(e, e, m)
+            out = _quadratic_form(e, m)
     if not np.all(np.isfinite(out)):
         raise InvalidInput("field too strong for float64: the d-vector overflows"
                            if np.all(np.isfinite(e)) else "field must be finite")
@@ -197,17 +196,6 @@ def d_components(e, m, regime):
             d_components(np.ldexp(e, -k).T, m, regime)[..., 1:]):
         raise InvalidInput("field too weak for float64: the d-vector underflows")
     return out.T
-
-
-def d_increment(e, de, m, regime):
-    """J(e) de for d_1..d_5, shape (..., 5), stored component-major like
-    d_components.  At the chord midpoint e = (a + b)/2 with de = b - a it is
-    exactly d(b) - d(a), free of the cancellation of taking that
-    difference."""
-    if regime == "quadratic":
-        e, de = np.asarray(e, dtype=float), np.asarray(de, dtype=float)
-        return (2.0 * _quadratic_form(e.T, de.T, m)[1:]).T
-    return d_components(de, m, regime)[..., 1:]  # linear: J is constant
 
 
 def hamiltonian(d):

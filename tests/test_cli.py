@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,6 +21,8 @@ from holostark import cli
 from holostark.cli import main
 from holostark.stark import d_components
 
+from util import midpoint_loop
+
 
 def _reject_constant(name):
     raise ValueError(f"record is not strict JSON: it carries {name}")
@@ -35,9 +38,16 @@ def run_cli(capsys, *argv):
 
 
 def write_octant(tmp_path, magnitude=1e6):
-    p = tmp_path / "octant.json"
-    p.write_text(json.dumps({"kind": "spherical_triangle", "theta": np.pi / 2,
-                             "phi": np.pi / 2, "magnitude_V_per_m": magnitude}))
+    return write_triangle(tmp_path, np.pi / 2, np.pi / 2, magnitude, "octant.json")
+
+
+def write_triangle(tmp_path, theta, phi, magnitude=1e6, name="triangle.json"):
+    # in the linear regime dhat = Ehat, so the octant's meridians and equator
+    # are great circles of dhat, which the rotors transport exactly at any
+    # step count; the arc at theta = 1.0 is not
+    p = tmp_path / name
+    p.write_text(json.dumps({"kind": "spherical_triangle", "theta": theta,
+                             "phi": phi, "magnitude_V_per_m": magnitude}))
     return str(p)
 
 
@@ -261,12 +271,15 @@ class TestHolonomy:
 
     @pytest.mark.parametrize("regime", ["quadratic", "linear"])
     def test_under_resolved_run_exits_3_with_its_record(self, capsys, tmp_path, regime):
-        # at 400 steps this loop's blocks are unitary only to about 4e-2 (the
-        # transport leaks between the bands), and their phases are reported
+        # at 400 steps the quadratic sampled loop's defect is 0.067, and its
+        # block phases are reported.  Linear chords are great circles of
+        # dhat = Ehat, which the rotors transport exactly, so the linear run
+        # takes a triangle whose arc is not one
         f = tmp_path / "under.json"
         f.write_text(json.dumps({"kind": "sampled", "samples": [
             [0, 0, 1e6], [1e3, 0, -1e6], [1e6, 0, 0], [0, 0, 1e6]]}))
-        code, rec = run_cli(capsys, "holonomy", "--path", str(f), "--regime", regime,
+        path = str(f) if regime == "quadratic" else write_triangle(tmp_path, 1.0, 0.7)
+        code, rec = run_cli(capsys, "holonomy", "--path", path, "--regime", regime,
                             "--steps", "400")
         res = rec["results"]
         assert code == 3 and res["converged"] is False
@@ -274,9 +287,60 @@ class TestHolonomy:
             block = np.array(res[f"block_{key}"]).view(complex)[..., 0]
             assert res[f"eigenphases_{key}"] == eigenphases(block, tol=1.0).tolist()
 
-    def test_converged_run_needs_unitary_blocks(self, capsys, tmp_path):
-        # a loose --defect-tol calls the same run converged: its blocks, not
-        # unitary to 1e-3, must then fail the run instead of exiting 0
+    @pytest.mark.parametrize("regime", ["linear", "quadratic"])
+    @pytest.mark.parametrize("steps", ["400", "403"], ids=["zero-on-a-point",
+                                                          "zero-between-points"])
+    def test_chord_through_zero_field_exits_2(self, capsys, tmp_path, regime, steps):
+        # n = 400 splits the chord from E to -E into 134 substeps, so a point
+        # falls on E = 0; n = 403 into 135, and E = 0 lies between two points
+        f = tmp_path / "through_zero.json"
+        f.write_text(json.dumps({"kind": "sampled", "samples": [
+            [0, 0, 1e6], [0, 0, -1e6], [1e6, 0, 0], [0, 0, 1e6]]}))
+        code = main(["holonomy", "--path", str(f), "--regime", regime, "--steps", steps])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: gap closes: |d| vanishes at a field point\n"
+
+    def test_near_pi_step_exits_2(self, capsys, tmp_path):
+        # linear: the first chord passes 5e-3 V/m from E = 0, an open gap; the
+        # n/4 = 105 run splits it into 35 substeps, one of which turns dhat
+        # by pi - 3.5e-7 rad: one error line, and no record with a NaN in it
+        f = tmp_path / "near_pi.json"
+        f.write_text(json.dumps({"kind": "sampled", "samples": [
+            [1e6, 0, 0], [-1e6, 1e-2, 0], [0, 1e6, 0], [1e6, 0, 0]]}))
+        code = main(["holonomy", "--path", str(f), "--regime", "linear", "--steps", "420"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: a step turns the band direction dhat by nearly pi, "
+                              "from E along (1, 1.7")
+        assert len(err.splitlines()) == 1 and "nan" not in err
+
+    def test_linear_polyline_converges_at_roundoff(self, capsys, tmp_path):
+        # linear chords are great circles of dhat = Ehat, transported exactly
+        # at any step count: the defect is roundoff, far below --defect-tol
+        f = tmp_path / "sampled.json"
+        f.write_text(json.dumps({"kind": "sampled", "samples": [
+            [0, 0, 1e6], [1e6, 0, 1e6], [0, 3e6, 2e6], [0, 0, 1e6]]}))
+        code, rec = run_cli(capsys, "holonomy", "--path", str(f), "--regime", "linear",
+                            "--steps", "2000")
+        assert code == 0 and rec["results"]["converged"] is True
+        assert rec["results"]["convergence_defect"] <= 5e-13
+
+    def test_converged_run_needs_unitary_blocks(self, capsys, tmp_path, monkeypatch):
+        # a loose --defect-tol calls a run converged: blocks not unitary to
+        # 1e-3 must then fail the run instead of exiting 0.  Each rotor maps
+        # one band projector exactly onto the next, so no loop leaks under
+        # it; the midpoint scheme's transport of this loop (tests/util.py),
+        # whose blocks at 400 steps are unitary only to about 4e-2, stands in
+        # for a transport that leaks between the bands
+        def leaky(path, regime, m, steps):
+            hol = wilson_loop(path, regime, m, steps)
+            full = midpoint_loop(path, regime, m, steps)
+            fp, fm = hol.frame_plus, hol.frame_minus
+            return dataclasses.replace(hol, full=full, block_plus=fp.conj().T @ full @ fp,
+                                       block_minus=fm.conj().T @ full @ fm)
+
+        monkeypatch.setattr(cli, "wilson_loop", leaky)
         f = tmp_path / "under.json"
         f.write_text(json.dumps({"kind": "sampled", "samples": [
             [0, 0, 1e6], [1e3, 0, -1e6], [1e6, 0, 0], [0, 0, 1e6]]}))
@@ -490,6 +554,27 @@ class TestVerifyAdiabatic:
         assert code == 2 and out == ""
         assert err == "error: --wl-steps: steps must be >= 100\n"
 
+    def test_low_fidelity_exits_3_with_its_record(self, capsys, tmp_path):
+        # a 1e-13 s octant is far from adiabatic (fidelity 0.0042, leakage
+        # only 0.0064); --fidelity-tol bounds 1 - F
+        argv = ["verify-adiabatic", "--path", write_octant(tmp_path), "--regime",
+                "quadratic", "--spherical", "--T", "1e-13"]
+        code, rec = run_cli(capsys, *argv)
+        res = rec["results"]
+        assert code == 3 and res["converged"] is False and res["fidelity_tol"] == 1e-3
+        assert res["fidelity"] < 0.01
+        code, rec = run_cli(capsys, *argv, "--fidelity-tol", "1")
+        assert code == 0 and rec["results"]["converged"] is True
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_fidelity_tol_must_be_finite_and_nonnegative(self, capsys, tmp_path, tol):
+        code = main(["verify-adiabatic", "--path", write_octant(tmp_path), "--regime",
+                     "quadratic", "--T", "1e-9", "--fidelity-tol", tol])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        says = f"error: --fidelity-tol must be a finite number >= 0, got {float(tol)}\n"
+        assert err == says
+
     def test_static_path_gives_unit_fidelity(self, capsys, tmp_path):
         f = tmp_path / "static.json"
         f.write_text(json.dumps({"kind": "sampled", "samples":
@@ -696,14 +781,17 @@ def test_field_overflowing_float64_exits_2(capsys, tmp_path, argv):
     # d or |d| overflows: reported as such, not as a gap closure, and
     # without numpy warnings (the suite turns those into errors).  The
     # transport is scale-free, so a 1e300 V/m loop is no overflow: holonomy
-    # gives the 1e6 V/m record (the octant exits 3 from its defect at 200
-    # steps, the 3-segment sampled loop converges), and the linear drive
+    # gives the 1e6 V/m record (the quadratic octant and the linear (1.0,
+    # 0.7) triangle exit 3 from their defects at 200 steps, the 3-segment
+    # sampled loop converges), and the linear drive
     # fails only on its summed phase past 2^53 rad, a fact of --T.  |E| is
     # the norm of the power-of-two-scaled field, so sampled norms beyond
     # float64 and the linear spectrum at 1e160 V/m are no overflow either
     def path(magnitude):
-        if argv[-1] != "sampled":
-            return write_octant(tmp_path, magnitude)
+        if argv[-1] != "sampled":  # the linear octant is exact (write_triangle)
+            if argv[2] == "quadratic":
+                return write_octant(tmp_path, magnitude)
+            return write_triangle(tmp_path, 1.0, 0.7, magnitude, f"t{magnitude}.json")
         f = tmp_path / f"sampled{magnitude}.json"
         f.write_text(json.dumps({"kind": "sampled", "samples": [
             [0, 0, magnitude], [magnitude / 10, 0, magnitude],
@@ -768,8 +856,12 @@ def test_chord_midpoints_near_float64_limit(capsys, tmp_path, argv):
     # is not: the chord midpoints must not overflow (the suite turns numpy
     # warnings into errors) nor be reported as a non-finite field.  The
     # transport is scale-free, so holonomy transports the loop (exit 3 from
-    # its defect at 400 steps)
-    code = main(argv + ["--path", write_octant(tmp_path, magnitude=1e308)])
+    # its defect at 400 steps: in the linear regime a triangle whose arc is
+    # not a great circle, see write_triangle)
+    path = (write_triangle(tmp_path, 1.0, 0.7, 1e308)
+            if argv[:3] == ["holonomy", "--regime", "linear"]
+            else write_octant(tmp_path, magnitude=1e308))
+    code = main(argv + ["--path", path])
     err = capsys.readouterr().err
     if argv[0] == "holonomy":
         assert code == 3
@@ -871,7 +963,8 @@ def _command(tmp_path, name):
                       "--steps", "400", "--defect-tol", "1.0"], {"path_file": path}, []),
         "verify-adiabatic": (["verify-adiabatic", "--path", path, "--regime",
                               "quadratic", "--spherical", "--T", "1e-9", "--time-steps",
-                              "400", "--wl-steps", "200"], {"path_file": path}, []),
+                              "400", "--wl-steps", "200", "--fidelity-tol", "1.0"],
+                             {"path_file": path}, []),
         "synth": (["synth", "--target", target, "--max-loops", "1", "--seed", "7"],
                   {"target_file": target}, []),
     }[name]
@@ -973,8 +1066,8 @@ def test_field_too_weak_for_float64_exits_2(capsys, tmp_path, regime, magnitude,
         k = -int(np.floor(np.log2(np.abs(d).max())))
         scaled = np.ldexp(np.linalg.norm(np.ldexp(d, k)), -k)
         assert code == 0 and record["results"]["gap_meV"] == 2 * scaled
-    else:
-        assert code == 0 and 0 <= record["results"]["fidelity"] <= 1
+    else:  # far from adiabatic: 1 - F is above the default --fidelity-tol
+        assert code == 3 and 0 <= record["results"]["fidelity"] <= 1 - 1e-3
 
 
 def test_zero_field_is_a_gap_closure(capsys):

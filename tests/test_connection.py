@@ -13,7 +13,7 @@ from holostark.algebra import step_table
 from holostark.connection import gap_norms
 from holostark.stark import d_components
 
-from util import one_product, transport_matrices
+from util import d_increment, one_product, transport_matrices
 
 
 def random_dvector(rng, scale=1.0):
@@ -110,13 +110,13 @@ class TestConnectionD:
             connection_d(np.zeros(6))
 
 
-def field_connection(e, regime, m, h=1.0):
-    """The field-space generators A^i(E), (3, 4, 4), from the production
-    transport: one step of length h (V/m) along E_i with midpoint E has the
-    exponent A^i(E) h."""
+def field_connection(e, regime, m):
+    """The field-space generators A^i(E) = A_a(d(E)) J_ai(E), (3, 4, 4): the
+    paper's connection_d contracted with the Jacobian columns J(E) e_i of d
+    (tests/util.py's midpoint increment, exact for d linear or quadratic)."""
     e = np.asarray(e, dtype=float)
-    return np.stack([transport_matrices(transport_exponents(
-        [e - 0.5 * h * u, e + 0.5 * h * u], regime, m))[0] / h for u in np.eye(3)])
+    jac = np.stack([d_increment(e, u, m, regime) for u in np.eye(3)])  # (i, a)
+    return np.einsum("ia,ajk->ijk", jac, connection_d(d_components(e, m, regime)))
 
 
 class TestConnectionField:
@@ -151,8 +151,8 @@ class TestConnectionField:
             assert np.abs(pm @ a @ pm).max() <= 1e-12 * scale
 
     def test_quadratic_pullback_vs_finite_difference_connection(self, ge_b, rng):
-        # A^i from the midpoint increment equals the finite-difference derivative
-        # of the projector along E_i, commutated with P
+        # A^i from the Jacobian of d equals the finite-difference derivative of
+        # the projector along E_i, commutated with P
         e = rng.normal(size=3) * 1e6
         gf = field_connection(e, "quadratic", ge_b)
         h = 1e-5 * np.linalg.norm(e)
@@ -173,14 +173,56 @@ class TestConnectionField:
 
 
 class TestTransportExponents:
-    def test_midpoint_count_and_antihermiticity(self, ge_b):
+    def test_step_count_and_unitarity(self, ge_b):
         pts = np.array([[0, 0, 1e6], [1e5, 0, 1e6], [0, 1e5, 1e6], [0, 0, 1e6]])
         w = transport_matrices(transport_exponents(pts, "quadratic", ge_b))
         assert w.shape == (3, 4, 4)
-        assert np.abs(w + np.conj(np.swapaxes(w, 1, 2))).max() <= 1e-12
+        assert np.abs(w @ np.conj(np.swapaxes(w, 1, 2)) - np.eye(4)).max() <= 1e-15
+
+    @pytest.mark.parametrize("regime", ["linear", "quadratic"])
+    def test_reversed_polyline_inverts_every_step(self, ge_b, regime):
+        # b ^ a = -(a ^ b) and |a + b| = |b + a| to the bit, so each step of
+        # the reversed polyline is the conjugate R_0 I - R_ab i gamma_ab
+        pts = make_spherical_triangle(0.7, 1.1, 1e6).points(500)
+        fwd = transport_exponents(pts, regime, ge_b)
+        bwd = transport_exponents(pts[::-1], regime, ge_b)[::-1]
+        assert np.array_equal(bwd[:, 0], fwd[:, 0])
+        assert np.array_equal(bwd[:, 1:], -fwd[:, 1:])
+
+    def test_rotor_generator_matches_the_connection(self, rng):
+        # a straight move of d, from d - h u/2 to d + h u/2, sweeps dhat along
+        # a great circle, where the rotor is the exact transport, the
+        # exponential of the integral of A_a(d) dd_a; connection_d at the
+        # middle, contracted with h u, is that integral by the midpoint rule,
+        # so the two generators differ by O(h^3): 8x less per halving of h
+        for _ in range(20):
+            d, u = random_dvector(rng), rng.normal(size=5)
+            errors = []
+            for h in (2e-2, 1e-2, 5e-3):
+                ends = d[1:] + np.outer([-0.5 * h, 0.5 * h], u)
+                dhat = ends / np.linalg.norm(ends, axis=1)[:, None]
+                r = transport_exponents(np.zeros((2, 3)), "linear", None, d=dhat)[0]
+                angle = np.arctan2(np.linalg.norm(r[1:]), r[0])
+                bivector = (angle / np.linalg.norm(r[1:])) * r[None, 1:]
+                generator = transport_matrices(bivector)
+                exponent = np.einsum("a,aij->ij", h * u, connection_d(d))
+                errors.append(np.abs(generator[0] - exponent).max())
+            assert all(6.0 <= e / f <= 10.0 for e, f in zip(errors, errors[1:]))
+
+    def test_near_pi_turn_is_an_error(self, ge_b):
+        # linear dhat = Ehat turns by pi - 1e-8 rad on this chord, which passes
+        # 5e-3 V/m from E = 0 (|d| there is 5e-9 of the largest, so the gap is
+        # open): no rotor, and an error that names the step
+        pts = np.array([[1e6, 0, 0], [-1e6, 1e-2, 0], [0, 1e6, 0]])
+        with pytest.raises(InvalidInput, match=r"^a step turns the band direction dhat by "
+                           r"nearly pi, from E along \(1, 0, 0\) to \(-1, 1e-08, 0\): "
+                           r"refine the path$"):
+            transport_exponents(pts, "linear", ge_b)
+        assert np.all(np.isfinite(transport_exponents(pts[1:], "linear", ge_b)))
 
     def test_gap_closure_detected(self, ge_b):
-        # the second segment's midpoint sits at zero field
+        # the second segment's midpoint sits at zero field, between two
+        # points whose dhat is the same (d(-E) = d(E))
         pts = np.array([[0, 0, 1e6], [0, 0, 1e2], [0, 0, -1e2], [0, 0, 1e6]])
         with pytest.raises(DegeneratePoint):
             transport_exponents(pts, "quadratic", ge_b)
@@ -191,9 +233,9 @@ class TestTransportExponents:
         ("quadratic", 1e-150)])
     def test_field_too_weak_for_float64(self, ge_b, regime, magnitude):
         # every d component is a nonzero finite number, though |d|^2
-        # underflows (and 0.5/|d|^2 overflows): the exponents are homogeneous
-        # of degree 0 in E, so they, and the loop, have the bits of the same
-        # path scaled by a power of two to about 1e6 V/m
+        # underflows: the rotors are homogeneous of degree 0 in E, so they,
+        # and the loop, have the bits of the same path scaled by a power of
+        # two to about 1e6 V/m
         path = make_spherical_triangle(1.0, 0.7, magnitude)
         pts = path.points(400)
         assert np.all(np.any(d_components(pts, ge_b, regime)[:, 1:] != 0, axis=1))
@@ -238,9 +280,9 @@ def reference(ge_b):
 
 
 class TestScaleFree:
-    """The transport exponent 0.5/|d|^2 (J dE) ^ d is homogeneous of degree 0
-    in E: a loop's holonomy depends on its direction history only, at any
-    field strength float64 holds."""
+    """The rotor between dhat = d/|d| at consecutive points is homogeneous of
+    degree 0 in E: a loop's holonomy depends on its direction history only,
+    at any field strength float64 holds."""
 
     @settings(max_examples=40, deadline=None)
     @given(regime=st.sampled_from(["linear", "quadratic"]), k=st.integers(-1016, 976))
@@ -280,7 +322,7 @@ class TestScaleFree:
         assert len(pts) - 1 > 2 * BLOCK
         assert np.array_equal(hol.full, single)
 
-    def test_one_d_row_and_one_norm_per_midpoint(self, ge_b, monkeypatch):
+    def test_one_d_row_and_one_norm_per_point(self, ge_b, monkeypatch):
         # the blocks reuse the whole path's d and |d|; the one more row of
         # each is the basepoint of the band frames
         from holostark import connection, holonomy, stark
@@ -300,4 +342,4 @@ class TestScaleFree:
             spy(module, "scaled_norm", "norm")
         hol = wilson_loop(make_spherical_triangle(0.7, 1.1, 1e6), "quadratic", ge_b,
                           3 * BLOCK)
-        assert rows == {"d": hol.steps + 1, "norm": hol.steps + 1}
+        assert rows == {"d": hol.steps + 2, "norm": hol.steps + 2}

@@ -5,12 +5,13 @@ import pytest
 
 from holostark import (Drive, InvalidInput, adiabatic_fidelity, evolve,
                        hamiltonian, linear_stark_holonomy, make_latitude_loop,
-                       make_spherical_triangle, sampled_path)
+                       make_spherical_triangle, sampled_path, wilson_loop)
 from holostark.connection import transport_exponents
 from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
 
-from util import expm_antiherm, transport_matrices, unitarize
+from util import (expm_antiherm, midpoint_exponents_einsum, transport_matrices,
+                  unitarize)
 
 OCTANT = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6)
 
@@ -167,10 +168,25 @@ class TestAdiabaticFidelity:
         # the Hermitian exponent variant (extra factor of i, found in some
         # references) is not unitary and cannot reproduce the dynamics; the
         # anti-Hermitian convention is the unique choice arbitrated by the
-        # Schrodinger oracle
+        # Schrodinger oracle.  Its rotor form, (1 + b a)/|1 + b a| from a to
+        # b, is singled out the same way: the opposite orientation, (1 + a b)
+        # /|1 + a b|, is as unitary, but the oracle rejects it
         from scipy.linalg import expm
+        drive = Drive(path=OCTANT, total_time=2e-9, time_steps=40000)
+        out = adiabatic_fidelity(drive, "quadratic", ge_spherical, band="minus",
+                                 wl_steps=2000)
+        rows = transport_exponents(OCTANT.points(2000), "quadratic", ge_spherical)
+        frame = wilson_loop(OCTANT, "quadratic", ge_spherical, 2000).frame("minus")
+        for sign, agrees in ((1.0, True), (-1.0, False)):
+            steps = transport_matrices(rows * np.r_[1.0, np.full(10, sign)])
+            full = np.eye(4, dtype=complex)
+            for u in steps:
+                full = u @ full
+            block = frame.conj().T @ full @ frame
+            fidelity = abs(np.trace(out.block.conj().T @ block)) / 2
+            assert (fidelity >= 0.9999) if agrees else (fidelity < 0.99)
         pts = OCTANT.points(2000)
-        exponents = transport_matrices(transport_exponents(pts, "quadratic", ge_spherical))
+        exponents = midpoint_exponents_einsum(pts, "quadratic", ge_spherical)
         hermitian_variant = np.eye(4, dtype=complex)
         for w in 1j * exponents:
             hermitian_variant = expm(w) @ hermitian_variant

@@ -259,6 +259,53 @@ class TestWilsonLoop:
         with pytest.raises(DegeneratePoint):
             wilson_loop(path, "quadratic", ge_b, steps=100)
 
+    @pytest.mark.parametrize("regime", ["linear", "quadratic"])
+    @pytest.mark.parametrize("steps", [300, 303], ids=["zero-on-a-point",
+                                                      "zero-between-points"])
+    def test_chord_through_zero_field_closes_the_gap(self, ge_b, regime, steps):
+        # the first chord runs from E to -E: at 100 substeps a point falls on
+        # E = 0; at 101 it lies between two points, whose quadratic dhat is
+        # the same (d(-E) = d(E)), so only the chord check sees it
+        path = sampled_path([[0, 0, 1e6], [0, 0, -1e6], [1e6, 0, 0], [0, 0, 1e6]])
+        with pytest.raises(DegeneratePoint, match="^gap closes"):
+            wilson_loop(path, regime, ge_b, steps)
+
+    def test_near_pi_step_is_an_error(self, ge_b):
+        # linear: the first chord passes 5e-3 V/m from E = 0, an open gap;
+        # at 35 substeps one step straddles that point and turns dhat by pi
+        # - 3.5e-7 rad, at 100 substeps a point sits next to it
+        path = sampled_path([[1e6, 0, 0], [-1e6, 1e-2, 0], [0, 1e6, 0], [1e6, 0, 0]])
+        with pytest.raises(InvalidInput, match="^a step turns the band direction dhat "
+                           r"by nearly pi, from E along \(1, 1.7"):
+            wilson_loop(path, "linear", ge_b, 105)
+        assert wilson_loop(path, "linear", ge_b, 300).unitarity_defect <= 1e-14
+
+    @pytest.mark.parametrize("regime, path", [
+        ("linear", make_latitude_loop(1.1, 1e6)),
+        ("quadratic", make_latitude_loop(1.1, 1e6)),
+        ("linear", make_spherical_triangle(2.4, -0.8, 1e6)),
+        ("quadratic", make_spherical_triangle(2.4, -0.8, 1e6)),
+        ("quadratic", sampled_path([[0, 0, 1e6], [1e6, 0, 1e6], [0, 3e6, 2e6],
+                                    [0, 0, 1e6]]))],
+        ids=["latitude-linear", "latitude-quadratic", "triangle-linear",
+             "triangle-quadratic", "sampled-quadratic"])
+    def test_observed_order_is_two(self, ge_b, regime, path):
+        # anisotropic Ge:B; the sampled loop's 3 segments take 200, 400 and 800
+        # substeps.  Its linear chords are great circles of dhat = Ehat, which
+        # the rotors transport exactly (test_linear_polyline_is_exact), so it
+        # has no discretization error to show an order
+        fulls = [wilson_loop(path, regime, ge_b, n).full for n in (600, 1200, 2400)]
+        ratio = np.abs(fulls[0] - fulls[1]).max() / np.abs(fulls[1] - fulls[2]).max()
+        assert 3.0 <= ratio <= 5.0
+
+    def test_linear_polyline_is_exact(self, ge_b):
+        # the rotors along one great circle compose to the rotor of the whole
+        # arc, so refining the chords moves the loop only at roundoff
+        path = sampled_path([[0, 0, 1e6], [1e6, 0, 1e6], [0, 3e6, 2e6], [0, 0, 1e6]])
+        fulls = [wilson_loop(path, "linear", ge_b, n).full for n in (500, 1000, 2000)]
+        assert max(np.abs(fulls[0] - fulls[1]).max(),
+                   np.abs(fulls[1] - fulls[2]).max()) <= 5e-13
+
     def test_double_traversal_squares(self, ge_spherical):
         pts = octant_path().points(3000)
         single = wilson_loop(sampled_path(pts), "quadratic", ge_spherical, steps=100)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from holostark import (FeasibilityReport, InvalidInput, MaterialParams, UnknownMaterial,
-                       builtin_materials, d_increment, eigen_split,
-                       feasibility_report, hamiltonian, material_table,
-                       material_lookup)
+                       builtin_materials, eigen_split, feasibility_report, hamiltonian,
+                       material_table, material_lookup)
 from holostark.stark import d_components
 
-from util import (isotropic_check, linear_hamiltonian_direct,
+from util import (d_increment, isotropic_check, linear_hamiltonian_direct,
                   quadratic_hamiltonian_direct, random_unit)
 
 
@@ -286,7 +285,8 @@ class TestFeasibility:
 class TestJacobian:
     @pytest.mark.parametrize("regime", ["linear", "quadratic"])
     def test_matches_finite_differences(self, ge_b, rng, regime):
-        # J(e) u from d_increment against the central difference of d along u
+        # J(e) u from the midpoint scheme's d_increment (tests/util.py)
+        # against the central difference of d along u
         for _ in range(20):
             e = rng.normal(size=3) * 1e6
             u = random_unit(rng, 3)

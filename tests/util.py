@@ -6,11 +6,11 @@ import math
 import numpy as np
 
 from holostark import acomm, default_basis, gamma_basis
-from holostark._linalg import (blocked_product, clifford_steps, dagger, ordered_product,
-                               pow2_exponent)
+from holostark._linalg import (blocked_product, clifford_steps, dagger, exp_coefficients,
+                               ordered_product, pow2_exponent)
 from holostark.algebra import PAULI, CliffordBasis, _generators, step_table
 from holostark.connection import gap_norms
-from holostark.stark import d_components, d_increment
+from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
 
 
@@ -114,13 +114,26 @@ def triangle_product(theta, phi, rows):
     vs = np.zeros((4,) + np.broadcast(theta, phi).shape + (3,))  # factor axis first
     for k, c in itertools.product(range(4), range(3)):
         vs[k, ..., c] = rows[k][c]
-    return blocked_product(4, step_table("pauli"), lambda lo, hi: vs[lo:hi])
+    return blocked_product(4, step_table("pauli"),
+                           lambda lo, hi: exp_coefficients(vs[lo:hi]))
 
 
-def transport_exponents_einsum(points, regime, m):
-    """Per-step transport exponents (i / 2|d|^2) jde_a d_b gamma_ab built with
-    one three-operand einsum, independent of the production matmul; the
-    Jacobian columns are the increments of d along the unit vectors."""
+def d_increment(e, de, m, regime):
+    """J(e) de for d_1..d_5 (..., 5) of points e, de (..., 3): 2 B(e, de) in
+    the quadratic regime, d(de) in the linear one.  At the chord midpoint
+    e = (a + b)/2 with de = b - a it is exactly d(b) - d(a), free of the
+    cancellation of that difference: the increment of the midpoint scheme."""
+    e, de = np.asarray(e, dtype=float), np.asarray(de, dtype=float)
+    if regime == "quadratic":
+        return 2.0 * quadratic_form_point_major(e, de, m)[..., 1:]
+    return d_components_point_major(de, m, regime)[..., 1:]
+
+
+def midpoint_exponents_einsum(points, regime, m):
+    """Per-step exponents A^i(E_mid) dE_i = (i / 2|d|^2) jde_a d_b gamma_ab of
+    the midpoint scheme, the transport before the rotor, built with one
+    three-operand einsum; the Jacobian columns are the increments of d
+    along the unit vectors."""
     points = np.asarray(points, dtype=float)
     mids = 0.5 * (points[1:] + points[:-1])
     comps = d_components(mids, m, regime)
@@ -130,6 +143,22 @@ def transport_exponents_einsum(points, regime, m):
     jde = np.einsum("kai,ki->ka", jac, points[1:] - points[:-1])
     expo = np.einsum("ka,kb,abij->kij", jde, comps[:, 1:], default_basis().gammab)
     return (0.5j / (norms * norms))[:, None, None] * expo
+
+
+def rotors_complex(points, regime, m):
+    """The per-step rotors (1 + B A) / |1 + B A| (k, 4, 4) of the polyline,
+    A = dhat_k . gamma and B = dhat_{k+1} . gamma, as complex matrix
+    products, independent of the wedge and the step table.  As in
+    transport_exponents, the scalar part is then taken as sqrt(1 - |Q|^2)
+    from the bivector part Q, whose Frobenius norm is 2 |Q|."""
+    comps = d_components(np.asarray(points, dtype=float), m, regime)
+    dhat = comps[:, 1:] / gap_norms(comps)[:, None]
+    g = np.einsum("ka,aij->kij", dhat, default_basis().gamma)
+    r = np.eye(4) + g[1:] @ g[:-1]
+    bivector = r - (np.trace(r, axis1=1, axis2=2).real / 4)[:, None, None] * np.eye(4)
+    bivector /= np.linalg.norm(dhat[1:] + dhat[:-1], axis=1)[:, None, None]
+    scalar = np.sqrt(1.0 - (np.linalg.norm(bivector, axis=(1, 2)) / 2) ** 2)
+    return bivector + scalar[:, None, None] * np.eye(4)
 
 
 def quadratic_form_point_major(e, f, m):
@@ -167,25 +196,56 @@ def d_components_point_major(e, m, regime):
     return quadratic_form_point_major(e, e, m)
 
 
-def transport_rows_point_major(points, regime, m):
-    """The transport rows (k, 10) of a polyline by the point-major chain:
-    C-ordered points scaled by one power of two, their midpoints, d rows
-    and |d|, the increments 2 B(E_mid, dE) (linear: d(dE)), and the wedge
+def midpoint_rows(points, regime, m):
+    """The per-step exponent rows B (k, 10) of the midpoint scheme, the
+    transport before the rotor, by the point-major chain: C-ordered points
+    scaled by one power of two, their midpoints, d rows and |d|, the
+    increments 2 B(E_mid, dE) (linear: d(dE)), and B = (0.5/|d|^2) jde ^ d
     gathered with fancy indexing, which leaves the rows column-ordered.
-    Every entry is the same chain of IEEE operations as in
-    transport_exponents, and the rows reach the kernel in the same layout,
-    so one_product of them has the Wilson loop's bits."""
+    exp_coefficients of them gives that scheme's steps, with the bits its
+    Wilson loop had: the second-order accuracy reference for the rotor."""
     points = np.ascontiguousarray(points, dtype=float)
     points = np.ldexp(points, -pow2_exponent(points))
     mids = 0.5 * points[1:] + 0.5 * points[:-1]
     comps = d_components_point_major(mids, m, regime)
     norms = gap_norms(comps)
-    de = points[1:] - points[:-1]
-    inc = (2.0 * quadratic_form_point_major(mids, de, m) if regime == "quadratic"
-           else d_components_point_major(de, m, regime))[:, 1:]
-    jde = (0.5 / (norms * norms))[:, None] * inc
+    jde = (0.5 / (norms * norms))[:, None] * d_increment(mids, points[1:] - points[:-1],
+                                                         m, regime)
     a, b = np.triu_indices(5, 1)
     return jde[:, a] * comps[:, 1 + b] - jde[:, b] * comps[:, 1 + a]
+
+
+def midpoint_loop(path, regime, m, steps):
+    """The full 4x4 transport of the midpoint scheme around a path."""
+    rows = midpoint_rows(path.points(steps), regime, m)
+    return blocked_product(len(rows), step_table("transport"),
+                           lambda lo, hi: exp_coefficients(rows[lo:hi]))
+
+
+def _sum_left(x):
+    """x[:, 0] + x[:, 1] + ... summed left to right, as einsum sums the
+    component rows of (n, k) storage."""
+    out = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        out += x[:, j]
+    return out
+
+
+def rotor_rows_point_major(points, regime, m):
+    """The rotor rows (k, 11) of a polyline by the point-major chain:
+    C-ordered points scaled by one power of two, their d rows, |d| and
+    dhat, the wedge b ^ a gathered with fancy indexing over |a + b|, and
+    sqrt(1 - |R_ab|^2), sums taken left to right.  Every entry
+    is the same chain of IEEE operations as in transport_exponents, so
+    one_product of them has the Wilson loop's bits."""
+    points = np.ascontiguousarray(points, dtype=float)
+    comps = d_components_point_major(np.ldexp(points, -pow2_exponent(points)), m, regime)
+    dhat = comps[:, 1:] / gap_norms(comps)[:, None]
+    a, b = dhat[:-1], dhat[1:]
+    h = a + b
+    i, j = np.triu_indices(5, 1)
+    w = (b[:, i] * a[:, j] - b[:, j] * a[:, i]) / np.sqrt(_sum_left(h * h))[:, None]
+    return np.column_stack([np.sqrt(1.0 - _sum_left(w * w)), w])
 
 
 def propagate_point_major(drive, regime, m, block):
@@ -195,20 +255,27 @@ def propagate_point_major(drive, regime, m, block):
     pts = np.ascontiguousarray(drive.path.points(drive.time_steps))
     comps = d_components_point_major(0.5 * pts[1:] + 0.5 * pts[:-1], m, regime)
     scale = drive.total_time / len(comps) / HBAR_MEV_S
-    return one_product(step_table("schrodinger"), scale * comps[:, 1:],
-                       scale * gap_norms(comps)) @ block
+    return one_product(step_table("schrodinger"), exp_coefficients(
+        scale * comps[:, 1:], scale * gap_norms(comps))) @ block
 
 
 def transport_matrices(rows):
-    """The complex exponents sum_{a<b} B_ab i gamma_ab (k, 4, 4) of the
-    transport rows B (k, 10) of transport_exponents, by einsum."""
+    """The complex matrices (k, 4, 4) of transport rows by einsum: the
+    bivectors sum_{a<b} B_ab i gamma_ab of exponent rows B (k, 10), or
+    R_0 I + sum_{a<b} R_ab i gamma_ab of the rotor rows R (k, 11) of
+    transport_exponents."""
     a, b = np.triu_indices(5, 1)
-    return np.einsum("kp,pij->kij", rows, 1j * default_basis().gammab[a, b])
+    rows = np.asarray(rows)
+    out = np.einsum("kp,pij->kij", rows[:, -10:], 1j * default_basis().gammab[a, b])
+    if rows.shape[1] == 11:
+        out += rows[:, 0, None, None] * np.eye(4)
+    return out
 
 
-def one_product(table, rows, theta=None):
-    """The complex n x n of one ordered_product over all real-form steps."""
-    r = ordered_product(clifford_steps(table, rows, theta))
+def one_product(table, coef):
+    """The complex n x n of one ordered_product over all real-form steps of
+    the coefficient rows coef."""
+    r = ordered_product(clifford_steps(table, coef))
     n = r.shape[-1] // 2
     return r[:n, :n] + 1j * r[n:, :n]
 
