@@ -1,5 +1,8 @@
 """Small dense linear-algebra helpers (4x4 and 2x2 scale)."""
 
+import math
+import threading
+
 import numpy as np
 
 from .errors import NotUnitary
@@ -39,13 +42,15 @@ def ordered_product(units):
     return units[0]
 
 
-def exp_coefficients(c, theta=None):
+def exp_coefficients(c, theta=None, out=None):
     """The coefficient rows (k, ..., 1 + m) of exp(X_j) = cos(theta_j) I +
     sin(theta_j) / theta_j X_j, X_j = sum_a c[j, ..., a] X_a, for
     clifford_steps: [cos theta, sinc theta * c] from real rows c (k, ..., m).
     Each X_j must square to -theta_j^2 I; theta defaults to the row norms.
     The shapes are the contract; the storage is component-major, the
-    transpose of (1 + m, k, ...) rows.  A zero row gives exactly I.
+    transpose of (1 + m, k, ...) rows, written into ``out`` when given (a
+    C-ordered (1 + m, k, ...) array, such as the buffer blocked_product
+    hands its coeffs).  A zero row gives exactly I.
 
     The default theta's bits depend on the memory layout of c, not only on
     its values: einsum sums a C-ordered row in another order than a strided
@@ -56,42 +61,106 @@ def exp_coefficients(c, theta=None):
     more often the larger its angle."""
     if theta is None:
         theta = np.sqrt(np.einsum("...a,...a->...", c, c))
-    coef = np.empty((1 + c.shape[-1],) + c.shape[:-1])
+    coef = np.empty((1 + c.shape[-1],) + c.shape[:-1]) if out is None else out
     np.cos(theta, out=coef[0])
-    np.multiply(np.sinc(theta / np.pi), np.moveaxis(c, -1, 0), out=coef[1:])
-    # transpose, not moveaxis: 0.2 against 4 us, on 2x2 oracle calls of 30 us
+    # transposes, not moveaxis: 0.1 against 3 us, on 2x2 oracle calls of 30 us
+    np.multiply(np.sinc(theta / np.pi), c.transpose((c.ndim - 1,) + tuple(range(c.ndim - 1))),
+                out=coef[1:])
     return coef.transpose(tuple(range(1, coef.ndim)) + (0,))
 
 
-def clifford_steps(table, coef):
+def clifford_steps(table, coef, out=None):
     """Real forms (k, ..., 2n, 2n) of the n x n steps sum_j coef[..., j] X_j
     from coefficient rows (k, ..., 1 + m) and the flattened real forms of
     X_0 = I, X_1 .. X_m in table (1 + m, 4n^2) (algebra.step_table): one real
-    matmul builds all the steps.  The rows are read component-major, as the
+    matmul builds all the steps, into ``out`` when given (a C-ordered array
+    of the result's shape).  The rows are read component-major, as the
     transpose of (1 + m, k, ...) storage, the layout in which
     exp_coefficients and connection.transport_exponents return them."""
     rows = coef.transpose((coef.ndim - 1,) + tuple(range(coef.ndim - 1)))
+    size = int(table.shape[1] ** 0.5)
+    shape = coef.shape[:-1] + (size, size)
+    if out is None:
+        out = np.empty(shape)
     # the tables hold 0 and +-1, at most two nonzeros a column: each entry
     # rounds once, to the same bits on any BLAS path, at any row count and
     # in any layout of the coefficients
-    size = int(table.shape[1] ** 0.5)
-    return (rows.reshape(len(table), -1).T @ table).reshape(coef.shape[:-1] + (size, size))
+    np.matmul(rows.reshape(len(table), -1).T, table, out=out.reshape(-1, size * size))
+    return out
 
 
-def blocked_product(k, table, coeffs):
-    """The complex n x n ordered product of k clifford_steps, built BLOCK steps
-    at a time from coeffs(lo, hi), the coefficient rows of steps lo to
-    hi - 1; any axes after the first batch the products.  Every full block
-    is a whole subtree of the single product's pairwise tree, so the result
-    has the bits of one ordered_product over all k real-form steps, in
-    memory bounded by one block; a single block is that product itself.
-    BLAS multiplies the real 8x8 forms of the 4x4 steps about three times
-    faster than the complex 4x4 ones."""
-    blocks = [ordered_product(clifford_steps(table, coeffs(lo, min(lo + BLOCK, k))))
-              for lo in range(0, k, BLOCK)]
-    r = blocks[0] if k <= BLOCK else ordered_product(np.stack(blocks))
-    n = r.shape[-1] // 2
+# a product whose steps take fewer floats than this (128 KB, glibc's default
+# mmap threshold) builds them in fresh arrays: the heap's free lists serve
+# those without a page fault, and the workspace's bookkeeping would add 3 us
+# to a 30 us 2x2 oracle call
+FRESH_FLOATS = 2 ** 14
+
+# one workspace per thread for blocked_product, grown to the largest call
+# seen and never shrunk: a warm call allocates no per-block array of 128 KB
+# or more, so the allocator neither maps nor trims ~1 MB for every block
+_workspace = threading.local()
+
+
+def _workspace_floats(size):
+    """The calling thread's workspace, grown to at least size floats."""
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _workspace.buf = np.empty(size)
+    return buf
+
+
+def blocked_product(k, table, coeffs, batch=()):
+    """The complex n x n ordered products (batch + (n, n)) of k clifford_steps,
+    built BLOCK steps at a time.  coeffs(lo, hi, out) returns the coefficient
+    rows (hi - lo,) + batch + (1 + m,) of steps lo to hi - 1, written into
+    out, a C-ordered (1 + m, hi - lo) + batch buffer, when it can (the ``out``
+    of exp_coefficients and connection.transport_exponents); rows of its own
+    serve as well.  It must not run blocked_product itself, which would
+    write over its caller's workspace.  Every full block is a whole subtree
+    of the single product's pairwise tree, so the result has the bits of one
+    ordered_product over all k real-form steps; a single block is that
+    product itself.  Once the steps take FRESH_FLOATS floats or more, a
+    block's rows, real-form steps and tree levels live in the calling
+    thread's workspace (_workspace_floats; about 1.75 MB for the transport
+    table), so a warm call allocates no per-block array.  BLAS multiplies
+    the real 8x8 forms of the 4x4 steps about three times faster than the
+    complex 4x4 ones."""
+    width = int(table.shape[1] ** 0.5)
+    step = batch + (width, width)
+    unit, n = math.prod(step), width // 2
+    if k * unit < FRESH_FLOATS:
+        r = ordered_product(clifford_steps(table, coeffs(0, k, np.empty((len(table), k) + batch))))
+        return r[..., :n, :n] + 1j * r[..., n:, :n]
+    length, nblocks = min(k, BLOCK), -(-k // BLOCK)
+    rows = len(table) * math.prod(batch)  # coefficient floats a step
+    # a block's coefficient rows, its steps, the tree's half-size level and
+    # the block products, in that order
+    a = rows * length
+    b = a + length * unit
+    c = b + (length + 1) // 2 * unit
+    buf = _workspace_floats(c + nblocks * unit)
+    spare = buf[b:c].reshape((-1,) + step)
+    blocks = buf[c:c + nblocks * unit].reshape((nblocks,) + step)
+    for i, lo in enumerate(range(0, k, BLOCK)):
+        hi = min(lo + BLOCK, k)
+        out = buf[:rows * (hi - lo)].reshape((len(table), hi - lo) + batch)
+        steps = buf[a:a + (hi - lo) * unit].reshape((hi - lo,) + step)
+        blocks[i] = _tree_product(clifford_steps(table, coeffs(lo, hi, out), out=steps), spare)
+    r = ordered_product(blocks)
     return r[..., :n, :n] + 1j * r[..., n:, :n]
+
+
+def _tree_product(units, spare):
+    """ordered_product of the stack units, level by level between units and
+    spare (at least half as long), with its bits: the products of each
+    level's pairs, then its odd last entry.  Overwrites both."""
+    while len(units) > 1:
+        pairs, odd = len(units) // 2, len(units) % 2
+        np.matmul(units[1::2], units[:-1:2], spare[:pairs])
+        if odd:
+            spare[pairs] = units[-1]
+        units, spare = spare[:pairs + odd], units
+    return units[0]
 
 
 def unitarity_defect(u):

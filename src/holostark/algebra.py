@@ -108,15 +108,16 @@ def default_basis():
     return gamma_basis(spin_matrices())
 
 
-def wedge(u, v):
+def wedge(u, v, out=None):
     """The rows (k, 10) u_a v_b - u_b v_a, a < b, of the bivectors u ^ v of
     real rows u, v (k, 5): the coefficients of step_table("transport").
     The shapes are the contract; the storage is component-major: each
     product is taken between rows of u.T and v.T, contiguous when u and v
     are transposed (5, k) storage, and the result is the transpose of
-    (10, k) rows."""
+    (10, k) rows, written into ``out`` when given (a (10, k) array)."""
     u, v = u.T, v.T
-    out = np.empty((10,) + u.shape[1:])
+    if out is None:
+        out = np.empty((10,) + u.shape[1:])
     lo = 0
     for a in range(4):  # the pairs (a, b > a) fill rows lo .. lo + 3 - a
         np.subtract(u[a] * v[a + 1:], u[a + 1:] * v[a], out=out[lo:lo + 4 - a])

@@ -108,7 +108,7 @@ def band_directions(comps, norms):
     return (comps.T[1:] / norms).T
 
 
-def transport_exponents(points, regime, m, d=None):
+def transport_exponents(points, regime, m, d=None, out=None):
     """Per-step transport rotors along a polyline (k+1, 3), as real rows R
     (k, 11) of R = R_0 I + sum_{a<b} R_ab i gamma_ab on
     algebra.step_table("transport").  The name is kept from the per-step
@@ -123,7 +123,9 @@ def transport_exponents(points, regime, m, d=None):
     along any smooth curve dhat(E); b ^ a = -(a ^ b) to the bit, so the
     reversed step is its exact inverse R^dag.  The shapes are the contract;
     the storage is component-major: the rows are the transpose of (11, k)
-    storage, the layout in which they reach _linalg.clifford_steps, and
+    storage, written into ``out`` when given (such as the buffer
+    _linalg.blocked_product hands its coeffs), the layout in which they
+    reach _linalg.clifford_steps, and
     points stored as (3, k+1) rows, as FieldPath.points returns them, are
     read row by row.  dhat is homogeneous of degree 0 in E, so the points
     are first scaled by a power of two (_linalg.pow2_exponent), exactly.  A
@@ -149,8 +151,9 @@ def transport_exponents(points, regime, m, d=None):
         raise InvalidInput("a step turns the band direction dhat by nearly pi, from E "
                            "along ({:.4g}, {:.4g}, {:.4g}) to ({:.4g}, {:.4g}, {:.4g}): "
                            "refine the path".format(*ends.ravel()))
-    rows = np.empty((11, h.shape[1]))
-    np.divide(wedge(b.T, a.T).T, np.sqrt(hh), out=rows[1:])
+    rows = np.empty((11, h.shape[1])) if out is None else out
+    wedge(b.T, a.T, out=rows[1:])
+    np.divide(rows[1:], np.sqrt(hh), out=rows[1:])
     # R_0 = sqrt(1 - |R_ab|^2) rounds, near 1, as cos does: the row's norm
     # does not follow the rounding of the path points, which (1 + a.b)/|a + b|
     # would pass on to a loop's unitarity defect

@@ -87,8 +87,9 @@ def _propagate(comps, norms, dt, block):
     caller.  A step squares to -((dt/hbar)|d|)^2 I, so its angle is a norm."""
     scale = dt / HBAR_MEV_S
     theta = scale * norms
-    return blocked_product(len(comps), step_table("schrodinger"), lambda lo, hi:
-                           exp_coefficients(scale * comps[lo:hi, 1:], theta[lo:hi])) @ block
+    return blocked_product(len(comps), step_table("schrodinger"), lambda lo, hi, out:
+                           exp_coefficients(scale * comps[lo:hi, 1:], theta[lo:hi],
+                                            out=out)) @ block
 
 
 def evolve(drive, regime, m, psi0):

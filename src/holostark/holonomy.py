@@ -305,8 +305,9 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     if path.samples is not None:
         check_chords(np.ldexp(path.samples, -scale), m, regime, comps[np.argmax(norms)])
     dhat = band_directions(comps, norms)
-    full = blocked_product(len(pts) - 1, step_table("transport"), lambda lo, hi:
-                           transport_exponents(pts[lo:hi + 1], regime, m, d=dhat[lo:hi + 1]))
+    full = blocked_product(len(pts) - 1, step_table("transport"), lambda lo, hi, out:
+                           transport_exponents(pts[lo:hi + 1], regime, m, d=dhat[lo:hi + 1],
+                                               out=out))
     fp, fm = basepoint_frames(pts[0], regime, m)  # the same bits as unscaled
     return Holonomy(
         full=full,
@@ -334,7 +335,7 @@ def linear_stark_holonomy(path, steps=DEFAULT_STEPS):
     v = np.cross(pts[1:] - pts[:-1], mids)
     v /= 2.0 * np.einsum("ki,ki->k", mids, mids)[:, None]
     return blocked_product(len(v), step_table("pauli"),
-                           lambda lo, hi: exp_coefficients(v[lo:hi]))
+                           lambda lo, hi, out: exp_coefficients(v[lo:hi], out=out))
 
 
 def _check_loop_angles(theta, phi):
@@ -360,8 +361,8 @@ def linear_triangle_holonomy(theta, phi):
     v[1, ..., 0], v[1, ..., 2] = phi * ct * st / 2.0, phi * ct * ct / 2.0
     v[2, ..., 2] = -phi / 2.0
     v[3, ..., 0], v[3, ..., 1] = -theta * sp / 2.0, theta * cp / 2.0
-    return blocked_product(4, step_table("pauli"), lambda lo, hi:
-                           exp_coefficients(v[lo:hi]))
+    return blocked_product(4, step_table("pauli"), lambda lo, hi, out:
+                           exp_coefficients(v[lo:hi], out=out), v.shape[1:-1])
 
 
 def zee_holonomy(theta, phi):
@@ -380,8 +381,8 @@ def zee_holonomy(theta, phi):
     v[1, ..., 0], v[1, ..., 2] = -phi * st, phi * ct / 2.0
     v[2, ..., 2] = -phi / 2.0
     v[3, ..., 0], v[3, ..., 1] = theta * sp, -theta * cp
-    return blocked_product(4, step_table("pauli"), lambda lo, hi:
-                           exp_coefficients(v[lo:hi]))
+    return blocked_product(4, step_table("pauli"), lambda lo, hi, out:
+                           exp_coefficients(v[lo:hi], out=out), v.shape[1:-1])
 
 
 def half_spin_band(m):

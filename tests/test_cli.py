@@ -986,6 +986,33 @@ def test_every_record_reproducible(capsys, tmp_path, name):
     assert rec1["seed"] == (7 if name == "synth" else None)
 
 
+def test_holonomy_record_ignores_an_earlier_batched_synth(capsys, tmp_path):
+    # a 16-loop search scores stacks of up to 33 x 16 loops a call in the
+    # thread's blocked_product workspace: the second ladder finds it grown by
+    # the first and overwritten in part by the search; each 5 000-step
+    # ladder has the bytes of one made in a fresh process, timestamp aside
+    h = 0.5 ** 0.5
+    target = tmp_path / "hadamard.json"
+    target.write_text(json.dumps({"matrix": [[[h, 0], [h, 0]], [[h, 0], [-h, 0]]]}))
+    argv = ["holonomy", "--path", write_octant(tmp_path), "--regime", "quadratic",
+            "--spherical", "--steps", "5000", "--defect-tol", "1.0"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-m", "holostark.cli"] + argv,
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                           text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    stamp = '  "timestamp": '
+    want = [line for line in fresh.stdout.splitlines() if not line.startswith(stamp)]
+    assert len(want) == len(fresh.stdout.splitlines()) - 1
+    for _ in range(2):
+        assert main(["synth", "--target", str(target), "--max-loops", "16", "--tol", "1e-3",
+                     "--seed", "0"]) in (0, 3)
+        capsys.readouterr()
+        assert main(argv) == 0
+        here = capsys.readouterr().out
+        assert [line for line in here.splitlines() if not line.startswith(stamp)] == want
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_record_echoes_the_bytes_read_once(capsys, tmp_path, monkeypatch, name):
     argv, echoed, tables = _command(tmp_path, name)

@@ -1,4 +1,7 @@
+import itertools
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -95,16 +98,16 @@ def test_blocked_product_has_the_bits_of_one_ordered_product(rng, k):
     a = u / np.linalg.norm(u, axis=1)[:, None]
     h = v / np.linalg.norm(v, axis=1)[:, None]
     r = np.column_stack([np.einsum("ka,ka->k", h, a), wedge(h, a)])
-    blocked = blocked_product(k, step_table("transport"), lambda lo, hi: r[lo:hi])
+    blocked = blocked_product(k, step_table("transport"), lambda lo, hi, out: r[lo:hi])
     assert np.array_equal(blocked, one_product(step_table("transport"), r))
     theta = np.linalg.norm(u, axis=1)
-    blocked = blocked_product(k, step_table("schrodinger"),
-                              lambda lo, hi: exp_coefficients(u[lo:hi], theta[lo:hi]))
+    blocked = blocked_product(k, step_table("schrodinger"), lambda lo, hi, out:
+                              exp_coefficients(u[lo:hi], theta[lo:hi], out=out))
     assert np.array_equal(blocked, one_product(step_table("schrodinger"),
                                                exp_coefficients(u, theta)))
     w = v[:, :3]
     blocked = blocked_product(k, step_table("pauli"),
-                              lambda lo, hi: exp_coefficients(w[lo:hi]))
+                              lambda lo, hi, out: exp_coefficients(w[lo:hi], out=out))
     assert np.array_equal(blocked, one_product(step_table("pauli"), exp_coefficients(w)))
 
 
@@ -113,12 +116,66 @@ def test_blocked_product_batches_the_axes_after_the_first(rng, k):
     # rows (k, 2, 3, m): six products at once, each with the bits of its own call
     for kind, m, n in (("pauli", 3, 2), ("schrodinger", 5, 4)):
         table, c = step_table(kind), rng.normal(size=(k, 2, 3, m))
-        batched = blocked_product(k, table, lambda lo, hi: exp_coefficients(c[lo:hi]))
+        batched = blocked_product(k, table, lambda lo, hi, out:
+                                  exp_coefficients(c[lo:hi], out=out), (2, 3))
         assert batched.shape == (2, 3, n, n)
         for i, j in np.ndindex(2, 3):
-            alone = blocked_product(k, table,
-                                    lambda lo, hi: exp_coefficients(c[lo:hi, i, j]))
+            alone = blocked_product(k, table, lambda lo, hi, out:
+                                    exp_coefficients(c[lo:hi, i, j], out=out))
             assert np.array_equal(batched[i, j], alone)
+
+
+def _unitary_rows(rng, kind, k, batch):
+    """Coefficient rows (k,) + batch + (1 + m,) of unitary steps on
+    step_table(kind): rotors h a of random unit pairs, or exponentials."""
+    if kind == "transport":
+        u, v = rng.normal(size=(2, k) + batch + (5,))
+        a, h = (x / np.linalg.norm(x, axis=-1, keepdims=True) for x in (u, v))
+        return np.concatenate([np.einsum("...a,...a->...", h, a)[..., None], wedge(h, a)],
+                              axis=-1)
+    return exp_coefficients(rng.normal(size=(k,) + batch + ({"pauli": 3}.get(kind, 5),)))
+
+
+def test_workspace_reuse_leaks_nothing_between_calls(rng):
+    # every table, step count and batch shape, in a shuffled order, so each
+    # call finds the thread's workspace as a larger, a smaller or another
+    # shape of call left it; the (257,) batch past 4 steps, and (4, 3) at
+    # 3 BLOCK + 5 steps on the 8x8 tables, would hold over 32 MB of steps
+    cases = [(kind, k, batch) for kind, k, batch in itertools.product(
+        ("transport", "schrodinger", "pauli"), (1, 4, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5),
+        ((), (257,), (4, 3))) if k * np.prod(batch) * step_table(kind).shape[1] <= 2 ** 22]
+    assert len(cases) == 34
+    for i in rng.permutation(len(cases)):
+        kind, k, batch = cases[i]
+        table, rows = step_table(kind), _unitary_rows(rng, kind, k, batch)
+
+        def coeffs(lo, hi, out):
+            np.copyto(out, np.moveaxis(rows[lo:hi], -1, 0))
+            return np.moveaxis(out, 0, -1)
+
+        r = ordered_product(clifford_steps(table, rows.copy()))
+        n = r.shape[-1] // 2
+        assert np.array_equal(blocked_product(k, table, coeffs, batch),
+                              r[..., :n, :n] + 1j * r[..., n:, :n]), (kind, k, batch)
+
+
+def test_wilson_loops_on_two_threads_keep_their_bits(ge_b):
+    # numpy releases the GIL in matmul, so the two threads' blocks interleave;
+    # each thread has its own workspace
+    rng = np.random.default_rng(8)
+    paths = [make_spherical_triangle(t, p, 1e6)
+             for t, p in zip(rng.uniform(0.2, 3.0, 8), rng.uniform(-3.0, 3.0, 8))]
+    run = lambda path: wilson_loop(path, "quadratic", ge_b, 2 * BLOCK + 5).full
+    serial = [run(path) for path in paths]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run, path) for path in paths]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
 
 
 @pytest.mark.parametrize("regime", ["linear", "quadratic"])
@@ -281,3 +338,13 @@ def test_adiabatic_fidelity_memory_is_bounded_by_a_block(ge_b):
     drive = Drive(make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6), 2e-7, 30000)
     peak = _peak_mb(lambda: adiabatic_fidelity(drive, "quadratic", ge_b, wl_steps=20000))
     assert peak < 12.0
+
+
+def test_warm_wilson_loop_allocates_no_block_arrays(ge_b):
+    # the second call finds the thread's blocked_product workspace grown, so
+    # its peak is the whole-path arrays (points, d, |d|, dhat) and small
+    # per-block temporaries: 5.44 MB, against 6.39 MB when each block took
+    # fresh rows, steps and tree levels; the bound leaves a 10% margin
+    path = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6)
+    wilson_loop(path, "quadratic", ge_b, 40000)
+    assert _peak_mb(lambda: wilson_loop(path, "quadratic", ge_b, 40000)) < 6.0

@@ -115,7 +115,8 @@ def triangle_product(theta, phi, rows):
     for k, c in itertools.product(range(4), range(3)):
         vs[k, ..., c] = rows[k][c]
     return blocked_product(4, step_table("pauli"),
-                           lambda lo, hi: exp_coefficients(vs[lo:hi]))
+                           lambda lo, hi, out: exp_coefficients(vs[lo:hi], out=out),
+                           vs.shape[1:-1])
 
 
 def d_increment(e, de, m, regime):
@@ -219,7 +220,7 @@ def midpoint_loop(path, regime, m, steps):
     """The full 4x4 transport of the midpoint scheme around a path."""
     rows = midpoint_rows(path.points(steps), regime, m)
     return blocked_product(len(rows), step_table("transport"),
-                           lambda lo, hi: exp_coefficients(rows[lo:hi]))
+                           lambda lo, hi, out: exp_coefficients(rows[lo:hi], out=out))
 
 
 def _sum_left(x):
