@@ -79,9 +79,8 @@ def clifford_steps(table, coef, out=None):
     exp_coefficients and connection.transport_exponents return them."""
     rows = coef.transpose((coef.ndim - 1,) + tuple(range(coef.ndim - 1)))
     size = int(table.shape[1] ** 0.5)
-    shape = coef.shape[:-1] + (size, size)
     if out is None:
-        out = np.empty(shape)
+        out = np.empty(coef.shape[:-1] + (size, size))
     # the tables hold 0 and +-1, at most two nonzeros a column: each entry
     # rounds once, to the same bits on any BLAS path, at any row count and
     # in any layout of the coefficients
