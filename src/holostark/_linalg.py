@@ -88,15 +88,10 @@ def clifford_steps(table, coef, out=None):
     return out
 
 
-# a product whose steps take fewer floats than this (128 KB, glibc's default
-# mmap threshold) builds them in fresh arrays: the heap's free lists serve
-# those without a page fault, and the workspace's bookkeeping would add 3 us
-# to a 30 us 2x2 oracle call
-FRESH_FLOATS = 2 ** 14
-
-# one workspace per thread for blocked_product, grown to the largest call
-# seen and never shrunk: a warm call allocates no per-block array of 128 KB
-# or more, so the allocator neither maps nor trims ~1 MB for every block
+# one workspace per thread for blocked_product's unbatched products, grown
+# to the largest seen and never shrunk: a warm call allocates no per-block
+# array of 128 KB or more, so the allocator neither maps nor trims ~1 MB for
+# every block
 _workspace = threading.local()
 
 
@@ -118,18 +113,16 @@ def blocked_product(k, table, coeffs, batch=()):
     write over its caller's workspace.  Every full block is a whole subtree
     of the single product's pairwise tree, so the result has the bits of one
     ordered_product over all k real-form steps; a single block is that
-    product itself.  Once the steps take FRESH_FLOATS floats or more, a
-    block's rows, real-form steps and tree levels live in the calling
-    thread's workspace (_workspace_floats; about 1.75 MB for the transport
-    table), so a warm call allocates no per-block array.  BLAS multiplies
-    the real 8x8 forms of the 4x4 steps about three times faster than the
-    complex 4x4 ones."""
+    product itself.  A block's rows, real-form steps and tree levels, and
+    the block products, share one float array: for an unbatched product the
+    calling thread's workspace (_workspace_floats; about 1.75 MB for the
+    transport table), so a warm call allocates no per-block array, and for
+    a batched one, whose size grows with its batch, a fresh array, so that
+    the thread does not keep it.  BLAS multiplies the real 8x8 forms of the
+    4x4 steps about three times faster than the complex 4x4 ones."""
     width = int(table.shape[1] ** 0.5)
     step = batch + (width, width)
     unit, n = math.prod(step), width // 2
-    if k * unit < FRESH_FLOATS:
-        r = ordered_product(clifford_steps(table, coeffs(0, k, np.empty((len(table), k) + batch))))
-        return r[..., :n, :n] + 1j * r[..., n:, :n]
     length, nblocks = min(k, BLOCK), -(-k // BLOCK)
     rows = len(table) * math.prod(batch)  # coefficient floats a step
     # a block's coefficient rows, its steps, the tree's half-size level and
@@ -137,7 +130,7 @@ def blocked_product(k, table, coeffs, batch=()):
     a = rows * length
     b = a + length * unit
     c = b + (length + 1) // 2 * unit
-    buf = _workspace_floats(c + nblocks * unit)
+    buf = np.empty(c + nblocks * unit) if batch else _workspace_floats(c + nblocks * unit)
     spare = buf[b:c].reshape((-1,) + step)
     blocks = buf[c:c + nblocks * unit].reshape((nblocks,) + step)
     for i, lo in enumerate(range(0, k, BLOCK)):

@@ -987,10 +987,10 @@ def test_every_record_reproducible(capsys, tmp_path, name):
 
 
 def test_holonomy_record_ignores_an_earlier_batched_synth(capsys, tmp_path):
-    # a 16-loop search scores stacks of up to 33 x 16 loops a call in the
-    # thread's blocked_product workspace: the second ladder finds it grown by
-    # the first and overwritten in part by the search; each 5 000-step
-    # ladder has the bytes of one made in a fresh process, timestamp aside
+    # a 16-loop search scores stacks of up to 528 loops a call in fresh
+    # arrays, and the second ladder finds the thread's blocked_product
+    # workspace as the first left it; each 5 000-step ladder has the bytes
+    # of one made in a fresh process, timestamp aside
     h = 0.5 ** 0.5
     target = tmp_path / "hadamard.json"
     target.write_text(json.dumps({"matrix": [[[h, 0], [h, 0]], [[h, 0], [-h, 0]]]}))

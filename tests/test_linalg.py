@@ -138,8 +138,9 @@ def _unitary_rows(rng, kind, k, batch):
 
 def test_workspace_reuse_leaks_nothing_between_calls(rng):
     # every table, step count and batch shape, in a shuffled order, so each
-    # call finds the thread's workspace as a larger, a smaller or another
-    # shape of call left it; the (257,) batch past 4 steps, and (4, 3) at
+    # unbatched call finds the thread's workspace as a larger, a smaller or
+    # another table's call left it, and the batched ones, which take fresh
+    # arrays, sit between them; the (257,) batch past 4 steps, and (4, 3) at
     # 3 BLOCK + 5 steps on the 8x8 tables, would hold over 32 MB of steps
     cases = [(kind, k, batch) for kind, k, batch in itertools.product(
         ("transport", "schrodinger", "pauli"), (1, 4, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5),
