@@ -1,6 +1,5 @@
 """Small dense linear-algebra helpers (4x4 and 2x2 scale)."""
 
-import math
 import threading
 
 import numpy as np
@@ -113,33 +112,47 @@ def blocked_product(k, table, coeffs, batch=()):
     write over its caller's workspace.  Every full block is a whole subtree
     of the single product's pairwise tree, so the result has the bits of one
     ordered_product over all k real-form steps; a single block is that
-    product itself.  A block's rows, real-form steps and tree levels, and
-    the block products, share one float array: for an unbatched product the
-    calling thread's workspace (_workspace_floats; about 1.75 MB for the
-    transport table), so a warm call allocates no per-block array, and for
-    a batched one, whose size grows with its batch, a fresh array, so that
-    the thread does not keep it.  BLAS multiplies the real 8x8 forms of the
-    4x4 steps about three times faster than the complex 4x4 ones."""
-    width = int(table.shape[1] ** 0.5)
-    step = batch + (width, width)
-    unit, n = math.prod(step), width // 2
+    product itself.  An unbatched product (a Wilson loop, a propagation)
+    keeps a block's rows, real-form steps and tree levels in the calling
+    thread's workspace (_workspace_product), so a warm call allocates no
+    per-block array.  A batched one (a 2x2 oracle on an angle array) takes
+    fresh arrays, freed on return: they grow with the batch, and the
+    workspace's views cost a short product more than they save.  BLAS
+    multiplies the real 8x8 forms of the 4x4 steps about three times faster
+    than the complex 4x4 ones."""
+    if batch:
+        blocks = []
+        for lo in range(0, k, BLOCK):
+            hi = min(lo + BLOCK, k)
+            rows = coeffs(lo, hi, np.empty((len(table), hi - lo) + batch))
+            blocks.append(ordered_product(clifford_steps(table, rows)))
+        r = blocks[0] if k <= BLOCK else ordered_product(np.stack(blocks))
+    else:
+        r = _workspace_product(k, table, coeffs)
+    n = r.shape[-1] // 2
+    return r[..., :n, :n] + 1j * r[..., n:, :n]
+
+
+def _workspace_product(k, table, coeffs):
+    """The real-form ordered product of blocked_product's k unbatched steps,
+    each block's coefficient rows, real-form steps and tree levels, and the
+    block products, in that order, in the thread's workspace (about 1.75 MB
+    for the transport table at BLOCK = 2048, plus 512 bytes a block)."""
+    unit = table.shape[1]  # floats a real-form step
+    width = int(unit ** 0.5)
     length, nblocks = min(k, BLOCK), -(-k // BLOCK)
-    rows = len(table) * math.prod(batch)  # coefficient floats a step
-    # a block's coefficient rows, its steps, the tree's half-size level and
-    # the block products, in that order
-    a = rows * length
+    a = len(table) * length
     b = a + length * unit
     c = b + (length + 1) // 2 * unit
-    buf = np.empty(c + nblocks * unit) if batch else _workspace_floats(c + nblocks * unit)
-    spare = buf[b:c].reshape((-1,) + step)
-    blocks = buf[c:c + nblocks * unit].reshape((nblocks,) + step)
+    buf = _workspace_floats(c + nblocks * unit)
+    spare = buf[b:c].reshape(-1, width, width)
+    blocks = buf[c:c + nblocks * unit].reshape(nblocks, width, width)
     for i, lo in enumerate(range(0, k, BLOCK)):
         hi = min(lo + BLOCK, k)
-        out = buf[:rows * (hi - lo)].reshape((len(table), hi - lo) + batch)
-        steps = buf[a:a + (hi - lo) * unit].reshape((hi - lo,) + step)
+        out = buf[:len(table) * (hi - lo)].reshape(len(table), hi - lo)
+        steps = buf[a:a + (hi - lo) * unit].reshape(hi - lo, width, width)
         blocks[i] = _tree_product(clifford_steps(table, coeffs(lo, hi, out), out=steps), spare)
-    r = ordered_product(blocks)
-    return r[..., :n, :n] + 1j * r[..., n:, :n]
+    return ordered_product(blocks)
 
 
 def _tree_product(units, spare):
