@@ -87,10 +87,16 @@ def clifford_steps(table, coef, out=None):
     return out
 
 
-# one workspace per thread for blocked_product's unbatched products, grown
-# to the largest seen and never shrunk: a warm call allocates no per-block
-# array of 128 KB or more, so the allocator neither maps nor trims ~1 MB for
-# every block
+def complex_block(r):
+    """The complex n x n matrices (..., n, n) of real forms r (..., 2n, 2n),
+    [[Re, -Im], [Im, Re]] as algebra.step_table builds them."""
+    n = r.shape[-1] // 2
+    return r[..., :n, :n] + 1j * r[..., n:, :n]
+
+
+# one workspace per thread for blocked_product, grown to the largest seen
+# and never shrunk: a warm call allocates no per-block array of 128 KB or
+# more, so the allocator neither maps nor trims ~1 MB for every block
 _workspace = threading.local()
 
 
@@ -102,42 +108,23 @@ def _workspace_floats(size):
     return buf
 
 
-def blocked_product(k, table, coeffs, batch=()):
-    """The complex n x n ordered products (batch + (n, n)) of k clifford_steps,
-    built BLOCK steps at a time.  coeffs(lo, hi, out) returns the coefficient
-    rows (hi - lo,) + batch + (1 + m,) of steps lo to hi - 1, written into
-    out, a C-ordered (1 + m, hi - lo) + batch buffer, when it can (the ``out``
-    of exp_coefficients and connection.transport_exponents); rows of its own
-    serve as well.  It must not run blocked_product itself, which would
-    write over its caller's workspace.  Every full block is a whole subtree
-    of the single product's pairwise tree, so the result has the bits of one
-    ordered_product over all k real-form steps; a single block is that
-    product itself.  An unbatched product (a Wilson loop, a propagation)
-    keeps a block's rows, real-form steps and tree levels in the calling
-    thread's workspace (_workspace_product), so a warm call allocates no
-    per-block array.  A batched one (a 2x2 oracle on an angle array) takes
-    fresh arrays, freed on return: they grow with the batch, and the
-    workspace's views cost a short product more than they save.  BLAS
-    multiplies the real 8x8 forms of the 4x4 steps about three times faster
-    than the complex 4x4 ones."""
-    if batch:
-        blocks = []
-        for lo in range(0, k, BLOCK):
-            hi = min(lo + BLOCK, k)
-            rows = coeffs(lo, hi, np.empty((len(table), hi - lo) + batch))
-            blocks.append(ordered_product(clifford_steps(table, rows)))
-        r = blocks[0] if k <= BLOCK else ordered_product(np.stack(blocks))
-    else:
-        r = _workspace_product(k, table, coeffs)
-    n = r.shape[-1] // 2
-    return r[..., :n, :n] + 1j * r[..., n:, :n]
-
-
-def _workspace_product(k, table, coeffs):
-    """The real-form ordered product of blocked_product's k unbatched steps,
-    each block's coefficient rows, real-form steps and tree levels, and the
-    block products, in that order, in the thread's workspace (about 1.75 MB
-    for the transport table at BLOCK = 2048, plus 512 bytes a block)."""
+def blocked_product(k, table, coeffs):
+    """The complex n x n ordered product of k clifford_steps, built BLOCK
+    steps at a time.  coeffs(lo, hi, out) returns the coefficient rows
+    (hi - lo, 1 + m) of steps lo to hi - 1, written into out, a C-ordered
+    (1 + m, hi - lo) buffer, when it can (the ``out`` of exp_coefficients
+    and connection.transport_exponents); rows of its own serve as well.  It
+    must not run blocked_product itself, which would write over its
+    caller's workspace.  Every full block is a whole subtree of the single
+    product's pairwise tree, so the result has the bits of one
+    ordered_product over all k real-form steps.  Each block's coefficient
+    rows, real-form steps and tree levels, and the block products, in that
+    order, sit in the calling thread's workspace (about 1.75 MB for the
+    transport table at BLOCK = 2048, plus 512 bytes a block), so a warm
+    call allocates no per-block array.  BLAS multiplies the real 8x8 forms
+    of the 4x4 steps about three times faster than the complex 4x4 ones.
+    A batch of short products, such as the 2x2 oracles' four factors on an
+    angle array, is one ordered_product of their clifford_steps instead."""
     unit = table.shape[1]  # floats a real-form step
     width = int(unit ** 0.5)
     length, nblocks = min(k, BLOCK), -(-k // BLOCK)
@@ -152,7 +139,7 @@ def _workspace_product(k, table, coeffs):
         out = buf[:len(table) * (hi - lo)].reshape(len(table), hi - lo)
         steps = buf[a:a + (hi - lo) * unit].reshape(hi - lo, width, width)
         blocks[i] = _tree_product(clifford_steps(table, coeffs(lo, hi, out), out=steps), spare)
-    return ordered_product(blocks)
+    return complex_block(ordered_product(blocks))
 
 
 def _tree_product(units, spare):

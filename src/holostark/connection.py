@@ -24,9 +24,12 @@ arc of dhat the generator is constant, and the transport from a = dhat_k to
 b = dhat_{k+1} is the rotor R = (1 + b a) / |1 + b a| of Clifford products
 of the vectors a.gamma, b.gamma: Kato's direct rotation between the two
 band projectors (Kato, J. Phys. Soc. Jpn. 5, 435 (1950)), R (a.gamma) R^dag
-= b.gamma.  Its coefficients (1 + a.b)/|a + b| and (b ^ a)/|a + b| go
-straight onto the transport step table: no angle, no cos or sinc, and d
-only at the path points.  Against the analytic oracles the rotor is as
+= b.gamma.  With the unit half-vector p = (a + b)/|a + b|, R = b p, and
+(b.gamma)^2 = I, so two steps a -> b -> c multiply to the product q p of
+two unit vectors (Doran & Lasenby, Geometric Algebra for Physicists, ch.
+4): its coefficients q.p and q ^ p go straight onto one row of the
+transport step table, with no angle, no cos or sinc, and d only at the
+path points.  Against the analytic oracles the rotor is as
 accurate as the chord-midpoint exponents it replaced (second order; see
 holonomy), and exact where dhat follows great circles, as on the straight
 chords of a linear-regime path.
@@ -109,30 +112,34 @@ def band_directions(comps, norms):
 
 
 def transport_exponents(points, regime, m, d=None, out=None):
-    """Per-step transport rotors along a polyline (k+1, 3), as real rows R
-    (k, 11) of R = R_0 I + sum_{a<b} R_ab i gamma_ab on
-    algebra.step_table("transport").  The name is kept from the per-step
+    """Transport rotors along a polyline (k+1, 3), one real row per pair of
+    steps: rows R (ceil(k/2), 11) of R = R_0 I + sum_{a<b} R_ab i gamma_ab
+    on algebra.step_table("transport").  The name is kept from the per-step
     exponents these rows replaced: bench/tracing.py finds the function, and
     counts the steps from its rows, under it, so a rename goes with a
     change of the benchmark.
 
     The step from a = dhat_k to b = dhat_{k+1} is the rotor (1 + b a) /
-    |1 + b a|: R_ab = (b ^ a)_ab / |a + b| (algebra.wedge) and R_0 =
-    (1 + a.b) / |a + b|, taken as sqrt(1 - |R_ab|^2), a unit row.  It is
-    exact on the great-circle arc from a to b, and second order in the step
-    along any smooth curve dhat(E); b ^ a = -(a ^ b) to the bit, so the
-    reversed step is its exact inverse R^dag.  The shapes are the contract;
-    the storage is component-major: the rows are the transpose of (11, k)
-    storage, written into ``out`` when given (such as the buffer
-    _linalg.blocked_product hands its coeffs), the layout in which they
-    reach _linalg.clifford_steps, and
-    points stored as (3, k+1) rows, as FieldPath.points returns them, are
-    read row by row.  dhat is homogeneous of degree 0 in E, so the points
-    are first scaled by a power of two (_linalg.pow2_exponent), exactly.  A
-    caller passing ``d``, the points' band_directions, has evaluated them
-    and checked the chords itself.  DegeneratePoint if the gap closes at a
-    point or on a chord (check_chords); InvalidInput if a step turns dhat
-    by nearly pi (1 + a.b <= ANTIPODAL_ATOL), naming the step by the
+    |1 + b a| = b p = p a, p = (a + b)/|a + b|: exact on the great-circle
+    arc from a to b, second order along any smooth curve dhat(E).  Since
+    (b.gamma)^2 = I, two steps a -> b -> c multiply to (q b)(b p) = q p, q
+    = (b + c)/|b + c|: R_0 = q.p and R_ab = (q ^ p)_ab (algebra.wedge),
+    that is 1 + a.b + b.c + c.a and b ^ a + c ^ b + c ^ a over |a + b||b +
+    c|, one wedge a pair.  R_0 < 0 where the two turns add up to more than
+    pi.  q ^ p = -(p ^ q) and q.p = p.q to the bit, so the reversed pair
+    is the exact inverse R^dag.  An odd k pads its last pair with c = b,
+    the single rotor b p to roundoff.
+    The shapes are the contract; the storage is component-major: the rows
+    are the transpose of (11, ceil(k/2)) storage, written into ``out`` when
+    given (such as the buffer _linalg.blocked_product hands its coeffs),
+    the layout in which they reach _linalg.clifford_steps, and points stored
+    as (3, k+1) rows, as FieldPath.points returns them, are read row by row.
+    dhat is homogeneous of degree 0 in E, so the points are first scaled by
+    a power of two (_linalg.pow2_exponent), exactly.  A caller passing
+    ``d``, the points' band_directions, has evaluated them and checked the
+    chords itself.  DegeneratePoint if the gap closes at a point or on a
+    chord (check_chords); InvalidInput if a single step turns dhat by
+    nearly pi (1 + a.b <= ANTIPODAL_ATOL), naming the step by the
     directions of its field points."""
     points = np.asarray(points, dtype=float)
     if d is None:
@@ -141,8 +148,10 @@ def transport_exponents(points, regime, m, d=None, out=None):
         norms = gap_norms(comps)
         check_chords(scaled, m, regime, comps[np.argmax(norms)])
         d = band_directions(comps, norms)
-    a, b = d.T[:, :-1], d.T[:, 1:]
-    h = a + b
+    d = d.T
+    if d.shape[1] % 2 == 0:  # an odd step count: the last pair is a -> b -> b
+        d = np.concatenate([d, d[:, -1:]], axis=1)
+    h = d[:, :-1] + d[:, 1:]  # p, q of each pair, unnormalised
     hh = np.einsum("ak,ak->k", h, h)  # |1 + b a|^2 = |a + b|^2 = 2 (1 + a.b)
     if not hh.min(initial=np.inf) > 2 * ANTIPODAL_ATOL:
         j = int(np.argmin(hh))
@@ -151,11 +160,9 @@ def transport_exponents(points, regime, m, d=None, out=None):
         raise InvalidInput("a step turns the band direction dhat by nearly pi, from E "
                            "along ({:.4g}, {:.4g}, {:.4g}) to ({:.4g}, {:.4g}, {:.4g}): "
                            "refine the path".format(*ends.ravel()))
-    rows = np.empty((11, h.shape[1])) if out is None else out
-    wedge(b.T, a.T, out=rows[1:])
-    np.divide(rows[1:], np.sqrt(hh), out=rows[1:])
-    # R_0 = sqrt(1 - |R_ab|^2) rounds, near 1, as cos does: the row's norm
-    # does not follow the rounding of the path points, which (1 + a.b)/|a + b|
-    # would pass on to a loop's unitarity defect
-    np.sqrt(1.0 - np.einsum("jk,jk->k", rows[1:], rows[1:]), out=rows[0])
+    p, q = h[:, 0::2], h[:, 1::2]
+    rows = np.empty((11, p.shape[1])) if out is None else out
+    wedge(q.T, p.T, out=rows[1:])
+    np.einsum("ak,ak->k", q, p, out=rows[0])
+    rows /= np.sqrt(hh[0::2] * hh[1::2])
     return rows.T

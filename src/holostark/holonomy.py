@@ -3,12 +3,13 @@ cross-checks.
 
 Path ordering is later-to-the-left throughout: the loop transport is
 
-    U = R_N ... R_2 R_1
+    U = R_N ... R_2 R_1 = P_M ... P_1,   P_j = R_{2j} R_{2j-1},   M = ceil(N/2)
 
 with R_k the exact rotor from the band direction dhat at point k - 1 to the
-one at point k (connection.transport_exponents): the transport along the
-great-circle arc between them, which maps one band projector exactly onto
-the next.  Each R_k is unitary to roundoff, and so is U; discretization
+one at point k: the transport along the great-circle arc between them,
+which maps one band projector exactly onto the next.  Each row of
+connection.transport_exponents is one pair P_j, the last one padded with
+R_{N+1} = I at an odd N.  Each P_j is unitary to roundoff, and so is U; discretization
 error, from replacing the curve dhat(E(t)) by great-circle arcs between its
 points, shows up as a second-order difference between refinements, not as
 unitarity loss or leakage between the bands.  Where dhat does follow great
@@ -17,7 +18,8 @@ exact at any step count.  Against the analytic oracles below the rotor
 matches the chord-midpoint exponents it replaced: on the octant and nine
 seeded triangles, the worst eigenphase error against zee_holonomy at 800 /
 5 000 / 20 000 steps is 1.4e-5 / 3.7e-7 / 2.3e-8 (midpoint 7.2e-6 / 1.8e-7 /
-1.2e-8), the median about 1.5x lower than the midpoint's.  Corners of piecewise
+1.2e-8), the median about 1.5x lower than the midpoint's, the same to three
+figures per step and per pair of steps.  Corners of piecewise
 paths are plain C0 junctions -- segment products with no extra factor --
 since the bounded connection contributes nothing from a corner in the
 fine-step limit.
@@ -38,9 +40,10 @@ Two analytic oracles cover special cases:
   ``half_spin_band``).
 
 Their factors exp(i v . sigma), and those of ``linear_stark_holonomy``, are
-real rows v whose exponentials (``_linalg.exp_coefficients``) are built and
-multiplied by the Wilson loop's own kernel, ``_linalg.clifford_steps`` /
-``blocked_product``, on the "pauli" table.
+real rows v whose exponentials (``_linalg.exp_coefficients``) are built by
+the Wilson loop's own kernel, ``_linalg.clifford_steps``, on the "pauli"
+table: the triangles' four factors, on any batch of angles, in one
+``ordered_product``, and the per-step increments through ``blocked_product``.
 """
 
 import itertools
@@ -48,8 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (blocked_product, dagger, exp_coefficients, pow2_exponent,
-                      projector_frame, require_unitary, unitarity_defect)
+from ._linalg import (blocked_product, clifford_steps, complex_block, dagger,
+                      exp_coefficients, ordered_product, pow2_exponent, projector_frame,
+                      require_unitary, unitarity_defect)
 from .algebra import step_table
 from .connection import (band_directions, check_chords, gap_norms, projectors,
                          transport_exponents)
@@ -282,17 +286,20 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     """Path-ordered transport around a closed loop.
 
     The product of the exact rotors between the band directions dhat at
-    consecutive points (connection.transport_exponents), a second-order
-    scheme whose steps are unitary to roundoff, built and multiplied in
-    real form, in blocks (see _linalg.blocked_product).  The points are
-    scaled in place by one power of two for the whole path, and d and |d|
-    are evaluated once at each of the n + 1 points, in one degeneracy check
-    the blocks reuse.  A chord of a sampled path can pass through zero
-    field between its points, where a quadratic-regime rotor would step
-    straight across (d(-E) = d(E)), so d is also checked at each chord's
-    point nearest E = 0.  Each rotor maps one band projector onto the next,
-    so the full unitary commutes with the basepoint projectors to roundoff,
-    and its band blocks are the loop holonomies.
+    consecutive points, a second-order scheme whose steps are unitary to
+    roundoff, one row per pair of steps (connection.transport_exponents),
+    built and multiplied in real form in blocks of rows
+    (_linalg.blocked_product); block [lo, hi) reads points 2 lo to 2 hi, so
+    the loop has the bits of one ordered_product over all its rows.
+    Holonomy.steps counts steps, not rows.  The points are scaled in place
+    by one power of two for the whole path, and d and |d| are evaluated
+    once at each of the n + 1 points, in one degeneracy check the blocks
+    reuse.  A chord of a sampled path can pass through zero field between
+    its points, where a quadratic-regime rotor would step straight across
+    (d(-E) = d(E)), so d is also checked at each chord's point nearest E =
+    0.  Each rotor maps one band projector onto the next, so the full
+    unitary commutes with the basepoint projectors to roundoff, and its
+    band blocks are the loop holonomies.
     """
     if steps < MIN_STEPS:
         raise InvalidInput(f"steps must be >= {MIN_STEPS}")
@@ -305,9 +312,9 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     if path.samples is not None:
         check_chords(np.ldexp(path.samples, -scale), m, regime, comps[np.argmax(norms)])
     dhat = band_directions(comps, norms)
-    full = blocked_product(len(pts) - 1, step_table("transport"), lambda lo, hi, out:
-                           transport_exponents(pts[lo:hi + 1], regime, m, d=dhat[lo:hi + 1],
-                                               out=out))
+    full = blocked_product(len(pts) // 2, step_table("transport"), lambda lo, hi, out:
+                           transport_exponents(pts[2 * lo:2 * hi + 1], regime, m,
+                                               d=dhat[2 * lo:2 * hi + 1], out=out))
     fp, fm = basepoint_frames(pts[0], regime, m)  # the same bits as unscaled
     return Holonomy(
         full=full,
@@ -361,8 +368,7 @@ def linear_triangle_holonomy(theta, phi):
     v[1, ..., 0], v[1, ..., 2] = phi * ct * st / 2.0, phi * ct * ct / 2.0
     v[2, ..., 2] = -phi / 2.0
     v[3, ..., 0], v[3, ..., 1] = -theta * sp / 2.0, theta * cp / 2.0
-    return blocked_product(4, step_table("pauli"), lambda lo, hi, out:
-                           exp_coefficients(v[lo:hi], out=out), v.shape[1:-1])
+    return complex_block(ordered_product(clifford_steps(step_table("pauli"), exp_coefficients(v))))
 
 
 def zee_holonomy(theta, phi):
@@ -381,8 +387,7 @@ def zee_holonomy(theta, phi):
     v[1, ..., 0], v[1, ..., 2] = -phi * st, phi * ct / 2.0
     v[2, ..., 2] = -phi / 2.0
     v[3, ..., 0], v[3, ..., 1] = theta * sp, -theta * cp
-    return blocked_product(4, step_table("pauli"), lambda lo, hi, out:
-                           exp_coefficients(v[lo:hi], out=out), v.shape[1:-1])
+    return complex_block(ordered_product(clifford_steps(step_table("pauli"), exp_coefficients(v))))
 
 
 def half_spin_band(m):

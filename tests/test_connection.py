@@ -174,15 +174,17 @@ class TestConnectionField:
 
 class TestTransportExponents:
     def test_step_count_and_unitarity(self, ge_b):
+        # three steps make two rows: a pair and a padded last pair
         pts = np.array([[0, 0, 1e6], [1e5, 0, 1e6], [0, 1e5, 1e6], [0, 0, 1e6]])
         w = transport_matrices(transport_exponents(pts, "quadratic", ge_b))
-        assert w.shape == (3, 4, 4)
+        assert w.shape == (2, 4, 4)
         assert np.abs(w @ np.conj(np.swapaxes(w, 1, 2)) - np.eye(4)).max() <= 1e-15
 
     @pytest.mark.parametrize("regime", ["linear", "quadratic"])
     def test_reversed_polyline_inverts_every_step(self, ge_b, regime):
-        # b ^ a = -(a ^ b) and |a + b| = |b + a| to the bit, so each step of
-        # the reversed polyline is the conjugate R_0 I - R_ab i gamma_ab
+        # 500 steps, 250 pairs: q ^ p = -(p ^ q), q . p = p . q and |a + b| =
+        # |b + a| to the bit, so each pair row of the reversed polyline is the
+        # conjugate R_0 I - R_ab i gamma_ab
         pts = make_spherical_triangle(0.7, 1.1, 1e6).points(500)
         fwd = transport_exponents(pts, regime, ge_b)
         bwd = transport_exponents(pts[::-1], regime, ge_b)[::-1]
@@ -219,6 +221,17 @@ class TestTransportExponents:
                            r"refine the path$"):
             transport_exponents(pts, "linear", ge_b)
         assert np.all(np.isfinite(transport_exponents(pts[1:], "linear", ge_b)))
+
+    @pytest.mark.parametrize("before", [[[0, 1e6, 0]], [[0, 1e6, 0], [0, 0, 1e6]]],
+                             ids=["second-of-a-pair", "padded-pair"])
+    def test_near_pi_turn_inside_a_pair_is_an_error(self, ge_b, before):
+        # the same chord as the second step of a pair, and as the padded
+        # last pair of three steps: the check and its message are per step
+        pts = np.vstack([before, [[1e6, 0, 0], [-1e6, 1e-2, 0]]])
+        with pytest.raises(InvalidInput, match=r"^a step turns the band direction dhat by "
+                           r"nearly pi, from E along \(1, 0, 0\) to \(-1, 1e-08, 0\): "
+                           r"refine the path$"):
+            transport_exponents(pts, "linear", ge_b)
 
     def test_gap_closure_detected(self, ge_b):
         # the second segment's midpoint sits at zero field, between two

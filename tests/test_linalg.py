@@ -9,8 +9,8 @@ import pytest
 from holostark import (DegeneratePoint, Drive, adiabatic_fidelity, evolve,
                        make_latitude_loop, make_spherical_triangle, sampled_path,
                        wilson_loop)
-from holostark._linalg import (BLOCK, blocked_product, clifford_steps, exp_coefficients,
-                               ordered_product)
+from holostark._linalg import (BLOCK, blocked_product, clifford_steps, complex_block,
+                               exp_coefficients, ordered_product)
 from holostark.algebra import PAULI, step_table, wedge
 from holostark.connection import gap_norms, transport_exponents
 from holostark.dynamics import _drive_steps, _propagate
@@ -19,8 +19,8 @@ from holostark.units import HBAR_MEV_S
 
 from util import (clifford_exp, d_dot_gamma_einsum, expm_antiherm,
                   midpoint_exponents_einsum, midpoint_loop, midpoint_rows, one_product,
-                  propagate_point_major, random_su2, rotor_rows_point_major,
-                  rotors_complex, transport_matrices)
+                  pair_rotors_complex, pair_rows_point_major, propagate_point_major,
+                  random_su2, rotor_rows_point_major, rotors_complex, transport_matrices)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8])
@@ -112,12 +112,12 @@ def test_blocked_product_has_the_bits_of_one_ordered_product(rng, k):
 
 
 @pytest.mark.parametrize("k", [1, 4, BLOCK + 3])
-def test_blocked_product_batches_the_axes_after_the_first(rng, k):
-    # rows (k, 2, 3, m): six products at once, each with the bits of its own call
+def test_ordered_product_batches_the_axes_after_the_first(rng, k):
+    # rows (k, 2, 3, m) on the 2x2 oracles' direct path: six products at
+    # once, each with the bits of its own blocked_product
     for kind, m, n in (("pauli", 3, 2), ("schrodinger", 5, 4)):
         table, c = step_table(kind), rng.normal(size=(k, 2, 3, m))
-        batched = blocked_product(k, table, lambda lo, hi, out:
-                                  exp_coefficients(c[lo:hi], out=out), (2, 3))
+        batched = complex_block(ordered_product(clifford_steps(table, exp_coefficients(c))))
         assert batched.shape == (2, 3, n, n)
         for i, j in np.ndindex(2, 3):
             alone = blocked_product(k, table, lambda lo, hi, out:
@@ -138,10 +138,12 @@ def _unitary_rows(rng, kind, k, batch):
 
 def test_workspace_reuse_leaks_nothing_between_calls(rng):
     # every table, step count and batch shape, in a shuffled order, so each
-    # unbatched call finds the thread's workspace as a larger, a smaller or
-    # another table's call left it, and the batched ones, which take fresh
-    # arrays, sit between them; the (257,) batch past 4 steps, and (4, 3) at
-    # 3 BLOCK + 5 steps on the 8x8 tables, would hold over 32 MB of steps
+    # blocked_product call finds the thread's workspace as a larger, a
+    # smaller or another table's call left it; a batch goes through the 2x2
+    # oracles' direct path, in fresh arrays, and each of its products
+    # through blocked_product alone; the (257,) batch past 4 steps, and (4,
+    # 3) at 3 BLOCK + 5 steps on the 8x8 tables, would hold over 32 MB of
+    # steps
     cases = [(kind, k, batch) for kind, k, batch in itertools.product(
         ("transport", "schrodinger", "pauli"), (1, 4, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5),
         ((), (257,), (4, 3))) if k * np.prod(batch) * step_table(kind).shape[1] <= 2 ** 22]
@@ -149,15 +151,14 @@ def test_workspace_reuse_leaks_nothing_between_calls(rng):
     for i in rng.permutation(len(cases)):
         kind, k, batch = cases[i]
         table, rows = step_table(kind), _unitary_rows(rng, kind, k, batch)
+        want = complex_block(ordered_product(clifford_steps(table, rows.copy())))
+        for index in np.ndindex(batch):
+            def coeffs(lo, hi, out):
+                np.copyto(out, rows[(slice(lo, hi),) + index].T)
+                return out.T
 
-        def coeffs(lo, hi, out):
-            np.copyto(out, np.moveaxis(rows[lo:hi], -1, 0))
-            return np.moveaxis(out, 0, -1)
-
-        r = ordered_product(clifford_steps(table, rows.copy()))
-        n = r.shape[-1] // 2
-        assert np.array_equal(blocked_product(k, table, coeffs, batch),
-                              r[..., :n, :n] + 1j * r[..., n:, :n]), (kind, k, batch)
+            assert np.array_equal(blocked_product(k, table, coeffs), want[index]), \
+                (kind, k, batch, index)
 
 
 def test_wilson_loops_on_two_threads_keep_their_bits(ge_b):
@@ -232,7 +233,7 @@ _COARSE = sampled_path(np.vstack([_DIRECTIONS, _DIRECTIONS[:1]]))
 def test_wilson_loop_has_the_bits_of_the_point_major_chain(request, material, path,
                                                            steps, regime):
     m = request.getfixturevalue(material)
-    rows = rotor_rows_point_major(path.points(steps), regime, m)
+    rows = pair_rows_point_major(path.points(steps), regime, m)
     assert np.array_equal(wilson_loop(path, regime, m, steps).full,
                           one_product(step_table("transport"), rows))
 
@@ -252,9 +253,9 @@ def test_propagate_has_the_bits_of_the_point_major_chain(ge_b, regime, path):
     ids=["triangle", "obtuse-triangle", "sampled"])
 @pytest.mark.parametrize("regime", ["linear", "quadratic"])
 def test_wilson_loop_agrees_with_the_complex_kernel(ge_b, regime, path):
-    # the complex 4x4 rotors (1 + B A)/|1 + B A| of independently built
-    # dhat . gamma matrices
-    single = ordered_product(rotors_complex(path.points(20000), regime, ge_b))
+    # the complex 4x4 pair rotors (1 + C B)(1 + B A)/(|a + b||b + c|) of
+    # independently built dhat . gamma matrices
+    single = ordered_product(pair_rotors_complex(path.points(20000), regime, ge_b))
     assert np.abs(wilson_loop(path, regime, ge_b, 20000).full - single).max() <= 1e-12
 
 
@@ -277,9 +278,83 @@ def test_midpoint_reference_agrees_with_the_complex_kernel(ge_b, regime, path):
 @pytest.mark.parametrize("regime", ["linear", "quadratic"])
 def test_transport_exponents_match_einsum(ge_b, regime):
     pts = make_spherical_triangle(0.7, 1.1, 1e6).points(500)
-    expected = rotors_complex(pts, regime, ge_b)
+    expected = pair_rotors_complex(pts, regime, ge_b)
     got = transport_matrices(transport_exponents(pts, regime, ge_b))
     assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_pair_rows_multiply_the_steps(ge_b, regime, steps):
+    # ceil(k/2) rows, whose product is the per-step product; the large turns
+    # of the coarse loop's first points, up to nearly pi in the linear regime
+    pts = _COARSE.points(100)[:steps + 1]
+    rows = transport_exponents(pts, regime, ge_b)
+    assert rows.shape == ((steps + 1) // 2, 11)
+    got = ordered_product(transport_matrices(rows))
+    assert np.abs(got - ordered_product(rotors_complex(pts, regime, ge_b))).max() <= 1e-15
+
+
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+@pytest.mark.parametrize("path, steps", [
+    (make_spherical_triangle(0.7, 1.1, 1e6), 401), (_SAMPLED, 7), (_COARSE, 99)],
+    ids=["triangle-401", "sampled-7", "coarse-99"])
+def test_odd_count_pads_the_single_rotor(ge_b, regime, path, steps):
+    # the last pair a -> b -> b of an odd count is the single rotor a -> b;
+    # the coarse loop's 99 of its 100 steps end on a turn of over 90 degrees
+    pts = path.points(steps)[:steps + 1]
+    last = transport_exponents(pts, regime, ge_b)[-1]
+    single = rotor_rows_point_major(pts, regime, ge_b)[-1]
+    assert np.abs(last - single).max() <= 1e-15
+
+
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+def test_pair_with_a_negative_scalar(ge_b, regime):
+    # two turns that add up to more than pi give R_0 < 0; the row is the
+    # product of its two single rotors all the same
+    pts = _COARSE.points(100)
+    rows = transport_exponents(pts, regime, ge_b)
+    assert (rows[:, 0] < 0).sum() == {"linear": 9, "quadratic": 1}[regime]
+    singles = rotors_complex(pts, regime, ge_b)
+    want = singles[1::2] @ singles[0::2]
+    assert np.abs(transport_matrices(rows) - want).max() <= 2e-15
+
+
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+def test_reversed_coarse_polyline_inverts_every_pair(ge_b, regime):
+    # 100 steps: p and q swap, q ^ p changes sign and q . p and |p|^2 |q|^2
+    # do not, to the bit, so each row of the reversed polyline is the
+    # conjugate R_0 I - R_ab i gamma_ab, also where R_0 < 0
+    pts = _COARSE.points(100)
+    fwd = transport_exponents(pts, regime, ge_b)
+    bwd = transport_exponents(pts[::-1], regime, ge_b)[::-1]
+    assert np.array_equal(bwd[:, 0], fwd[:, 0])
+    assert np.array_equal(bwd[:, 1:], -fwd[:, 1:])
+
+
+# BLOCK pair rows are 2 BLOCK steps: one block, one full block, a block and
+# a padded pair, and three blocks whose last pair is padded
+@pytest.mark.parametrize("steps", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 3])
+def test_pair_rows_across_blocks_have_the_bits_of_one_ordered_product(ge_b, steps):
+    path = make_latitude_loop(1.1, 2e5)
+    rows = transport_exponents(path.points(steps), "quadratic", ge_b)
+    assert len(rows) == -(-steps // 2)
+    assert np.array_equal(wilson_loop(path, "quadratic", ge_b, steps).full,
+                          one_product(step_table("transport"), rows))
+
+
+@pytest.mark.parametrize("regime", ["linear", "quadratic"])
+@pytest.mark.parametrize("path", [
+    make_spherical_triangle(0.7, 1.1, 1e6), make_spherical_triangle(2.2, -2.0, 1e6),
+    make_spherical_triangle(1.0, 1.7, 1e6), make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6),
+    _SAMPLED], ids=["triangle", "obtuse-triangle", "ge-b-triangle", "octant", "sampled"])
+def test_pair_product_agrees_with_the_step_product(ge_b, regime, path):
+    # the per-step rotor rows the Wilson loop multiplied before it took one
+    # row per pair: the same rotors, multiplied in another order (worst
+    # measured 1.0e-12)
+    single = one_product(step_table("transport"),
+                         rotor_rows_point_major(path.points(20000), regime, ge_b))
+    assert np.abs(wilson_loop(path, regime, ge_b, 20000).full - single).max() <= 5e-12
 
 
 def test_schrodinger_generators_match_einsum(ge_b, rng):

@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from holostark import acomm, default_basis, gamma_basis
-from holostark._linalg import (blocked_product, clifford_steps, dagger, exp_coefficients,
-                               ordered_product, pow2_exponent)
+from holostark._linalg import (blocked_product, clifford_steps, complex_block, dagger,
+                               exp_coefficients, ordered_product, pow2_exponent)
 from holostark.algebra import PAULI, CliffordBasis, _generators, step_table
 from holostark.connection import gap_norms
 from holostark.stark import d_components
@@ -114,9 +114,8 @@ def triangle_product(theta, phi, rows):
     vs = np.zeros((4,) + np.broadcast(theta, phi).shape + (3,))  # factor axis first
     for k, c in itertools.product(range(4), range(3)):
         vs[k, ..., c] = rows[k][c]
-    return blocked_product(4, step_table("pauli"),
-                           lambda lo, hi, out: exp_coefficients(vs[lo:hi], out=out),
-                           vs.shape[1:-1])
+    return complex_block(ordered_product(clifford_steps(step_table("pauli"),
+                                                        exp_coefficients(vs))))
 
 
 def d_increment(e, de, m, regime):
@@ -149,9 +148,9 @@ def midpoint_exponents_einsum(points, regime, m):
 def rotors_complex(points, regime, m):
     """The per-step rotors (1 + B A) / |1 + B A| (k, 4, 4) of the polyline,
     A = dhat_k . gamma and B = dhat_{k+1} . gamma, as complex matrix
-    products, independent of the wedge and the step table.  As in
-    transport_exponents, the scalar part is then taken as sqrt(1 - |Q|^2)
-    from the bivector part Q, whose Frobenius norm is 2 |Q|."""
+    products, independent of the wedge and the step table.  The scalar part
+    is then taken as sqrt(1 - |Q|^2) from the bivector part Q, whose
+    Frobenius norm is 2 |Q|, as the per-step transport rows took it."""
     comps = d_components(np.asarray(points, dtype=float), m, regime)
     dhat = comps[:, 1:] / gap_norms(comps)[:, None]
     g = np.einsum("ka,aij->kij", dhat, default_basis().gamma)
@@ -160,6 +159,22 @@ def rotors_complex(points, regime, m):
     bivector /= np.linalg.norm(dhat[1:] + dhat[:-1], axis=1)[:, None, None]
     scalar = np.sqrt(1.0 - (np.linalg.norm(bivector, axis=(1, 2)) / 2) ** 2)
     return bivector + scalar[:, None, None] * np.eye(4)
+
+
+def pair_rotors_complex(points, regime, m):
+    """The transport rotors of each pair of steps a -> b -> c (ceil(k/2), 4,
+    4) of the polyline, (1 + C B)(1 + B A) / (|a + b||b + c|) with A =
+    a . gamma, as complex matrix products, independent of the wedge and the
+    step table; an odd step count pads its last pair with c = b."""
+    comps = d_components(np.asarray(points, dtype=float), m, regime)
+    dhat = comps[:, 1:] / gap_norms(comps)[:, None]
+    if len(dhat) % 2 == 0:
+        dhat = np.vstack([dhat, dhat[-1:]])
+    a, b, c = dhat[:-1:2], dhat[1::2], dhat[2::2]
+    ga, gb, gc = (np.einsum("ka,aij->kij", x, default_basis().gamma) for x in (a, b, c))
+    eye = np.eye(4)
+    r = (eye + gc @ gb) @ (eye + gb @ ga)
+    return r / (np.linalg.norm(a + b, axis=1) * np.linalg.norm(b + c, axis=1))[:, None, None]
 
 
 def quadratic_form_point_major(e, f, m):
@@ -233,12 +248,12 @@ def _sum_left(x):
 
 
 def rotor_rows_point_major(points, regime, m):
-    """The rotor rows (k, 11) of a polyline by the point-major chain:
-    C-ordered points scaled by one power of two, their d rows, |d| and
-    dhat, the wedge b ^ a gathered with fancy indexing over |a + b|, and
-    sqrt(1 - |R_ab|^2), sums taken left to right.  Every entry
-    is the same chain of IEEE operations as in transport_exponents, so
-    one_product of them has the Wilson loop's bits."""
+    """The per-step rotor rows (k, 11) of a polyline by the point-major
+    chain: C-ordered points scaled by one power of two, their d rows, |d|
+    and dhat, the wedge b ^ a gathered with fancy indexing over |a + b|,
+    and sqrt(1 - |R_ab|^2), sums taken left to right.  one_product of them
+    has the bits of the Wilson loop's per-step product before it took one
+    row per pair of steps: the reference the pair rows are bounded by."""
     points = np.ascontiguousarray(points, dtype=float)
     comps = d_components_point_major(np.ldexp(points, -pow2_exponent(points)), m, regime)
     dhat = comps[:, 1:] / gap_norms(comps)[:, None]
@@ -247,6 +262,28 @@ def rotor_rows_point_major(points, regime, m):
     i, j = np.triu_indices(5, 1)
     w = (b[:, i] * a[:, j] - b[:, j] * a[:, i]) / np.sqrt(_sum_left(h * h))[:, None]
     return np.column_stack([np.sqrt(1.0 - _sum_left(w * w)), w])
+
+
+def pair_rows_point_major(points, regime, m):
+    """The pair rows (ceil(k/2), 11) of transport_exponents by the
+    point-major chain: C-ordered points scaled by one power of two, their d
+    rows, |d| and dhat, the last repeated at an odd step count, the sums h
+    of consecutive dhat and |h|^2, and for each pair's p, q (h of its two
+    steps) the row [q . p, q ^ p gathered with fancy indexing] over
+    sqrt(|p|^2 |q|^2), sums taken left to right.  Every entry is the same
+    chain of IEEE operations as in transport_exponents, so one_product of
+    them has the Wilson loop's bits."""
+    points = np.ascontiguousarray(points, dtype=float)
+    comps = d_components_point_major(np.ldexp(points, -pow2_exponent(points)), m, regime)
+    dhat = comps[:, 1:] / gap_norms(comps)[:, None]
+    if len(dhat) % 2 == 0:
+        dhat = np.vstack([dhat, dhat[-1:]])
+    h = dhat[:-1] + dhat[1:]
+    hh = _sum_left(h * h)
+    p, q = h[0::2], h[1::2]
+    i, j = np.triu_indices(5, 1)
+    rows = np.column_stack([_sum_left(q * p), q[:, i] * p[:, j] - q[:, j] * p[:, i]])
+    return rows / np.sqrt(hh[0::2] * hh[1::2])[:, None]
 
 
 def propagate_point_major(drive, regime, m, block):
