@@ -301,7 +301,8 @@ def test_pair_rows_multiply_the_steps(ge_b, regime, steps):
     ids=["triangle-401", "sampled-7", "coarse-99"])
 def test_odd_count_pads_the_single_rotor(ge_b, regime, path, steps):
     # the last pair a -> b -> b of an odd count is the single rotor a -> b;
-    # the coarse loop's 99 of its 100 steps end on a turn of over 90 degrees
+    # the coarse loop's 99th step turns dhat by 140 degrees (linear) or 62
+    # (quadratic)
     pts = path.points(steps)[:steps + 1]
     last = transport_exponents(pts, regime, ge_b)[-1]
     single = rotor_rows_point_major(pts, regime, ge_b)[-1]
@@ -332,8 +333,9 @@ def test_reversed_coarse_polyline_inverts_every_pair(ge_b, regime):
     assert np.array_equal(bwd[:, 1:], -fwd[:, 1:])
 
 
-# BLOCK pair rows are 2 BLOCK steps: one block, one full block, a block and
-# a padded pair, and three blocks whose last pair is padded
+# BLOCK pair rows are 2 BLOCK steps: one block whose last pair is padded,
+# one block, a block and a padded pair, and three blocks whose last pair is
+# padded
 @pytest.mark.parametrize("steps", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 3])
 def test_pair_rows_across_blocks_have_the_bits_of_one_ordered_product(ge_b, steps):
     path = make_latitude_loop(1.1, 2e5)
