@@ -125,7 +125,9 @@ class FieldPath:
         """Closed polyline (n+1, 3) with first and last points identical, a
         new array each call.  The shape is the contract; the storage is
         component-major, the transpose of (3, n+1) rows, which is how
-        d_components and transport_exponents read it."""
+        d_components and transport_exponents read it.  A built-in loop takes
+        sin and cos per point only of the angle that varies on a segment;
+        being elementwise, they give the bytes of all four over both angles."""
         if self.kind == "sampled":
             return _refined_points(self.samples, steps)
         steps, t, p = max(steps, 3), self.theta, self.phi
@@ -151,14 +153,18 @@ def _refined_points(samples, steps):
 def _sphere_points(knots, counts, magnitude):
     """Loop on the |E| sphere through (polar, azimuthal) angle knots: counts[k]
     steps from knot k to knot k + 1, both angles linear in the step, closing
-    on the first knot."""
-    # one linspace per angle with scalar ends: array ends with one zero step
-    # would evaluate every angle as (i / c) * delta, which rounds differently
-    t, p = (np.concatenate([np.linspace(a[i], b[i], c, endpoint=False)
-                            for a, b, c in zip(knots, knots[1:], counts)] + [[knots[0][i]]])
-            for i in (0, 1))
-    st = np.sin(t)
-    return magnitude * np.stack([st * np.cos(p), st * np.sin(p), np.cos(t)]).T
+    on the first knot.  A segment's changing angle comes from one linspace
+    with scalar ends (array ends would round differently), its constant one
+    is the a + 0.0 that linspace(a, a, c) holds (-0.0 gives +0.0), so the
+    sin and cos of a constant are taken once and broadcast."""
+    out = np.empty((3, sum(counts) + 1))
+    segments = [[np.linspace(a, b, c, endpoint=False) if a != b else a + 0.0
+                 for a, b in zip(start, end)] for start, end, c in zip(knots, knots[1:], counts)]
+    for rows, (t, p) in zip(np.split(out, np.cumsum(counts), axis=1), segments + [knots[0]]):
+        st = np.sin(t)
+        rows[0], rows[1], rows[2] = st * np.cos(p), st * np.sin(p), np.cos(t)
+    out *= magnitude
+    return out.T
 
 
 def _check_magnitude(magnitude):
