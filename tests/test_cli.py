@@ -758,10 +758,23 @@ def test_step_count_too_large_to_allocate_exits_2(capsys, tmp_path, flag):
         argv = ["verify-adiabatic", "--regime", "quadratic", "--T", "1e-9",
                 "--path", write_octant(tmp_path), "--time-steps", "100",
                 "--wl-steps", "100"]
-    code = main(argv + [flag, str(10**15)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert_out_of_memory(capsys, argv + [flag, str(10**15)])
+
+
+def test_sampled_step_count_too_large_to_allocate_exits_2(capsys, tmp_path):
+    # one segment split into 10**15 substeps: petabytes, refused at once
+    f = tmp_path / "static.json"
+    f.write_text(json.dumps({"kind": "sampled", "samples": [[0, 0, 1e6], [0, 0, 1e6]]}))
+    assert_out_of_memory(capsys, ["holonomy", "--regime", "quadratic", "--path", str(f),
+                                  "--steps", str(10**15)])
+
+
+def assert_out_of_memory(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

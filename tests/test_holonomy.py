@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from holostark import (DegeneratePoint, FieldPath, InvalidAngle, InvalidInput,
                        linear_triangle_holonomy, make_latitude_loop,
                        make_spherical_triangle, path_from_dict, path_to_dict,
                        projectors, sampled_path, wilson_loop, zee_holonomy)
+from holostark import holonomy
 from holostark.algebra import step_table
 from holostark.stark import d_components
 
-from util import triangle_product
+from util import sphere_points_reference, triangle_product
 
 OCTANT = (np.pi / 2, np.pi / 2)
 
@@ -177,6 +179,43 @@ class TestPaths:
         assert np.all(pts[:, 2] == 1e6 * np.cos(theta))
         chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         assert np.allclose(chords, chords[0], rtol=1e-6, atol=1e-9)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(latitude=st.booleans(),
+           theta=st.one_of(st.sampled_from([np.pi, np.nextafter(np.pi, 0.0), 1e-300,
+                                            5e-324]),
+                           st.floats(0.0, np.pi, exclude_min=True)),
+           phi=st.one_of(st.sampled_from([0.0, -0.0, 2 * np.pi, -2 * np.pi,
+                                          np.nextafter(2 * np.pi, 0.0),
+                                          np.nextafter(2 * np.pi, 7.0),
+                                          np.nextafter(-2 * np.pi, 0.0),
+                                          np.nextafter(-2 * np.pi, -7.0)]),
+                         st.floats(-7.0, 7.0)),
+           steps=st.one_of(st.integers(-2, 2), st.integers(3, 50_000)),
+           magnitude=st.one_of(st.sampled_from([1e-300, 1e300]),
+                               st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)))
+    def test_points_have_the_bytes_of_the_reference_builder(self, latitude, theta, phi,
+                                                            steps, magnitude):
+        # tobytes, not array_equal, so a signed zero that moves fails
+        if latitude:
+            path = make_latitude_loop(min(theta, np.nextafter(np.pi, 0.0)), magnitude)
+        else:
+            path = make_spherical_triangle(theta, phi, magnitude)
+        got = path.points(steps)
+        with mock.patch.object(holonomy, "_sphere_points", sphere_points_reference):
+            want = path.points(steps)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("theta", [1.0, np.pi])
+    @pytest.mark.parametrize("steps", [3, 400, 20_001])
+    def test_negative_zero_phi_has_the_bytes_of_phi_zero(self, theta, steps):
+        # linspace(-0.0, -0.0, c) is +0.0 throughout, so the last meridian
+        # of a phi = -0.0 triangle is the phi = 0.0 one
+        minus = make_spherical_triangle(theta, -0.0, 1e6)
+        assert np.signbit(minus.phi)
+        plus = make_spherical_triangle(theta, 0.0, 1e6).points(steps)
+        assert minus.points(steps).tobytes() == plus.tobytes()
 
     @pytest.mark.parametrize("make", [octant_path, lambda: make_latitude_loop(1.0, 1e6)])
     def test_built_in_loops_take_at_least_three_steps(self, make):

@@ -118,6 +118,20 @@ def triangle_product(theta, phi, rows):
                                                         exp_coefficients(vs))))
 
 
+def sphere_points_reference(knots, counts, magnitude):
+    """holonomy._sphere_points as it was before it took sin and cos only of
+    the angle that varies on a segment: both angles over the whole loop,
+    four transcendental passes, then one (3, n+1) stack scaled by the
+    magnitude.  The byte-for-byte reference of FieldPath.points."""
+    # one linspace per angle with scalar ends: array ends with one zero step
+    # would evaluate every angle as (i / c) * delta, which rounds differently
+    t, p = (np.concatenate([np.linspace(a[i], b[i], c, endpoint=False)
+                            for a, b, c in zip(knots, knots[1:], counts)] + [[knots[0][i]]])
+            for i in (0, 1))
+    st = np.sin(t)
+    return magnitude * np.stack([st * np.cos(p), st * np.sin(p), np.cos(t)]).T
+
+
 def d_increment(e, de, m, regime):
     """J(e) de for d_1..d_5 (..., 5) of points e, de (..., 3): 2 B(e, de) in
     the quadratic regime, d(de) in the linear one.  At the chord midpoint
