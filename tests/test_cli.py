@@ -748,29 +748,24 @@ def test_malformed_tolerance_exits_2(capsys, tmp_path, flag, value):
     assert err.startswith(f"error: {flag} must be") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag", ["--steps", "--time-steps", "--wl-steps"])
-def test_step_count_too_large_to_allocate_exits_2(capsys, tmp_path, flag):
+@pytest.mark.parametrize("flag, sampled", [("--steps", False), ("--time-steps", False),
+                                           ("--wl-steps", False), ("--steps", True)],
+                         ids=["--steps", "--time-steps", "--wl-steps", "sampled"])
+def test_step_count_too_large_to_allocate_exits_2(capsys, tmp_path, flag, sampled):
     # 10**15 steps need petabytes, more than any address space: the
-    # allocation fails at once instead of swapping
+    # allocation fails at once instead of swapping; a one-segment sampled
+    # path splits its segment into 10**15 substeps
+    path = write_octant(tmp_path)
+    if sampled:
+        f = tmp_path / "static.json"
+        f.write_text(json.dumps({"kind": "sampled", "samples": [[0, 0, 1e6], [0, 0, 1e6]]}))
+        path = str(f)
     if flag == "--steps":
-        argv = ["holonomy", "--regime", "quadratic", "--path", write_octant(tmp_path)]
+        argv = ["holonomy", "--regime", "quadratic", "--path", path]
     else:
         argv = ["verify-adiabatic", "--regime", "quadratic", "--T", "1e-9",
-                "--path", write_octant(tmp_path), "--time-steps", "100",
-                "--wl-steps", "100"]
-    assert_out_of_memory(capsys, argv + [flag, str(10**15)])
-
-
-def test_sampled_step_count_too_large_to_allocate_exits_2(capsys, tmp_path):
-    # one segment split into 10**15 substeps: petabytes, refused at once
-    f = tmp_path / "static.json"
-    f.write_text(json.dumps({"kind": "sampled", "samples": [[0, 0, 1e6], [0, 0, 1e6]]}))
-    assert_out_of_memory(capsys, ["holonomy", "--regime", "quadratic", "--path", str(f),
-                                  "--steps", str(10**15)])
-
-
-def assert_out_of_memory(capsys, argv):
-    code = main(argv)
+                "--path", path, "--time-steps", "100", "--wl-steps", "100"]
+    code = main(argv + [flag, str(10**15)])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: out of memory: ") and len(err.splitlines()) == 1
