@@ -92,29 +92,36 @@ def gap_norms(comps):
     return norms
 
 
-def check_chords(samples, m, regime, top):
-    """DegeneratePoint if the gap closes on a chord between consecutive
-    samples (n, 3): gap_norms of d at each chord's point nearest E = 0, with
-    the d_components row top, the largest |d| elsewhere on the path, as the
-    scale.  A chord can pass through zero field between its end points,
-    where a rotor would step straight across: quadratic d(-E) = d(E)."""
-    a, u = samples[:-1], np.diff(samples, axis=0)
-    uu = np.einsum("ki,ki->k", u, u)
-    t = np.divide(-np.einsum("ki,ki->k", a, u), uu, out=np.zeros_like(uu), where=uu > 0)
-    nearest = a + np.clip(t, 0.0, 1.0)[:, None] * u
-    gap_norms(np.vstack([top, d_components(nearest, m, regime)]))
-
-
-def band_directions(comps, norms):
-    """The unit vectors dhat = d1..d5 / |d| (k, 5) of d_components rows and
-    their gap_norms, stored component-major like d_components."""
+def band_directions(points, regime, m, samples=None):
+    """The unit band directions dhat = d1..d5 / |d| (k+1, 5) at the field
+    points (k+1, 3), stored component-major like d_components.  dhat is
+    homogeneous of degree 0 in E, so the points are first scaled in place
+    by one power of two (_linalg.pow2_exponent), exactly; d and |d|
+    (gap_norms) are then taken once a point.  A chord between consecutive
+    ``samples`` (n, 3) can pass through zero field, where a rotor would step
+    straight across (quadratic d(-E) = d(E)), so d is also checked at each
+    chord's point nearest E = 0, scaled by the same power, against the
+    largest |d| of the points.  DegeneratePoint if the gap closes at a point
+    or on a chord; InvalidInput if |d| overflows."""
+    scale = pow2_exponent(points)
+    np.ldexp(points, -scale, out=points)
+    comps = d_components(points, m, regime)
+    norms = gap_norms(comps)
+    if samples is not None:
+        samples = np.ldexp(samples, -scale)
+        a, u = samples[:-1], np.diff(samples, axis=0)
+        uu = np.einsum("ki,ki->k", u, u)
+        t = np.divide(-np.einsum("ki,ki->k", a, u), uu, out=np.zeros_like(uu), where=uu > 0)
+        nearest = a + np.clip(t, 0.0, 1.0)[:, None] * u
+        gap_norms(np.vstack([comps[np.argmax(norms)], d_components(nearest, m, regime)]))
     return (comps.T[1:] / norms).T
 
 
-def transport_exponents(points, regime, m, d=None, out=None):
-    """Transport rotors along a polyline (k+1, 3), one real row per pair of
-    steps: rows R (ceil(k/2), 11) of R = R_0 I + sum_{a<b} R_ab i gamma_ab
-    on algebra.step_table("transport").  The name is kept from the per-step
+def transport_exponents(points, d, out=None):
+    """Transport rotors along a polyline of field points (k+1, 3) with band
+    directions d (k+1, 5), one real row per pair of steps: rows R
+    (ceil(k/2), 11) of R = R_0 I + sum_{a<b} R_ab i gamma_ab on
+    algebra.step_table("transport").  The name is kept from the per-step
     exponents these rows replaced: bench/tracing.py finds the function, and
     counts the steps from its rows, under it, so a rename goes with a
     change of the benchmark.
@@ -132,22 +139,11 @@ def transport_exponents(points, regime, m, d=None, out=None):
     The shapes are the contract; the storage is component-major: the rows
     are the transpose of (11, ceil(k/2)) storage, written into ``out`` when
     given (such as the buffer _linalg.blocked_product hands its coeffs),
-    the layout in which they reach _linalg.clifford_steps, and points stored
-    as (3, k+1) rows, as FieldPath.points returns them, are read row by row.
-    dhat is homogeneous of degree 0 in E, so the points are first scaled by
-    a power of two (_linalg.pow2_exponent), exactly.  A caller passing
-    ``d``, the points' band_directions, has evaluated them and checked the
-    chords itself.  DegeneratePoint if the gap closes at a point or on a
-    chord (check_chords); InvalidInput if a single step turns dhat by
-    nearly pi (1 + a.b <= ANTIPODAL_ATOL), naming the step by the
-    directions of its field points."""
-    points = np.asarray(points, dtype=float)
-    if d is None:
-        scaled = np.ldexp(points, -pow2_exponent(points))
-        comps = d_components(scaled, m, regime)
-        norms = gap_norms(comps)
-        check_chords(scaled, m, regime, comps[np.argmax(norms)])
-        d = band_directions(comps, norms)
+    the layout in which they reach _linalg.clifford_steps, and d stored as
+    (5, k+1) rows, as band_directions returns it, is read row by row.  The
+    rows depend on d alone: the points only name, by their field
+    directions, a step that turns dhat by nearly pi (1 + a.b <=
+    ANTIPODAL_ATOL) in its InvalidInput."""
     d = d.T
     if d.shape[1] % 2 == 0:  # an odd step count: the last pair is a -> b -> b
         d = np.concatenate([d, d[:, -1:]], axis=1)

@@ -55,8 +55,7 @@ from ._linalg import (blocked_product, clifford_steps, complex_block, dagger,
                       exp_coefficients, ordered_product, pow2_exponent, projector_frame,
                       require_unitary, unitarity_defect)
 from .algebra import step_table
-from .connection import (band_directions, check_chords, gap_norms, projectors,
-                         transport_exponents)
+from .connection import band_directions, projectors, transport_exponents
 from .errors import (InvalidAngle, InvalidInput, NonPositiveMagnitude, NotClosed,
                      NotConstantMagnitude, is_finite_number, is_number_tree)
 from .stark import d_components
@@ -125,7 +124,7 @@ class FieldPath:
         """Closed polyline (n+1, 3) with first and last points identical, a
         new array each call.  The shape is the contract; the storage is
         component-major, the transpose of (3, n+1) rows, which is how
-        d_components and transport_exponents read it.  A built-in loop takes
+        d_components and band_directions read it.  A built-in loop takes
         sin and cos per point only of the angle that varies on a segment;
         being elementwise, they give the bytes of all four over both angles."""
         if self.kind == "sampled":
@@ -141,13 +140,15 @@ class FieldPath:
 
 
 def _refined_points(samples, steps):
-    substeps = -(-steps // (len(samples) - 1))
-    s = samples.T
-    if substeps <= 1:
-        return s.copy().T
-    w = np.arange(substeps) / substeps
-    seg = s[:, :-1, None] + w * (s[:, 1:, None] - s[:, :-1, None])
-    return np.concatenate([seg.reshape(3, -1), s[:, -1:]], axis=1).T
+    s, k = samples.T, len(samples) - 1
+    substeps = max(1, -(-steps // k))
+    out = np.empty((3, k * substeps + 1))
+    out[:, ::substeps] = s
+    if substeps > 1:  # every substep a + w (b - a), w = 0 too: -0.0 + 0.0 is +0.0
+        seg = out[:, :-1].reshape(3, k, substeps)  # a view: one axis split in two
+        np.multiply(np.arange(substeps) / substeps, s[:, 1:, None] - s[:, :-1, None], out=seg)
+        np.add(s[:, :-1, None], seg, out=seg)
+    return out.T
 
 
 def _sphere_points(knots, counts, magnitude):
@@ -297,30 +298,22 @@ def wilson_loop(path, regime, m, steps=DEFAULT_STEPS):
     built and multiplied in real form in blocks of rows
     (_linalg.blocked_product); block [lo, hi) reads points 2 lo to 2 hi, so
     the loop has the bits of one ordered_product over all its rows.
-    Holonomy.steps counts steps, not rows.  The points are scaled in place
-    by one power of two for the whole path, and d and |d| are evaluated
-    once at each of the n + 1 points, in one degeneracy check the blocks
-    reuse.  A chord of a sampled path can pass through zero field between
-    its points, where a quadratic-regime rotor would step straight across
-    (d(-E) = d(E)), so d is also checked at each chord's point nearest E =
-    0.  Each rotor maps one band projector onto the next, so the full
-    unitary commutes with the basepoint projectors to roundoff, and its
-    band blocks are the loop holonomies.
+    Holonomy.steps counts steps, not rows.  The blocks reuse one
+    connection.band_directions of the whole path: the points scaled in place
+    by one power of two, d and |d| once at each of the n + 1 points, and
+    the chords of a sampled path checked.  Each rotor maps one band
+    projector onto the next, so the full unitary commutes with the
+    basepoint projectors to roundoff, and its band blocks are the loop
+    holonomies.
     """
     if steps < MIN_STEPS:
         raise InvalidInput(f"steps must be >= {MIN_STEPS}")
     pts = path.points(steps)
     basepoint = pts[0].copy()
-    scale = pow2_exponent(pts)
-    np.ldexp(pts, -scale, out=pts)
-    comps = d_components(pts, m, regime)
-    norms = gap_norms(comps)
-    if path.samples is not None:
-        check_chords(np.ldexp(path.samples, -scale), m, regime, comps[np.argmax(norms)])
-    dhat = band_directions(comps, norms)
+    dhat = band_directions(pts, regime, m, path.samples)
     full = blocked_product(len(pts) // 2, step_table("transport"), lambda lo, hi, out:
-                           transport_exponents(pts[2 * lo:2 * hi + 1], regime, m,
-                                               d=dhat[2 * lo:2 * hi + 1], out=out))
+                           transport_exponents(pts[2 * lo:2 * hi + 1],
+                                               dhat[2 * lo:2 * hi + 1], out=out))
     fp, fm = basepoint_frames(pts[0], regime, m)  # the same bits as unscaled
     return Holonomy(
         full=full,

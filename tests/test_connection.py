@@ -10,10 +10,10 @@ from holostark import (DegeneratePoint, InvalidInput, connection_d, eigenphases,
                        transport_exponents, wilson_loop)
 from holostark._linalg import BLOCK
 from holostark.algebra import step_table
-from holostark.connection import gap_norms
+from holostark.connection import band_directions, gap_norms
 from holostark.stark import d_components
 
-from util import d_increment, one_product, transport_matrices
+from util import d_increment, one_product, standalone_rows, transport_matrices
 
 
 def random_dvector(rng, scale=1.0):
@@ -176,7 +176,7 @@ class TestTransportExponents:
     def test_step_count_and_unitarity(self, ge_b):
         # three steps make two rows: a pair and a padded last pair
         pts = np.array([[0, 0, 1e6], [1e5, 0, 1e6], [0, 1e5, 1e6], [0, 0, 1e6]])
-        w = transport_matrices(transport_exponents(pts, "quadratic", ge_b))
+        w = transport_matrices(standalone_rows(pts, "quadratic", ge_b))
         assert w.shape == (2, 4, 4)
         assert np.abs(w @ np.conj(np.swapaxes(w, 1, 2)) - np.eye(4)).max() <= 1e-15
 
@@ -186,8 +186,8 @@ class TestTransportExponents:
         # |b + a| to the bit, so each pair row of the reversed polyline is the
         # conjugate R_0 I - R_ab i gamma_ab
         pts = make_spherical_triangle(0.7, 1.1, 1e6).points(500)
-        fwd = transport_exponents(pts, regime, ge_b)
-        bwd = transport_exponents(pts[::-1], regime, ge_b)[::-1]
+        fwd = standalone_rows(pts, regime, ge_b)
+        bwd = standalone_rows(pts[::-1], regime, ge_b)[::-1]
         assert np.array_equal(bwd[:, 0], fwd[:, 0])
         assert np.array_equal(bwd[:, 1:], -fwd[:, 1:])
 
@@ -203,7 +203,7 @@ class TestTransportExponents:
             for h in (2e-2, 1e-2, 5e-3):
                 ends = d[1:] + np.outer([-0.5 * h, 0.5 * h], u)
                 dhat = ends / np.linalg.norm(ends, axis=1)[:, None]
-                r = transport_exponents(np.zeros((2, 3)), "linear", None, d=dhat)[0]
+                r = transport_exponents(np.zeros((2, 3)), dhat)[0]
                 angle = np.arctan2(np.linalg.norm(r[1:]), r[0])
                 bivector = (angle / np.linalg.norm(r[1:])) * r[None, 1:]
                 generator = transport_matrices(bivector)
@@ -219,8 +219,8 @@ class TestTransportExponents:
         with pytest.raises(InvalidInput, match=r"^a step turns the band direction dhat by "
                            r"nearly pi, from E along \(1, 0, 0\) to \(-1, 1e-08, 0\): "
                            r"refine the path$"):
-            transport_exponents(pts, "linear", ge_b)
-        assert np.all(np.isfinite(transport_exponents(pts[1:], "linear", ge_b)))
+            standalone_rows(pts, "linear", ge_b)
+        assert np.all(np.isfinite(standalone_rows(pts[1:], "linear", ge_b)))
 
     @pytest.mark.parametrize("before", [[[0, 1e6, 0]], [[0, 1e6, 0], [0, 0, 1e6]]],
                              ids=["second-of-a-pair", "padded-pair"])
@@ -231,14 +231,30 @@ class TestTransportExponents:
         with pytest.raises(InvalidInput, match=r"^a step turns the band direction dhat by "
                            r"nearly pi, from E along \(1, 0, 0\) to \(-1, 1e-08, 0\): "
                            r"refine the path$"):
-            transport_exponents(pts, "linear", ge_b)
+            standalone_rows(pts, "linear", ge_b)
+
+    def test_rows_depend_on_dhat_alone(self, ge_b, rng):
+        # the same dhat with other points gives the same rows; the points
+        # only name the field directions of a near-pi step
+        pts = make_spherical_triangle(0.7, 1.1, 1e6).points(501)
+        dhat = band_directions(pts.copy(), "quadratic", ge_b)
+        assert np.array_equal(transport_exponents(pts, dhat),
+                              transport_exponents(rng.normal(size=pts.shape), dhat))
+        turn = np.array([[1e6, 0, 0], [-1e6, 1e-2, 0], [0, 1e6, 0]])
+        dhat = band_directions(turn.copy(), "linear", ge_b)
+        for pts, named in ((turn, r"\(1, 0, 0\) to \(-1, 1e-08, 0\)"),
+                           (np.array([[0, 0, 2.0], [0, -3, 0], [5, 5, 5]]),
+                            r"\(0, 0, 1\) to \(0, -1, 0\)")):
+            with pytest.raises(InvalidInput, match=r"^a step turns the band direction dhat "
+                               r"by nearly pi, from E along " + named + ": refine the path$"):
+                transport_exponents(pts, dhat)
 
     def test_gap_closure_detected(self, ge_b):
         # the second segment's midpoint sits at zero field, between two
         # points whose dhat is the same (d(-E) = d(E))
         pts = np.array([[0, 0, 1e6], [0, 0, 1e2], [0, 0, -1e2], [0, 0, 1e6]])
         with pytest.raises(DegeneratePoint):
-            transport_exponents(pts, "quadratic", ge_b)
+            standalone_rows(pts, "quadratic", ge_b)
 
     @pytest.mark.parametrize("regime, magnitude", [
         ("linear", 1e-147), ("linear", 1e-150), ("linear", 1e-160), ("linear", 1e-300),
@@ -253,8 +269,8 @@ class TestTransportExponents:
         pts = path.points(400)
         assert np.all(np.any(d_components(pts, ge_b, regime)[:, 1:] != 0, axis=1))
         k = int(np.round(np.log2(1e6 / magnitude)))
-        assert np.array_equal(transport_exponents(pts, regime, ge_b),
-                              transport_exponents(np.ldexp(pts, k), regime, ge_b))
+        assert np.array_equal(standalone_rows(pts, regime, ge_b),
+                              standalone_rows(np.ldexp(pts, k), regime, ge_b))
         scaled = make_spherical_triangle(1.0, 0.7, np.ldexp(magnitude, k))
         assert np.array_equal(wilson_loop(path, regime, ge_b, steps=400).full,
                               wilson_loop(scaled, regime, ge_b, steps=400).full)
@@ -319,8 +335,8 @@ class TestScaleFree:
     @pytest.mark.parametrize("k", [-1000, -600, 600, 900])
     def test_transport_exponents_ignore_a_power_of_two(self, ge_b, regime, k):
         pts = make_spherical_triangle(1.0, 0.7, 1e6).points(300)
-        assert np.array_equal(transport_exponents(np.ldexp(pts, k), regime, ge_b),
-                              transport_exponents(pts, regime, ge_b))
+        assert np.array_equal(standalone_rows(np.ldexp(pts, k), regime, ge_b),
+                              standalone_rows(pts, regime, ge_b))
 
     @pytest.mark.parametrize("regime", ["linear", "quadratic"])
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
@@ -330,7 +346,7 @@ class TestScaleFree:
         path = sampled_path(scale * np.array([[0, 0, 1e0], [1e1, 0, 1e0], [0, 3e0, 2e0],
                                               [0, 0, 1e0]]))
         pts = path.points(3 * BLOCK)
-        single = one_product(step_table("transport"), transport_exponents(pts, regime, ge_b))
+        single = one_product(step_table("transport"), standalone_rows(pts, regime, ge_b))
         hol = wilson_loop(path, regime, ge_b, 3 * BLOCK)
         assert len(pts) - 1 > 2 * BLOCK
         assert np.array_equal(hol.full, single)

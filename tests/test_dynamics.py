@@ -6,12 +6,11 @@ import pytest
 from holostark import (Drive, InvalidInput, adiabatic_fidelity, evolve,
                        hamiltonian, linear_stark_holonomy, make_latitude_loop,
                        make_spherical_triangle, sampled_path, wilson_loop)
-from holostark.connection import transport_exponents
 from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
 
-from util import (expm_antiherm, midpoint_exponents_einsum, transport_matrices,
-                  unitarize)
+from util import (expm_antiherm, midpoint_exponents_einsum, standalone_rows,
+                  transport_matrices, unitarize)
 
 OCTANT = make_spherical_triangle(np.pi / 2, np.pi / 2, 1e6)
 
@@ -175,7 +174,7 @@ class TestAdiabaticFidelity:
         drive = Drive(path=OCTANT, total_time=2e-9, time_steps=40000)
         out = adiabatic_fidelity(drive, "quadratic", ge_spherical, band="minus",
                                  wl_steps=2000)
-        rows = transport_exponents(OCTANT.points(2000), "quadratic", ge_spherical)
+        rows = standalone_rows(OCTANT.points(2000), "quadratic", ge_spherical)
         frame = wilson_loop(OCTANT, "quadratic", ge_spherical, 2000).frame("minus")
         for sign, agrees in ((1.0, True), (-1.0, False)):
             steps = transport_matrices(rows * np.r_[1.0, np.full(10, sign)])

@@ -17,7 +17,7 @@ from holostark import holonomy
 from holostark.algebra import step_table
 from holostark.stark import d_components
 
-from util import sphere_points_reference, triangle_product
+from util import refined_points_reference, sphere_points_reference, triangle_product
 
 OCTANT = (np.pi / 2, np.pi / 2)
 
@@ -221,6 +221,27 @@ class TestPaths:
     def test_built_in_loops_take_at_least_three_steps(self, make):
         for steps in (-1, 0, 1, 2, 3):
             assert len(make().points(steps)) - 1 == 3
+
+    @pytest.mark.parametrize("samples", [
+        octant_path().points(39),
+        [[-0.0, 0.0, 1e6], [1e6, -0.0, 0.0], [0.0, 1e6, -0.0], [-0.0, 0.0, 1e6]],
+        [[0.0, 0.0, 1e6], [1e3, 0.0, -1e6], [1e6, 0.0, 0.0], [0.0, 0.0, 1e6]],
+        [[3e-300, 0.0, -1e-300], [3e-300, 0.0, -1e-300]]],
+        ids=["octant-39", "signed-zeros-3", "under-3", "one-segment"])
+    @pytest.mark.parametrize("multiple", [-1, 0, 1, 2, 257])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_sampled_points_have_the_bytes_of_the_reference_builder(self, samples,
+                                                                    multiple, extra):
+        # steps <= segments give the samples; every other count takes the
+        # ceil(steps / segments) substeps of the segments, whether or not the
+        # count is a multiple of them; tobytes, so a signed zero that moves fails
+        path = sampled_path(samples)
+        steps = multiple * (len(path.samples) - 1) + extra
+        got = path.points(steps)
+        with mock.patch.object(holonomy, "_refined_points", refined_points_reference):
+            want = path.points(steps)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("steps", [40, 100, 1000])
     def test_sampled_points_split_each_segment(self, steps):

@@ -12,7 +12,7 @@ from holostark import (DegeneratePoint, Drive, adiabatic_fidelity, evolve,
 from holostark._linalg import (BLOCK, blocked_product, clifford_steps, complex_block,
                                exp_coefficients, ordered_product)
 from holostark.algebra import PAULI, step_table, wedge
-from holostark.connection import gap_norms, transport_exponents
+from holostark.connection import gap_norms
 from holostark.dynamics import _drive_steps, _propagate
 from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
@@ -20,7 +20,8 @@ from holostark.units import HBAR_MEV_S
 from util import (clifford_exp, d_dot_gamma_einsum, expm_antiherm,
                   midpoint_exponents_einsum, midpoint_loop, midpoint_rows, one_product,
                   pair_rotors_complex, pair_rows_point_major, propagate_point_major,
-                  random_su2, rotor_rows_point_major, rotors_complex, transport_matrices)
+                  random_su2, rotor_rows_point_major, rotors_complex, standalone_rows,
+                  transport_matrices)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8])
@@ -184,7 +185,7 @@ def test_wilson_loops_on_two_threads_keep_their_bits(ge_b):
 def test_wilson_loop_has_the_bits_of_one_ordered_product(ge_b, regime):
     path = make_spherical_triangle(0.7, 1.1, 1e6)
     single = one_product(step_table("transport"),
-                         transport_exponents(path.points(20000), regime, ge_b))
+                         standalone_rows(path.points(20000), regime, ge_b))
     assert np.array_equal(wilson_loop(path, regime, ge_b, 20000).full, single)
 
 
@@ -279,7 +280,7 @@ def test_midpoint_reference_agrees_with_the_complex_kernel(ge_b, regime, path):
 def test_transport_exponents_match_einsum(ge_b, regime):
     pts = make_spherical_triangle(0.7, 1.1, 1e6).points(500)
     expected = pair_rotors_complex(pts, regime, ge_b)
-    got = transport_matrices(transport_exponents(pts, regime, ge_b))
+    got = transport_matrices(standalone_rows(pts, regime, ge_b))
     assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
@@ -289,7 +290,7 @@ def test_pair_rows_multiply_the_steps(ge_b, regime, steps):
     # ceil(k/2) rows, whose product is the per-step product; the large turns
     # of the coarse loop's first points, up to nearly pi in the linear regime
     pts = _COARSE.points(100)[:steps + 1]
-    rows = transport_exponents(pts, regime, ge_b)
+    rows = standalone_rows(pts, regime, ge_b)
     assert rows.shape == ((steps + 1) // 2, 11)
     got = ordered_product(transport_matrices(rows))
     assert np.abs(got - ordered_product(rotors_complex(pts, regime, ge_b))).max() <= 1e-15
@@ -304,7 +305,7 @@ def test_odd_count_pads_the_single_rotor(ge_b, regime, path, steps):
     # the coarse loop's 99th step turns dhat by 140 degrees (linear) or 62
     # (quadratic)
     pts = path.points(steps)[:steps + 1]
-    last = transport_exponents(pts, regime, ge_b)[-1]
+    last = standalone_rows(pts, regime, ge_b)[-1]
     single = rotor_rows_point_major(pts, regime, ge_b)[-1]
     assert np.abs(last - single).max() <= 1e-15
 
@@ -314,7 +315,7 @@ def test_pair_with_a_negative_scalar(ge_b, regime):
     # two turns that add up to more than pi give R_0 < 0; the row is the
     # product of its two single rotors all the same
     pts = _COARSE.points(100)
-    rows = transport_exponents(pts, regime, ge_b)
+    rows = standalone_rows(pts, regime, ge_b)
     assert (rows[:, 0] < 0).sum() == {"linear": 9, "quadratic": 1}[regime]
     singles = rotors_complex(pts, regime, ge_b)
     want = singles[1::2] @ singles[0::2]
@@ -327,8 +328,8 @@ def test_reversed_coarse_polyline_inverts_every_pair(ge_b, regime):
     # do not, to the bit, so each row of the reversed polyline is the
     # conjugate R_0 I - R_ab i gamma_ab, also where R_0 < 0
     pts = _COARSE.points(100)
-    fwd = transport_exponents(pts, regime, ge_b)
-    bwd = transport_exponents(pts[::-1], regime, ge_b)[::-1]
+    fwd = standalone_rows(pts, regime, ge_b)
+    bwd = standalone_rows(pts[::-1], regime, ge_b)[::-1]
     assert np.array_equal(bwd[:, 0], fwd[:, 0])
     assert np.array_equal(bwd[:, 1:], -fwd[:, 1:])
 
@@ -339,7 +340,7 @@ def test_reversed_coarse_polyline_inverts_every_pair(ge_b, regime):
 @pytest.mark.parametrize("steps", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 3])
 def test_pair_rows_across_blocks_have_the_bits_of_one_ordered_product(ge_b, steps):
     path = make_latitude_loop(1.1, 2e5)
-    rows = transport_exponents(path.points(steps), "quadratic", ge_b)
+    rows = standalone_rows(path.points(steps), "quadratic", ge_b)
     assert len(rows) == -(-steps // 2)
     assert np.array_equal(wilson_loop(path, "quadratic", ge_b, steps).full,
                           one_product(step_table("transport"), rows))

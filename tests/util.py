@@ -9,7 +9,7 @@ from holostark import acomm, default_basis, gamma_basis
 from holostark._linalg import (blocked_product, clifford_steps, complex_block, dagger,
                                exp_coefficients, ordered_product, pow2_exponent)
 from holostark.algebra import PAULI, CliffordBasis, _generators, step_table
-from holostark.connection import gap_norms
+from holostark.connection import band_directions, gap_norms, transport_exponents
 from holostark.stark import d_components
 from holostark.units import HBAR_MEV_S
 
@@ -130,6 +130,28 @@ def sphere_points_reference(knots, counts, magnitude):
             for i in (0, 1))
     st = np.sin(t)
     return magnitude * np.stack([st * np.cos(p), st * np.sin(p), np.cos(t)]).T
+
+
+def refined_points_reference(samples, steps):
+    """holonomy._refined_points as it was before it wrote the substeps
+    straight into one array: each segment's a + w (b - a) as a (3, k,
+    substeps) temporary, then one concatenate with the last sample.  The
+    byte-for-byte reference of a sampled path's FieldPath.points."""
+    substeps = -(-steps // (len(samples) - 1))
+    s = samples.T
+    if substeps <= 1:
+        return s.copy().T
+    w = np.arange(substeps) / substeps
+    seg = s[:, :-1, None] + w * (s[:, 1:, None] - s[:, :-1, None])
+    return np.concatenate([seg.reshape(3, -1), s[:, -1:]], axis=1).T
+
+
+def standalone_rows(points, regime, m):
+    """transport_exponents of a polyline (k+1, 3) on its own: the
+    band_directions of a copy of its points, every step checked as a chord,
+    as transport_exponents evaluated them itself before it took dhat."""
+    points = np.asarray(points, dtype=float)
+    return transport_exponents(points, band_directions(np.array(points), regime, m, points))
 
 
 def d_increment(e, de, m, regime):
