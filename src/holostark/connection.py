@@ -29,10 +29,9 @@ band projectors (Kato, J. Phys. Soc. Jpn. 5, 435 (1950)), R (a.gamma) R^dag
 two unit vectors (Doran & Lasenby, Geometric Algebra for Physicists, ch.
 4): its coefficients q.p and q ^ p go straight onto one row of the
 transport step table, with no angle, no cos or sinc, and d only at the
-path points.  Against the analytic oracles the rotor is as
-accurate as the chord-midpoint exponents it replaced (second order; see
-holonomy), and exact where dhat follows great circles, as on the straight
-chords of a linear-regime path.
+path points.  Against the analytic oracles the rotor is second
+order (see holonomy), and exact where dhat follows great circles, as on the
+straight chords of a linear-regime path.
 """
 
 import numpy as np

@@ -24,7 +24,7 @@ from ._linalg import blocked_product, dagger, exp_coefficients
 from .algebra import step_table
 from .connection import gap_norms
 from .errors import InvalidInput, _ArgumentError
-from .holonomy import DEFAULT_STEPS, MIN_STEPS, FieldPath, wilson_loop
+from .holonomy import DEFAULT_STEPS, MIN_STEPS, FieldPath, _is_plus, wilson_loop
 from .stark import d_components
 from .units import HBAR_MEV_S
 
@@ -131,9 +131,10 @@ def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS):
     propagator block and B the Wilson-loop block in the same frame; leakage
     out of the band degrades it gracefully, and the adiabatic theorem
     drives it to 1 as total_time grows.  band_leakage is one minus
-    the mean returned band population.  wl_steps, then the drive, are checked
-    before any work, so a rejected drive costs no transport.
+    the mean returned band population.  band and wl_steps, then the drive,
+    are checked before any work, so a rejected input costs no transport.
     """
+    sign = 1.0 if _is_plus(band) else -1.0
     if wl_steps < MIN_STEPS:
         raise _ArgumentError("wl_steps", f"steps must be >= {MIN_STEPS}")
     comps, norms, dt = _drive_steps(drive, regime, m)
@@ -141,7 +142,6 @@ def adiabatic_fidelity(drive, regime, m, band="minus", wl_steps=DEFAULT_STEPS):
     reference = hol.block(band)
     frame = hol.frame(band)
     psi = _propagate(comps, norms, dt, frame)
-    sign = 1.0 if band == "plus" else -1.0
     psi = psi * np.exp(1j * sign * norms.sum() * dt / HBAR_MEV_S)
     block = dagger(frame) @ psi
     leakage = float(1.0 - np.sum(np.abs(block) ** 2, axis=0).mean())

@@ -14,12 +14,10 @@ error, from replacing the curve dhat(E(t)) by great-circle arcs between its
 points, shows up as a second-order difference between refinements, not as
 unitarity loss or leakage between the bands.  Where dhat does follow great
 circles, as along the straight chords of a linear-regime sampled path, U is
-exact at any step count.  Against the analytic oracles below the rotor
-matches the chord-midpoint exponents it replaced: on the octant and nine
-seeded triangles, the worst eigenphase error against zee_holonomy at 800 /
-5 000 / 20 000 steps is 1.4e-5 / 3.7e-7 / 2.3e-8 (midpoint 7.2e-6 / 1.8e-7 /
-1.2e-8), the median about 1.5x lower than the midpoint's, the same to three
-figures per step and per pair of steps.  Corners of piecewise
+exact at any step count.  Against the analytic oracles below, on the
+octant and nine seeded triangles, the worst eigenphase error against
+zee_holonomy at 800 / 5 000 / 20 000 steps is 1.4e-5 / 3.7e-7 / 2.3e-8, the
+same to three figures per step and per pair of steps.  Corners of piecewise
 paths are plain C0 junctions -- segment products with no extra factor --
 since the bounded connection contributes nothing from a corner in the
 fine-step limit.

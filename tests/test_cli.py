@@ -1,5 +1,4 @@
 import builtins
-import dataclasses
 import hashlib
 import io
 import json
@@ -20,8 +19,6 @@ from holostark import (LoopModel, eigen_split, eigenphases, holonomy_fidelity,
 from holostark import cli
 from holostark.cli import main
 from holostark.stark import d_components
-
-from util import midpoint_loop
 
 
 def _reject_constant(name):
@@ -325,31 +322,6 @@ class TestHolonomy:
                             "--steps", "2000")
         assert code == 0 and rec["results"]["converged"] is True
         assert rec["results"]["convergence_defect"] <= 5e-13
-
-    def test_converged_run_needs_unitary_blocks(self, capsys, tmp_path, monkeypatch):
-        # a loose --defect-tol calls a run converged: blocks not unitary to
-        # 1e-3 must then fail the run instead of exiting 0.  Each rotor maps
-        # one band projector exactly onto the next, so no loop leaks under
-        # it; the midpoint scheme's transport of this loop (tests/util.py),
-        # whose blocks at 400 steps are unitary only to about 4e-2, stands in
-        # for a transport that leaks between the bands
-        def leaky(path, regime, m, steps):
-            hol = wilson_loop(path, regime, m, steps)
-            full = midpoint_loop(path, regime, m, steps)
-            fp, fm = hol.frame_plus, hol.frame_minus
-            return dataclasses.replace(hol, full=full, block_plus=fp.conj().T @ full @ fp,
-                                       block_minus=fm.conj().T @ full @ fm)
-
-        monkeypatch.setattr(cli, "wilson_loop", leaky)
-        f = tmp_path / "under.json"
-        f.write_text(json.dumps({"kind": "sampled", "samples": [
-            [0, 0, 1e6], [1e3, 0, -1e6], [1e6, 0, 0], [0, 0, 1e6]]}))
-        code = main(["holonomy", "--path", str(f), "--regime", "quadratic",
-                     "--steps", "400", "--defect-tol", "2"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: the plus band block (the transport leaks between "
-                              "the bands) is not unitary: defect ")
 
     def test_record_names_every_table_read(self, capsys, tmp_path, monkeypatch):
         # a table that changes Ge:B's beta changes the holonomy: the record

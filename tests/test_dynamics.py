@@ -94,6 +94,19 @@ def test_phase_overflow_raises_before_propagating(ge_spherical, total_time,
 
 
 class TestAdiabaticFidelity:
+    @pytest.mark.parametrize("band", ["bogus", "Plus", None])
+    def test_unknown_band_rejected_before_any_work(self, ge_b, band, monkeypatch):
+        # a bad band is an input error, raised before the drive is evaluated
+        # or any Wilson loop is run
+        from holostark import dynamics
+        calls = []
+        monkeypatch.setattr(dynamics, "wilson_loop", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(dynamics, "_drive_steps", lambda *a: calls.append(a))
+        drive = Drive(path=OCTANT, total_time=5e-10, time_steps=30000)
+        with pytest.raises(InvalidInput, match="band must be 'plus' or 'minus'"):
+            adiabatic_fidelity(drive, "quadratic", ge_b, band=band)
+        assert calls == []
+
     def test_static_drive_identity(self, ge_b):
         drive = Drive(path=static_path(), total_time=7e-10, time_steps=300)
         out = adiabatic_fidelity(drive, "quadratic", ge_b, band="minus")
